@@ -1,12 +1,23 @@
 """Fixed-step time-domain integration of the platoon dynamics with constant
 communication delay, plus the stable/unstable classifier and threshold scan.
 
-The integrator is a classic explicit 4th-order one-step scheme with a stored
-uniform-step history buffer (method-of-steps flavor).  The requested delay is
-rounded to the nearest multiple of the step, so delayed reads at whole-step
-stage times land exactly on stored samples; the half-step stage reads the
-history through a cubic interpolation of the four nearest stored samples.
-Pre-history is the constant initial state: x(t) = x0 for t <= 0.
+The integrator is the classic explicit 4th-order Runge-Kutta scheme (RK4)
+over a stored uniform-step history buffer.  The requested delay is rounded to
+the nearest multiple m of the step, so delayed reads at whole-step stage times
+land exactly on stored samples; the half-step stage reads the history through
+a cubic interpolation of the four nearest stored samples.  Pre-history is the
+constant initial state: x(t) = x0 for t <= 0.
+
+When every term is delayed (mode "full") and m >= 3, step i reads only the
+stored samples i-m-1 .. i-m+2, all at least one step older than the state it
+updates.  The next m-1 steps then depend on accepted history alone, and are
+advanced together as one batch: the method of steps (Bellen & Zennaro,
+Numerical Methods for Delay Differential Equations, 2003) applied to the same
+RK4 scheme.  A batch reads the same samples with the same weights as m-1
+single steps and accumulates the states in the same order, so it computes
+the same trajectory; only the association of the stage sum and of the norms
+differs, by rounding.  The other modes, and m <= 2, are stepped one at a
+time, because there each step reads the state it updates.
 
 Three delay modes are supported for the linear dynamics xdot = A x:
 
@@ -168,8 +179,8 @@ class DelaySpec:
     mode: str = "full"  # "none" | "full" | "self-undelayed"
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ParameterError(f"delay must be nonnegative, got {self.tau}")
+        if not math.isfinite(self.tau) or self.tau < 0.0:
+            raise ParameterError(f"delay must be finite and nonnegative, got {self.tau}")
         if self.mode not in ("none", "full", "self-undelayed"):
             raise ParameterError(f"unknown delay mode {self.mode!r}")
 
@@ -290,21 +301,27 @@ def simulate(
     The delay is rounded to the nearest multiple of the step and the rounded
     value is reported in the trajectory metadata as ``tau_effective``.  A
     delay that rounds to zero steps degenerates to the undelayed dynamics.
+    In mode "full" with a delay of at least 3 steps, the RK4 steps are
+    advanced m-1 at a time (see the module docstring): each step reads only
+    history that earlier batches have accepted, so the batch gives the
+    per-step trajectory up to rounding.
 
     Args:
         sys: system to integrate.
         delay: DelaySpec; mode "self-undelayed" is velocity-only.
         x0: initial state, length sys.dim (also the constant pre-history).
-        horizon: final time; must be at least 10 steps long.
-        step: integration step, > 0.
+        horizon: final time, finite; must be at least 10 steps long.
+        step: integration step, finite and > 0.
         disturbance: optional bounded input, added through the system's
             input matrix and sampled at the integration stage times.
 
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
-    if step <= 0.0:
-        raise ParameterError(f"step must be positive, got {step}")
+    if not math.isfinite(step) or step <= 0.0:
+        raise ParameterError(f"step must be finite and positive, got {step}")
+    if not math.isfinite(horizon):
+        raise ParameterError(f"horizon must be finite, got {horizon}")
     if horizon < 10.0 * step:
         raise ParameterError(f"horizon {horizon} shorter than 10 steps ({10 * step})")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -348,9 +365,37 @@ def simulate(
 
     norms = np.empty(nsteps + 1)
     norms[0] = float(np.linalg.norm(x0))
-    x = x0.copy()
-    diverged = False
-    last = nsteps
+    if a0 is None and m >= 3:
+        last, diverged = _advance_blocks(hist, base, m, atau, h, w_grid, w_mid, norms)
+    else:
+        last, diverged = _advance_steps(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
+
+    times = np.arange(last + 1) * h
+    # a view, not a copy: the history buffer is not used after the run
+    states = hist[base : base + last + 1]
+    meta = {
+        "n": sys.n if sys.n is not None else -1,
+        "k": sys.k if sys.k is not None else -1,
+        "kind": sys.kind,
+        "mode": delay.mode,
+        "tau": delay.tau,
+        "tau_effective": tau_eff,
+        "step": h,
+        "seed": getattr(disturbance, "seed", None),
+        "disturbance": disturbance.describe() if disturbance is not None else "none",
+        "diverged": diverged,
+    }
+    return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)
+
+
+def _advance_steps(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
+    """RK4 one step at a time: fills hist[base + 1 ..] and norms[1 ..].
+
+    Returns (last, diverged): the number of steps kept and whether the run
+    stopped at a state beyond DIVERGENCE_CUTOFF or non-finite.
+    """
+    nsteps = len(norms) - 1
+    x = hist[base].copy()
     for i in range(nsteps):
         if m > 0:
             i0 = base + i - m
@@ -381,25 +426,44 @@ def simulate(
         nrm = float(np.linalg.norm(x))
         norms[i + 1] = nrm
         if not math.isfinite(nrm) or nrm > DIVERGENCE_CUTOFF:
-            diverged = True
-            last = i + 1
-            break
+            return i + 1, True
+    return nsteps, False
 
-    times = np.arange(last + 1) * h
-    states = hist[base : base + last + 1].copy()
-    meta = {
-        "n": sys.n if sys.n is not None else -1,
-        "k": sys.k if sys.k is not None else -1,
-        "kind": sys.kind,
-        "mode": delay.mode,
-        "tau": delay.tau,
-        "tau_effective": tau_eff,
-        "step": h,
-        "seed": getattr(disturbance, "seed", None),
-        "disturbance": disturbance.describe() if disturbance is not None else "none",
-        "diverged": diverged,
-    }
-    return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)
+
+def _advance_blocks(hist, base, m, atau, h, w_grid, w_mid, norms) -> tuple:
+    """Fully delayed RK4 (xdot = atau x(t - m h), m >= 3), m-1 steps per batch.
+
+    Same contract as _advance_steps.  Step i's stages read hist rows
+    base+i-m-1 .. base+i-m+2, so a batch of b <= m-1 steps starting at i
+    reads rows up to base+i, the last accepted state.  Every row it reads is
+    x0 or a state that passed the divergence check, so a batch stays finite
+    (for x0 inside the cutoff); it is cut back to its first row that fails
+    the check.
+    """
+    nsteps = len(norms) - 1
+    w_rk4 = None if w_grid is None else w_grid[:-1] + 4.0 * w_mid + w_grid[1:]
+    w0, w1, w2, w3 = _W_CENTERED
+    i = 0
+    while i < nsteps:
+        b = min(m - 1, nsteps - i)
+        lo = base + i - m
+        xd = hist[lo - 1 : lo + b + 2]
+        xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
+        drive = (xd[1 : b + 1] + 4.0 * xdh + xd[2 : b + 2]) @ atau.T
+        if w_rk4 is not None:
+            drive += w_rk4[i : i + b]
+        # rows[0] is the accepted state; the cumulative sum adds one step's
+        # increment at a time, in the per-step loop's order
+        rows = hist[base + i : base + i + b + 1]
+        rows[1:] = (h / 6.0) * drive
+        np.cumsum(rows, axis=0, out=rows)
+        block_norms = np.linalg.norm(rows[1:], axis=1)
+        norms[i + 1 : i + b + 1] = block_norms
+        # max is NaN if any norm is, and NaN <= cutoff is false
+        if not block_norms.max() <= DIVERGENCE_CUTOFF:
+            return i + 1 + int(np.argmax(~(block_norms <= DIVERGENCE_CUTOFF))), True
+        i += b
+    return nsteps, False
 
 
 def simulate_offdiagonal(sys: SimSystem, tau: float, x0, horizon: float, step: float) -> Trajectory:

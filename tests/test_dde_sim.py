@@ -76,6 +76,13 @@ class TestSimulateBasics:
         with pytest.raises(ParameterError):
             simulate(formation_system(grounded(5, 2, [3])),
                      DelaySpec(0.1, "self-undelayed"), np.ones(8), 1.0, 0.01)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                DelaySpec(bad, "full")
+            with pytest.raises(ParameterError):
+                simulate(sysm, DelaySpec(0.1, "full"), np.ones(4), 1.0, bad)  # step
+            with pytest.raises(ParameterError):
+                simulate(sysm, DelaySpec(0.1, "full"), np.ones(4), bad, 0.01)  # horizon
 
     def test_divergence_truncates_with_marker(self):
         traj = simulate(scalar_system(), DelaySpec(3.0, "full"), np.ones(1), 400.0, 0.02)
@@ -159,6 +166,114 @@ class TestZeroDelayOracle:
             tb = simulate(sysm, delay, b, 5.0, 1e-2).states
             tab = simulate(sysm, delay, a + b, 5.0, 1e-2).states
             assert np.max(np.abs(tab - (ta + tb))) <= 1e-9
+
+
+def _cubic_midpoint_weights():
+    # Lagrange basis on the nodes -1, 0, 1, 2, evaluated at 1/2
+    nodes = (-1.0, 0.0, 1.0, 2.0)
+    return [math.prod((0.5 - o) / (p - o) for o in nodes if o != p) for p in nodes]
+
+
+def reference_full_rk4(a, jmat, x0, m, h, nsteps, disturbance=None):
+    """Plain per-step RK4 for xdot = a x(t - m h) + jmat w(t), m >= 2, with
+    x(t) = x0 for t <= 0; the half-step stage interpolates the history with
+    the centered cubic.  Written apart from simulate on purpose: it is the
+    oracle for the batched fully delayed path.
+
+    Returns (states, norms, diverged), stopping at the first state whose norm
+    is non-finite or above 1e12.
+    """
+    dim = len(x0)
+    if disturbance is None:
+        w_grid, w_mid = np.zeros((nsteps + 1, dim)), np.zeros((nsteps, dim))
+    else:
+        grid = np.arange(nsteps + 1) * h
+        w_grid = disturbance.sample(grid, jmat.shape[1], h) @ jmat.T
+        w_mid = disturbance.sample(grid[:-1] + h / 2.0, jmat.shape[1], h) @ jmat.T
+    weights = _cubic_midpoint_weights()
+    xs = [np.asarray(x0, dtype=float)]
+    norms = [float(np.linalg.norm(xs[0]))]
+
+    def past(j):
+        return xs[max(j, 0)]
+
+    for i in range(nsteps):
+        j = i - m
+        mid = sum(w * past(j - 1 + q) for q, w in enumerate(weights))
+        k1 = a @ past(j) + w_grid[i]
+        k23 = a @ mid + w_mid[i]
+        k4 = a @ past(j + 1) + w_grid[i + 1]
+        xs.append(xs[-1] + (h / 6.0) * (k1 + 4.0 * k23 + k4))
+        norms.append(float(np.linalg.norm(xs[-1])))
+        if not norms[-1] <= 1e12:
+            return np.array(xs), np.array(norms), True
+    return np.array(xs), np.array(norms), False
+
+
+class TestFullDelayMatchesPerStepReference:
+    KP, KU = 0.8, 1.3
+
+    def _system(self, gs, kind):
+        lg = np.asarray(gs.lg, float)
+        f = len(lg)
+        if kind == "velocity":
+            return velocity_system(gs, ku=self.KU), -self.KU * lg, np.eye(f)
+        a = np.block([[np.zeros((f, f)), np.eye(f)], [-self.KP * lg, -self.KU * lg]])
+        jmat = np.vstack([np.zeros((f, f)), np.eye(f)])
+        return formation_system(gs, kp=self.KP, ku=self.KU), a, jmat
+
+    def _check(self, sysm, a, jmat, tau, m, nsteps, x0, dist):
+        h = tau / m
+        traj = simulate(sysm, DelaySpec(tau, "full"), x0, (nsteps + 0.3) * h, h,
+                        disturbance=dist)
+        states, norms, diverged = reference_full_rk4(a, jmat, x0, m, h, nsteps, dist)
+        assert len(traj.times) == len(states)
+        assert traj.meta == {
+            "n": sysm.n, "k": sysm.k, "kind": sysm.kind, "mode": "full", "tau": tau,
+            "tau_effective": m * h, "step": h, "seed": getattr(dist, "seed", None),
+            "disturbance": dist.describe() if dist is not None else "none",
+            "diverged": diverged,
+        }
+        # relative to the trajectory's maximum: near-zero norms of a growing
+        # run carry the absolute rounding of its largest states
+        assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
+        assert np.max(np.abs(traj.norms - norms)) <= 1e-12 * np.max(norms)
+        ref = Trajectory(times=traj.times, states=states, norms=norms,
+                         meta={"diverged": diverged})
+        assert classify(traj).stable == classify(ref).stable
+        return traj
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    @pytest.mark.parametrize("m, nsteps, dist", [
+        (2, 700, None),  # stepped one at a time: each step reads its own state
+        (3, 1001, "sin"),
+        (4, 1202, "noise"),
+        (150, 2000, "sin"),  # 2000 = 13 * 149 + 63: the last batch is partial
+        (150, 1700, "noise"),
+    ])
+    def test_random_instances(self, kind, m, nsteps, dist):
+        rng = np.random.default_rng([m, nsteps, kind == "formation"])
+        _, _, gs = random_grounded(rng, n_lo=4, n_hi=12, k_hi=3, f_min=2, f_max=10)
+        sysm, a, jmat = self._system(gs, kind)
+        dist = {
+            None: None,
+            "sin": SinusoidDisturbance(amplitude=0.3, omega=1.7, phase=0.4),
+            "noise": NoiseDisturbance(amplitude=0.2, seed=int(rng.integers(1000))),
+        }[dist]
+        tau = float(rng.uniform(0.05, 0.5))
+        self._check(sysm, a, jmat, tau, m, nsteps, rng.uniform(-1, 1, sysm.dim), dist)
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    @pytest.mark.parametrize("m", [3, 150])
+    def test_diverging_run_truncates_at_the_same_step(self, kind, m):
+        rng = np.random.default_rng([m, 99, kind == "formation"])
+        _, _, gs = random_grounded(rng, n_lo=4, n_hi=12, k_hi=3, f_min=2, f_max=10)
+        sysm, a, jmat = self._system(gs, kind)
+        # three times the velocity margin pi / (2 ku lambda_max); on these
+        # seeded instances both dynamics diverge within 200 delays
+        tau = 3.0 * math.pi / (2.0 * self.KU * eig_sym(gs.lg).lambda_max)
+        traj = self._check(sysm, a, jmat, tau, m, 200 * m, rng.uniform(-1, 1, sysm.dim), None)
+        assert traj.diverged and len(traj.times) < 200 * m + 1
 
 
 class TestClassify:

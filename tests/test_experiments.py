@@ -263,6 +263,19 @@ class TestCli:
         b = (tmp_path / "b" / "delay_grid.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--tau", "nan"],
+        ["delay-grid", "--taus", "0.1,nan"],
+        ["simulate", "--tau", "0.1", "--horizon", "inf"],
+        ["simulate", "--tau", "0.1", "--step", "nan"],
+        ["simulate", "--tau", "inf"],
+    ])
+    def test_non_finite_delay_inputs_exit_2(self, tmp_path, capsys, argv):
+        code = main(argv[:1] + ["--n", "5", "--k", "2", "--out", str(tmp_path)] + argv[1:])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.txt").exists()
+
     def test_verify_violation_exit_4(self, capsys, monkeypatch):
         import platoonkit.cli as cli_mod
 
