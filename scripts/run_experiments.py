@@ -9,10 +9,14 @@ Produces, under the output directory (default ./results):
     scaling/       gain growth for k=1, n in {8,...,128}: single ref vs MD
     sim_offdiag/   off-diagonal-delay run at tau=5 (stable for any tau)
 
+Each subcommand's wall time goes to stderr, so stdout and the output files
+stay deterministic.
+
 Usage: python scripts/run_experiments.py [outdir]
 """
 
 import sys
+import time
 
 from platoonkit.cli import main
 
@@ -35,7 +39,9 @@ def run(outdir: str) -> int:
     ]
     for argv in jobs:
         print(f"$ platoonkit {' '.join(argv)}")
+        start = time.perf_counter()
         code = main(argv)
+        print(f"{argv[0]}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
         if code != 0:
             print(f"command failed with exit code {code}", file=sys.stderr)
             return code

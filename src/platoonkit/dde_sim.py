@@ -8,16 +8,20 @@ land exactly on stored samples; the half-step stage reads the history through
 a cubic interpolation of the four nearest stored samples.  Pre-history is the
 constant initial state: x(t) = x0 for t <= 0.
 
-When every term is delayed (mode "full") and m >= 3, step i reads only the
-stored samples i-m-1 .. i-m+2, all at least one step older than the state it
-updates.  The next m-1 steps then depend on accepted history alone, and are
-advanced together as one batch: the method of steps (Bellen & Zennaro,
-Numerical Methods for Delay Differential Equations, 2003) applied to the same
-RK4 scheme.  A batch reads the same samples with the same weights as m-1
-single steps and accumulates the states in the same order, so it computes
-the same trajectory; only the association of the stage sum and of the norms
-differs, by rounding.  The other modes, and m <= 2, are stepped one at a
-time, because there each step reads the state it updates.
+Every mode below is xdot = A0 x(t) + Atau x(t - tau) + J w(t), where A0 or
+Atau may be absent.  With Z = h A0 and the forcing f = Atau x(t - tau) + J w
+known at the stage times t_i, t_i + h/2, t_i + h, one RK4 step is
+
+    x_{i+1} = P x_i + C1 f0 + Ch fh + C4 f1,  P = I + Z + Z^2/2 + Z^3/6 + Z^4/24,
+    C1 = (h/6)(I + Z + Z^2/2 + Z^3/4),  Ch = (h/6)(4I + 2Z + Z^2/2),  C4 = (h/6) I.
+
+Step i's forcing reads stored samples no newer than x_i, so the forcings of
+m-1 steps (one step when m <= 2; any number when nothing is delayed) come
+from a few bulk products and only x = P x + g stays a Python loop: the method
+of steps (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, 2003).  In mode "full", P = I and the loop is a cumulative sum;
+where A0 is present, the polynomial form rounds differently from evaluating
+the four stages one by one, by a few 1e-14 of the trajectory's maximum.
 
 Three delay modes are supported for the linear dynamics xdot = A x:
 
@@ -48,6 +52,10 @@ STABILITY_THRESHOLD = 0.2
 
 #: fraction of the horizon used as the trailing classification window
 TRAILING_WINDOW = 0.25
+
+# rows handled at a time where whole-run temporaries would double a run's
+# memory: undelayed integration batches and CSV formatting
+_CHUNK_ROWS = 4096
 
 # cubic Lagrange weights on four consecutive samples:
 # centered stencil (nodes -1,0,1,2) evaluated at 1/2
@@ -192,6 +200,10 @@ class SinusoidDisturbance:
     """Per-channel sinusoid amplitude * sin(omega t + phase)."""
 
     def __init__(self, amplitude: float, omega: float, phase: float = 0.0, channel: int | None = None):
+        if not all(map(math.isfinite, (amplitude, omega, phase))):
+            raise ParameterError(
+                f"sinusoid amplitude, omega and phase must be finite, got {amplitude}, {omega}, {phase}"
+            )
         self.amplitude = amplitude
         self.omega = omega
         self.phase = phase
@@ -216,6 +228,8 @@ class NoiseDisturbance:
     over each integration step (so runs are reproducible given the seed)."""
 
     def __init__(self, amplitude: float, seed: int):
+        if not math.isfinite(amplitude):
+            raise ParameterError(f"noise amplitude must be finite, got {amplitude}")
         self.amplitude = amplitude
         self.seed = seed
 
@@ -258,10 +272,13 @@ class Trajectory:
         dim = self.states.shape[1]
         cols = "t,norm," + ",".join(f"x_{i + 1}" for i in range(dim))
         lines = [header, cols]
-        for t, nrm, row in zip(self.times, self.norms, self.states):
-            lines.append(
-                f"{t:.12g},{nrm:.12g}," + ",".join(f"{v:.12g}" for v in row)
-            )
+        fmt = ",".join(["%.12g"] * (dim + 2))
+        # chunks of rows: tolist() on the whole run would hold every value
+        # as a Python float at once
+        for lo in range(0, len(self.times), _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            chunk = np.column_stack((self.times[lo:hi], self.norms[lo:hi], self.states[lo:hi]))
+            lines.append("\n".join(fmt % tuple(row) for row in chunk.tolist()))
         return "\n".join(lines) + "\n"
 
 
@@ -301,10 +318,10 @@ def simulate(
     The delay is rounded to the nearest multiple of the step and the rounded
     value is reported in the trajectory metadata as ``tau_effective``.  A
     delay that rounds to zero steps degenerates to the undelayed dynamics.
-    In mode "full" with a delay of at least 3 steps, the RK4 steps are
-    advanced m-1 at a time (see the module docstring): each step reads only
-    history that earlier batches have accepted, so the batch gives the
-    per-step trajectory up to rounding.
+    Every mode goes through one propagator (see the module docstring), a
+    batch of steps at a time: m-1 steps for a delay of m >= 3 steps, one
+    step for m = 1 or 2, and 4096 steps when nothing is delayed.  Each
+    batch reads only history that earlier batches have accepted.
 
     Args:
         sys: system to integrate.
@@ -333,30 +350,22 @@ def simulate(
     h = float(step)
     nsteps = int(round(horizon / h))
     m = int(round(delay.tau / h)) if delay.mode != "none" else 0
-    tau_eff = m * h
 
-    a = sys.a_matrix()
-    if delay.mode == "self-undelayed":
+    if m == 0:
+        # no delay, or one that rounds to zero steps: the plain dynamics
+        a0, atau = sys.a_matrix(), None
+    elif delay.mode == "full":
+        a0, atau = None, sys.a_matrix()
+    else:
         dg, ag = sys.split_degree_adjacency()
         a0, atau = -sys.ku * dg, sys.ku * ag
-    elif delay.mode == "full" and m > 0:
-        a0, atau = None, a
-    else:
-        a0, atau = a, None
-        m = 0
-        tau_eff = 0.0
-    if m == 0 and delay.mode == "self-undelayed":
-        # zero delay: both modes coincide with the plain dynamics
-        a0, atau = a, None
 
-    jmat = sys.input_matrix() if disturbance is not None else None
+    w_grid = w_mid = None
     if disturbance is not None:
+        jmat = sys.input_matrix()
         grid_times = np.arange(nsteps + 1) * h
-        mid_times = grid_times[:-1] + h / 2.0
         w_grid = disturbance.sample(grid_times, sys.lg.shape[0], h) @ jmat.T
-        w_mid = disturbance.sample(mid_times, sys.lg.shape[0], h) @ jmat.T
-    else:
-        w_grid = w_mid = None
+        w_mid = disturbance.sample(grid_times[:-1] + h / 2.0, sys.lg.shape[0], h) @ jmat.T
 
     pad = m + 4
     hist = np.empty((pad + nsteps + 1, len(x0)))
@@ -365,10 +374,7 @@ def simulate(
 
     norms = np.empty(nsteps + 1)
     norms[0] = float(np.linalg.norm(x0))
-    if a0 is None and m >= 3:
-        last, diverged = _advance_blocks(hist, base, m, atau, h, w_grid, w_mid, norms)
-    else:
-        last, diverged = _advance_steps(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
+    last, diverged = _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
 
     times = np.arange(last + 1) * h
     # a view, not a copy: the history buffer is not used after the run
@@ -379,7 +385,7 @@ def simulate(
         "kind": sys.kind,
         "mode": delay.mode,
         "tau": delay.tau,
-        "tau_effective": tau_eff,
+        "tau_effective": m * h,
         "step": h,
         "seed": getattr(disturbance, "seed", None),
         "disturbance": disturbance.describe() if disturbance is not None else "none",
@@ -388,81 +394,67 @@ def simulate(
     return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)
 
 
-def _advance_steps(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
-    """RK4 one step at a time: fills hist[base + 1 ..] and norms[1 ..].
+def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
+    """RK4 for xdot = a0 x(t) + atau x(t - m h) + w(t) (see the module
+    docstring), a batch of steps at a time: fills hist[base + 1 ..] and
+    norms[1 ..].  Step i's delayed stages read hist rows base+i-m-1 ..
+    base+i-m+2, or base+i-3 .. base+i when m = 1, so a batch of at most
+    max(m-1, 1) steps starting at i reads rows up to base+i, the last
+    accepted state.  Without a delayed term (m = 0) any batch size works;
+    _CHUNK_ROWS bounds the batch's temporaries.  A batch's forcings are
+    written into its rows and the recurrence runs over them in place.  It
+    is cut back to its first row whose norm is non-finite or beyond
+    DIVERGENCE_CUTOFF.
 
     Returns (last, diverged): the number of steps kept and whether the run
-    stopped at a state beyond DIVERGENCE_CUTOFF or non-finite.
+    stopped at such a row.
     """
     nsteps = len(norms) - 1
-    x = hist[base].copy()
-    for i in range(nsteps):
-        if m > 0:
-            i0 = base + i - m
-            xd0 = hist[i0]
-            xd1 = hist[i0 + 1]
-            if m >= 2:
-                xdh = _W_CENTERED @ hist[i0 - 1 : i0 + 3]
-            else:
-                xdh = _W_BACKWARD @ hist[base + i - 3 : base + i + 1]
-            d1 = atau @ xd0
-            dh = atau @ xdh
-            d4 = atau @ xd1
-        else:
-            d1 = dh = d4 = 0.0
-        if w_grid is not None:
-            d1 = d1 + w_grid[i]
-            dh = dh + w_mid[i]
-            d4 = d4 + w_grid[i + 1]
-        if a0 is not None:
-            k1 = a0 @ x + d1
-            k2 = a0 @ (x + 0.5 * h * k1) + dh
-            k3 = a0 @ (x + 0.5 * h * k2) + dh
-            k4 = a0 @ (x + h * k3) + d4
-        else:
-            k1, k2, k3, k4 = d1, dh, dh, d4
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        hist[base + i + 1] = x
-        nrm = float(np.linalg.norm(x))
-        norms[i + 1] = nrm
-        if not math.isfinite(nrm) or nrm > DIVERGENCE_CUTOFF:
-            return i + 1, True
-    return nsteps, False
-
-
-def _advance_blocks(hist, base, m, atau, h, w_grid, w_mid, norms) -> tuple:
-    """Fully delayed RK4 (xdot = atau x(t - m h), m >= 3), m-1 steps per batch.
-
-    Same contract as _advance_steps.  Step i's stages read hist rows
-    base+i-m-1 .. base+i-m+2, so a batch of b <= m-1 steps starting at i
-    reads rows up to base+i, the last accepted state.  Every row it reads is
-    x0 or a state that passed the divergence check, so a batch stays finite
-    (for x0 inside the cutoff); it is cut back to its first row that fails
-    the check.
-    """
-    nsteps = len(norms) - 1
-    w_rk4 = None if w_grid is None else w_grid[:-1] + 4.0 * w_mid + w_grid[1:]
-    w0, w1, w2, w3 = _W_CENTERED
+    batch = _CHUNK_ROWS if m == 0 else max(m - 1, 1)
+    (w0, w1, w2, w3), s0 = (_W_BACKWARD, -2) if m == 1 else (_W_CENTERED, -1)
+    if a0 is not None:
+        z = h * a0
+        z2 = z @ z
+        eye = np.eye(len(z))
+        p = eye + z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
+        c1 = (h / 6.0) * (eye + z + z2 / 2.0 + z2 @ z / 4.0)
+        ch = (h / 6.0) * (4.0 * eye + 2.0 * z + z2 / 2.0)
+        c4 = (h / 6.0) * eye
+        if atau is not None:
+            c1a, cha, c4a = (c @ atau for c in (c1, ch, c4))
     i = 0
-    while i < nsteps:
-        b = min(m - 1, nsteps - i)
-        lo = base + i - m
-        xd = hist[lo - 1 : lo + b + 2]
-        xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
-        drive = (xd[1 : b + 1] + 4.0 * xdh + xd[2 : b + 2]) @ atau.T
-        if w_rk4 is not None:
-            drive += w_rk4[i : i + b]
-        # rows[0] is the accepted state; the cumulative sum adds one step's
-        # increment at a time, in the per-step loop's order
-        rows = hist[base + i : base + i + b + 1]
-        rows[1:] = (h / 6.0) * drive
-        np.cumsum(rows, axis=0, out=rows)
-        block_norms = np.linalg.norm(rows[1:], axis=1)
-        norms[i + 1 : i + b + 1] = block_norms
-        # max is NaN if any norm is, and NaN <= cutoff is false
-        if not block_norms.max() <= DIVERGENCE_CUTOFF:
-            return i + 1 + int(np.argmax(~(block_norms <= DIVERGENCE_CUTOFF))), True
-        i += b
+    # a batch past the cutoff may overflow before it is cut back
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < nsteps:
+            b = min(batch, nsteps - i)
+            rows = hist[base + i : base + i + b + 1]
+            if w_grid is not None:
+                wg0, wgh, wg1 = w_grid[i : i + b], w_mid[i : i + b], w_grid[i + 1 : i + b + 1]
+            if m > 0:
+                lo = base + i - m
+                xd = hist[lo + s0 : lo + s0 + b + 3]
+                xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
+                xd0, xd1 = hist[lo : lo + b], hist[lo + 1 : lo + b + 1]
+            # rows[0] is the accepted state
+            if a0 is None:
+                # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
+                drive = (xd0 + 4.0 * xdh + xd1) @ atau.T
+                if w_grid is not None:
+                    drive += wg0 + 4.0 * wgh + wg1
+                rows[1:] = (h / 6.0) * drive
+                np.cumsum(rows, axis=0, out=rows)
+            else:
+                rows[1:] = 0.0 if atau is None else xd0 @ c1a.T + xdh @ cha.T + xd1 @ c4a.T
+                if w_grid is not None:
+                    rows[1:] += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
+                for x, nxt in zip(rows[:-1], rows[1:]):
+                    nxt += np.dot(p, x)
+            block_norms = np.linalg.norm(rows[1:], axis=1)
+            norms[i + 1 : i + b + 1] = block_norms
+            # max is NaN if any norm is, and NaN <= cutoff is false
+            if not block_norms.max() <= DIVERGENCE_CUTOFF:
+                return i + 1 + int(np.argmax(~(block_norms <= DIVERGENCE_CUTOFF))), True
+            i += b
     return nsteps, False
 
 

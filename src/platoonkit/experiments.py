@@ -144,6 +144,11 @@ def finalize_config(raw: dict) -> ScenarioConfig:
     if "n" not in coerced or "k" not in coerced:
         raise ParameterError("config must supply n and k")
     cfg = ScenarioConfig(**coerced)
+    for key in sorted(_FLOAT_KEYS | _LIST_FLOAT_KEYS):
+        value = getattr(cfg, key)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v is not None and not math.isfinite(v):
+                raise ParameterError(f"{key} must be finite, got {v}")
 
     if cfg.experiment not in EXPERIMENTS:
         raise ParameterError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")

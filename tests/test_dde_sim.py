@@ -168,17 +168,18 @@ class TestZeroDelayOracle:
             assert np.max(np.abs(tab - (ta + tb))) <= 1e-9
 
 
-def _cubic_midpoint_weights():
-    # Lagrange basis on the nodes -1, 0, 1, 2, evaluated at 1/2
-    nodes = (-1.0, 0.0, 1.0, 2.0)
+def _cubic_midpoint_weights(nodes):
+    # Lagrange basis on four consecutive integer nodes, evaluated at 1/2
     return [math.prod((0.5 - o) / (p - o) for o in nodes if o != p) for p in nodes]
 
 
-def reference_full_rk4(a, jmat, x0, m, h, nsteps, disturbance=None):
-    """Plain per-step RK4 for xdot = a x(t - m h) + jmat w(t), m >= 2, with
-    x(t) = x0 for t <= 0; the half-step stage interpolates the history with
-    the centered cubic.  Written apart from simulate on purpose: it is the
-    oracle for the batched fully delayed path.
+def reference_rk4(a0, atau, jmat, x0, m, h, nsteps, disturbance=None):
+    """Plain per-step RK4 for xdot = a0 x(t) + atau x(t - m h) + jmat w(t),
+    with x(t) = x0 for t <= 0; a0 or atau may be None (term absent).  The
+    half-step stage interpolates the history with the cubic through the
+    samples j-1 .. j+2 (j = i - m), or j-2 .. j+1 when m = 1, since sample
+    j+2 is then not yet computed.  Written apart from simulate on purpose:
+    it is the oracle for the batched propagator.
 
     Returns (states, norms, diverged), stopping at the first state whose norm
     is non-finite or above 1e12.
@@ -190,27 +191,53 @@ def reference_full_rk4(a, jmat, x0, m, h, nsteps, disturbance=None):
         grid = np.arange(nsteps + 1) * h
         w_grid = disturbance.sample(grid, jmat.shape[1], h) @ jmat.T
         w_mid = disturbance.sample(grid[:-1] + h / 2.0, jmat.shape[1], h) @ jmat.T
-    weights = _cubic_midpoint_weights()
+    first = -2 if m == 1 else -1
+    weights = _cubic_midpoint_weights(range(first, first + 4))
     xs = [np.asarray(x0, dtype=float)]
     norms = [float(np.linalg.norm(xs[0]))]
 
     def past(j):
         return xs[max(j, 0)]
 
+    def rate(x, delayed, w):
+        out = w.copy()
+        if a0 is not None:
+            out += a0 @ x
+        if atau is not None:
+            out += atau @ delayed
+        return out
+
     for i in range(nsteps):
         j = i - m
-        mid = sum(w * past(j - 1 + q) for q, w in enumerate(weights))
-        k1 = a @ past(j) + w_grid[i]
-        k23 = a @ mid + w_mid[i]
-        k4 = a @ past(j + 1) + w_grid[i + 1]
-        xs.append(xs[-1] + (h / 6.0) * (k1 + 4.0 * k23 + k4))
+        if atau is None:
+            d0 = mid = d1 = None
+        else:
+            d0, d1 = past(j), past(j + 1)
+            mid = sum(w * past(j + first + q) for q, w in enumerate(weights))
+        x = xs[-1]
+        k1 = rate(x, d0, w_grid[i])
+        k2 = rate(x + 0.5 * h * k1, mid, w_mid[i])
+        k3 = rate(x + 0.5 * h * k2, mid, w_mid[i])
+        k4 = rate(x + h * k3, d1, w_grid[i + 1])
+        xs.append(x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         norms.append(float(np.linalg.norm(xs[-1])))
         if not norms[-1] <= 1e12:
             return np.array(xs), np.array(norms), True
     return np.array(xs), np.array(norms), False
 
 
+DISTURBANCES = {
+    None: lambda rng: None,
+    "sin": lambda rng: SinusoidDisturbance(amplitude=0.3, omega=1.7, phase=0.4),
+    "noise": lambda rng: NoiseDisturbance(amplitude=0.2, seed=int(rng.integers(1000))),
+}
+
+
 class TestFullDelayMatchesPerStepReference:
+    """simulate against reference_rk4 in every delay mode: the fully delayed
+    path, the undelayed run (one batch) and the self-undelayed run (own state
+    instantaneous, neighbor states delayed)."""
+
     KP, KU = 0.8, 1.3
 
     def _system(self, gs, kind):
@@ -222,14 +249,18 @@ class TestFullDelayMatchesPerStepReference:
         jmat = np.vstack([np.zeros((f, f)), np.eye(f)])
         return formation_system(gs, kp=self.KP, ku=self.KU), a, jmat
 
-    def _check(self, sysm, a, jmat, tau, m, nsteps, x0, dist):
-        h = tau / m
-        traj = simulate(sysm, DelaySpec(tau, "full"), x0, (nsteps + 0.3) * h, h,
+    def _instance(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        _, _, gs = random_grounded(rng, n_lo=4, n_hi=12, k_hi=3, f_min=2, f_max=10)
+        return rng, gs, *self._system(gs, kind)
+
+    def _check(self, sysm, mode, a0, atau, jmat, tau, h, m, nsteps, x0, dist):
+        traj = simulate(sysm, DelaySpec(tau, mode), x0, (nsteps + 0.3) * h, h,
                         disturbance=dist)
-        states, norms, diverged = reference_full_rk4(a, jmat, x0, m, h, nsteps, dist)
+        states, norms, diverged = reference_rk4(a0, atau, jmat, x0, m, h, nsteps, dist)
         assert len(traj.times) == len(states)
         assert traj.meta == {
-            "n": sysm.n, "k": sysm.k, "kind": sysm.kind, "mode": "full", "tau": tau,
+            "n": sysm.n, "k": sysm.k, "kind": sysm.kind, "mode": mode, "tau": tau,
             "tau_effective": m * h, "step": h, "seed": getattr(dist, "seed", None),
             "disturbance": dist.describe() if dist is not None else "none",
             "diverged": diverged,
@@ -245,35 +276,66 @@ class TestFullDelayMatchesPerStepReference:
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
     @pytest.mark.parametrize("m, nsteps, dist", [
-        (2, 700, None),  # stepped one at a time: each step reads its own state
+        (2, 700, None),  # batches of one step: each reads the state it updates
         (3, 1001, "sin"),
         (4, 1202, "noise"),
         (150, 2000, "sin"),  # 2000 = 13 * 149 + 63: the last batch is partial
         (150, 1700, "noise"),
+        (1, 600, "sin"),  # the backward stencil reads the current state
     ])
     def test_random_instances(self, kind, m, nsteps, dist):
-        rng = np.random.default_rng([m, nsteps, kind == "formation"])
-        _, _, gs = random_grounded(rng, n_lo=4, n_hi=12, k_hi=3, f_min=2, f_max=10)
-        sysm, a, jmat = self._system(gs, kind)
-        dist = {
-            None: None,
-            "sin": SinusoidDisturbance(amplitude=0.3, omega=1.7, phase=0.4),
-            "noise": NoiseDisturbance(amplitude=0.2, seed=int(rng.integers(1000))),
-        }[dist]
+        rng, gs, sysm, a, jmat = self._instance([m, nsteps, kind == "formation"], kind)
+        dist = DISTURBANCES[dist](rng)
         tau = float(rng.uniform(0.05, 0.5))
-        self._check(sysm, a, jmat, tau, m, nsteps, rng.uniform(-1, 1, sysm.dim), dist)
+        self._check(sysm, "full", None, a, jmat, tau, tau / m, m, nsteps,
+                    rng.uniform(-1, 1, sysm.dim), dist)
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
     @pytest.mark.parametrize("m", [3, 150])
     def test_diverging_run_truncates_at_the_same_step(self, kind, m):
-        rng = np.random.default_rng([m, 99, kind == "formation"])
-        _, _, gs = random_grounded(rng, n_lo=4, n_hi=12, k_hi=3, f_min=2, f_max=10)
-        sysm, a, jmat = self._system(gs, kind)
+        rng, gs, sysm, a, jmat = self._instance([m, 99, kind == "formation"], kind)
         # three times the velocity margin pi / (2 ku lambda_max); on these
         # seeded instances both dynamics diverge within 200 delays
         tau = 3.0 * math.pi / (2.0 * self.KU * eig_sym(gs.lg).lambda_max)
-        traj = self._check(sysm, a, jmat, tau, m, 200 * m, rng.uniform(-1, 1, sysm.dim), None)
+        traj = self._check(sysm, "full", None, a, jmat, tau, tau / m, m, 200 * m,
+                           rng.uniform(-1, 1, sysm.dim), None)
         assert traj.diverged and len(traj.times) < 200 * m + 1
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    @pytest.mark.parametrize("dist", [None, "sin", "noise"])
+    def test_undelayed(self, kind, dist):
+        seed = [7, kind == "formation", list(DISTURBANCES).index(dist)]
+        rng, gs, sysm, a, jmat = self._instance(seed, kind)
+        h = float(rng.uniform(0.002, 0.005))
+        # 9000 = 2 * 4096 + 808 steps: undelayed batches hold 4096 steps
+        self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 9000,
+                    rng.uniform(-1, 1, sysm.dim), DISTURBANCES[dist](rng))
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    def test_undelayed_diverging_run_truncates_at_the_same_step(self, kind):
+        rng, gs, sysm, a, jmat = self._instance([8, kind == "formation"], kind)
+        # |h mu| = 4 for the largest eigenvalue mu of a: beyond the RK4
+        # stability region, which reaches 2.79 on the negative real axis
+        h = 4.0 / float(np.max(np.abs(np.linalg.eigvals(a))))
+        traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 2000,
+                           rng.uniform(-1, 1, sysm.dim), None)
+        assert traj.diverged and len(traj.times) < 2001
+
+    @pytest.mark.parametrize("m, nsteps, dist", [
+        (1, 600, None),
+        (2, 701, "noise"),
+        (3, 1001, "sin"),
+        (150, 2000, None),  # the last batch is partial
+        (150, 1700, "noise"),
+    ])
+    def test_self_undelayed(self, m, nsteps, dist):
+        rng, gs, sysm, _, jmat = self._instance([m, nsteps, 5], "velocity")
+        lg = np.asarray(gs.lg, float)
+        dg = np.diag(np.diag(lg))
+        tau = float(rng.uniform(0.05, 0.5))
+        self._check(sysm, "self-undelayed", -self.KU * dg, self.KU * (dg - lg), jmat,
+                    tau, tau / m, m, nsteps, rng.uniform(-1, 1, sysm.dim),
+                    DISTURBANCES[dist](rng))
 
 
 class TestClassify:
@@ -430,6 +492,15 @@ class TestDisturbances:
                         disturbance=dist)
         assert traj.norms[-1] > 0.0 and not traj.diverged
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        for kwargs in ({"amplitude": bad, "omega": 1.0}, {"amplitude": 1.0, "omega": bad},
+                       {"amplitude": 1.0, "omega": 1.0, "phase": bad}):
+            with pytest.raises(ParameterError):
+                SinusoidDisturbance(**kwargs)
+        with pytest.raises(ParameterError):
+            NoiseDisturbance(amplitude=bad, seed=0)
+
 
 class TestTrajectoryCsv:
     def test_metadata_and_columns(self):
@@ -441,6 +512,33 @@ class TestTrajectoryCsv:
         assert "step=0.01" in lines[0]
         assert lines[1] == "t,norm,x_1,x_2,x_3,x_4"
         assert len(lines) == 2 + len(traj.times)
+
+    def test_rows_match_per_value_format(self):
+        # more rows than one formatting chunk, with negative zeros, values
+        # across the exponent switch of %g, and a diverged tail
+        rng = np.random.default_rng(12)
+        rows = 9000
+        states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+        states[::7, 0] = -0.0
+        states[::5, 1] = 0.0
+        states[-3:] = [[1e13, -math.inf, 2.5], [math.inf, math.nan, -0.0],
+                       [-math.inf, 1e300, 1e-300]]
+        norms = np.abs(states).max(axis=1)
+        times = np.arange(rows) * 1e-3
+        traj = Trajectory(times=times, states=states, norms=norms,
+                          meta={"n": 5, "k": 2, "tau": 0.1, "diverged": True})
+        lines = traj.to_csv().split("\n")
+        assert lines[:3] == [
+            "# n=5, k=2, tau=0.1",
+            "# diverged=true (run truncated at state norm > 1e12)",
+            "t,norm,x_1,x_2,x_3",
+        ]
+        assert lines[-1] == ""
+        assert lines[3:-1] == [
+            f"{t:.12g},{nrm:.12g}," + ",".join(f"{v:.12g}" for v in row)
+            for t, nrm, row in zip(times, norms, states)
+        ]
+        assert "-0" in lines[3].split(",") and "inf" in lines[-2] and "nan" in lines[-3]
 
 
 class TestSimSystemValidation:

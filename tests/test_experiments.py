@@ -269,8 +269,20 @@ class TestCli:
         ["simulate", "--tau", "0.1", "--horizon", "inf"],
         ["simulate", "--tau", "0.1", "--step", "nan"],
         ["simulate", "--tau", "inf"],
+        ["report", "--gamma", "nan"],
+        ["simulate", "--tau", "0.1", "--horizon", "20", "--disturbance", "noise",
+         "--amplitude", "inf"],
+        ["simulate", "--tau", "0.1", "--horizon", "20", "--disturbance", "sin",
+         "--amplitude", "nan"],
+        ["simulate", "--tau", "0.1", "--horizon", "20", "--disturbance", "sin",
+         "--amplitude", "1", "--omega", "inf"],
     ])
-    def test_non_finite_delay_inputs_exit_2(self, tmp_path, capsys, argv):
+    def test_non_finite_delay_inputs_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # rejected with the config, before any platoon is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was rejected")
+
+        monkeypatch.setattr("platoonkit.experiments._analysis", no_work)
         code = main(argv[:1] + ["--n", "5", "--k", "2", "--out", str(tmp_path)] + argv[1:])
         assert code == 2
         assert "error:" in capsys.readouterr().err
