@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import experiments
@@ -110,12 +111,12 @@ def _merge_config(args: argparse.Namespace) -> experiments.ScenarioConfig:
         top, refset = scenario_from_json(doc)
         raw.update(n=str(top.n), k=str(top.k), arrangement="explicit",
                    refs=" ".join(str(r) for r in refset.refs))
-    for key in ("n", "k", "arrangement", "refs", "position", "seed", "outdir",
-                "gamma", "sweep_csv", "taus", "horizon", "step", "ns",
-                "dynamics", "tau", "delay_mode", "disturbance", "amplitude", "omega"):
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            raw[key] = value if not isinstance(value, bool) else "true"
+    # every flag's dest is the ScenarioConfig field it sets; the experiment
+    # is not a flag and is decided below
+    for f in fields(experiments.ScenarioConfig):
+        value = getattr(args, f.name, None)
+        if f.name != "experiment" and value is not None and value is not False:
+            raw[f.name] = value if not isinstance(value, bool) else "true"
     # the report subcommand honors a hinf-sweep experiment from the config
     # file; every other subcommand pins its own experiment
     if not (args.command == "report" and raw.get("experiment") == "hinf-sweep"):

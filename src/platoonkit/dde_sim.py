@@ -37,11 +37,13 @@ the trajectory rather than raising.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
+from .spectral import build_formation_matrix
 from .topology import GroundedSystem
 
 #: state-norm cutoff beyond which a run is truncated and marked divergent
@@ -68,48 +70,21 @@ _W_BACKWARD = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
 # Systems, delays, disturbances
 # ---------------------------------------------------------------------------
 
-def _check_spacing(delta: dict) -> None:
-    # desired spacings must derive from a potential: delta[i,j] = p*_i - p*_j
-    pot: dict = {}
-    for (i, j), d in delta.items():
-        if (j, i) in delta and abs(delta[(j, i)] + d) > 1e-9:
-            raise ParameterError(f"spacing not antisymmetric for pair {(i, j)}")
-    for (i, j), d in sorted(delta.items()):
-        if i in pot and j in pot:
-            if abs((pot[i] - pot[j]) - d) > 1e-9:
-                raise ParameterError(
-                    f"spacing for pair {(i, j)} violates additivity "
-                    f"delta_ij = delta_ik + delta_kj"
-                )
-        elif i in pot:
-            pot[j] = pot[i] - d
-        elif j in pot:
-            pot[i] = pot[j] + d
-        else:
-            pot[i] = 0.0
-            pot[j] = -d
-
-
 @dataclass(frozen=True)
 class SimSystem:
     """A simulatable platoon error system.
 
     kind "velocity" integrates the |F|-dimensional velocity-error dynamics
     xdot = -ku * lg * x; kind "formation" the 2|F|-dimensional stacked
-    (position errors, velocity errors) dynamics.
-
-    u_ref and delta carry display metadata only (the error coordinates
-    eliminate the reference velocity and the desired spacings); delta, when
-    given as a {(i, j): spacing} dict, is validated for additivity.
+    (position errors, velocity errors) dynamics.  The error coordinates
+    eliminate the reference velocity and the desired spacings, so neither
+    appears here; n and k only label the trajectory's metadata.
     """
 
     kind: str
     lg: np.ndarray
-    l12: np.ndarray | None = None
-    u_ref: float = 0.0
     kp: float = 1.0
     ku: float = 1.0
-    delta: dict | None = None
     n: int | None = None
     k: int | None = None
 
@@ -118,8 +93,6 @@ class SimSystem:
             raise ParameterError(f"kind must be velocity|formation, got {self.kind!r}")
         if self.kp <= 0 or self.ku <= 0:
             raise ParameterError(f"gains must be positive, got kp={self.kp}, ku={self.ku}")
-        if self.delta:
-            _check_spacing(self.delta)
 
     @property
     def dim(self) -> int:
@@ -127,15 +100,9 @@ class SimSystem:
         return f if self.kind == "velocity" else 2 * f
 
     def a_matrix(self) -> np.ndarray:
-        lg = np.asarray(self.lg, dtype=float)
         if self.kind == "velocity":
-            return -self.ku * lg
-        f = lg.shape[0]
-        b = np.zeros((2 * f, 2 * f))
-        b[:f, f:] = np.eye(f)
-        b[f:, :f] = -self.kp * lg
-        b[f:, f:] = -self.ku * lg
-        return b
+            return -self.ku * np.asarray(self.lg, dtype=float)
+        return build_formation_matrix(self, self.kp, self.ku)
 
     def input_matrix(self) -> np.ndarray:
         """Disturbance injection: identity for velocity; into the
@@ -154,12 +121,10 @@ class SimSystem:
         return dg, dg - lg
 
 
-def velocity_system(gs: GroundedSystem, u_ref: float = 0.0, kp: float = 1.0, ku: float = 1.0) -> SimSystem:
+def velocity_system(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> SimSystem:
     return SimSystem(
         kind="velocity",
         lg=np.asarray(gs.lg, dtype=float),
-        l12=np.asarray(gs.l12, dtype=float),
-        u_ref=u_ref,
         kp=kp,
         ku=ku,
         n=gs.n,
@@ -171,7 +136,6 @@ def formation_system(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> Si
     return SimSystem(
         kind="formation",
         lg=np.asarray(gs.lg, dtype=float),
-        l12=np.asarray(gs.l12, dtype=float),
         kp=kp,
         ku=ku,
         n=gs.n,
@@ -327,7 +291,8 @@ def simulate(
         sys: system to integrate.
         delay: DelaySpec; mode "self-undelayed" is velocity-only.
         x0: initial state, length sys.dim (also the constant pre-history).
-        horizon: final time, finite; must be at least 10 steps long.
+        horizon: final time, finite; must be at least 10 steps long, and
+            the run's buffers must fit in physical memory.
         step: integration step, finite and > 0.
         disturbance: optional bounded input, added through the system's
             input matrix and sampled at the integration stage times.
@@ -348,8 +313,20 @@ def simulate(
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
 
     h = float(step)
-    nsteps = int(round(horizon / h))
-    m = int(round(delay.tau / h)) if delay.mode != "none" else 0
+    steps, lag = horizon / h, (delay.tau / h if delay.mode != "none" else 0.0)
+    # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
+    # history rows, the norms and times, and a disturbance's samples at the
+    # grid and midpoint times, before and after the input matrix
+    f = sys.lg.shape[0]
+    width = sys.dim + 2 + (2 * (sys.dim + f) if disturbance is not None else 0)
+    nbytes = 8.0 * (steps + lag + 6.0) * width
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise ParameterError(
+            f"a run of {steps:.4g} steps needs {nbytes / 2**30:.4g} GiB of buffers, "
+            f"more than this machine's {memory / 2**30:.4g} GiB of memory"
+        )
+    nsteps, m = int(round(steps)), int(round(lag))
 
     if m == 0:
         # no delay, or one that rounds to zero steps: the plain dynamics
@@ -360,19 +337,23 @@ def simulate(
         dg, ag = sys.split_degree_adjacency()
         a0, atau = -sys.ku * dg, sys.ku * ag
 
-    w_grid = w_mid = None
-    if disturbance is not None:
-        jmat = sys.input_matrix()
-        grid_times = np.arange(nsteps + 1) * h
-        w_grid = disturbance.sample(grid_times, sys.lg.shape[0], h) @ jmat.T
-        w_mid = disturbance.sample(grid_times[:-1] + h / 2.0, sys.lg.shape[0], h) @ jmat.T
-
     pad = m + 4
-    hist = np.empty((pad + nsteps + 1, len(x0)))
+    try:
+        w_grid = w_mid = None
+        if disturbance is not None:
+            jmat = sys.input_matrix()
+            grid_times = np.arange(nsteps + 1) * h
+            w_grid = disturbance.sample(grid_times, f, h) @ jmat.T
+            w_mid = disturbance.sample(grid_times[:-1] + h / 2.0, f, h) @ jmat.T
+        hist = np.empty((pad + nsteps + 1, len(x0)))
+        norms = np.empty(nsteps + 1)
+    except MemoryError as exc:
+        raise ParameterError(
+            f"cannot allocate the {nbytes / 2**30:.4g} GiB of buffers "
+            f"for a run of {nsteps} steps"
+        ) from exc
     hist[: pad + 1] = x0
     base = pad
-
-    norms = np.empty(nsteps + 1)
     norms[0] = float(np.linalg.norm(x0))
     last, diverged = _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
 
@@ -392,6 +373,14 @@ def simulate(
         "diverged": diverged,
     }
     return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -305,7 +305,7 @@ class RobustnessReport:
     dmax_f: int
     hinf_velocity_lower: float
     hinf_velocity_upper: float  # math.inf when min beta = 0
-    lg_spectrum: tuple
+    lg_spectrum: np.ndarray  # ascending, as the eigensolver returned it
     lambda_min_certificate: BoundCertificate
     lambda_max_certificate: BoundCertificate
     gamma: GammaConditions | None = None
@@ -313,37 +313,17 @@ class RobustnessReport:
 
     def to_json_dict(self) -> dict:
         def enc(x):
+            if isinstance(x, np.ndarray):
+                return x.tolist()
             return UNBOUNDED if isinstance(x, float) and math.isinf(x) else x
 
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "refs": list(self.refs),
-            "followers_count": self.n - len(self.refs),
-            "lambda1": self.lambda1,
-            "lambda_max": self.lambda_max,
-            "hinf_velocity": enc(self.hinf_velocity),
-            "hinf_formation": self.hinf_formation,
-            "margin_velocity": self.margin_velocity,
-            "margin_formation_lb": self.margin_formation_lb,
-            "margin_formation": self.margin_formation,
-            "delay_velocity_max": self.delay_velocity_max,
-            "delay_formation_sufficient": self.delay_formation_sufficient,
-            "delay_formation_k_sufficient": self.delay_formation_k_sufficient,
-            "delay_k_sufficient": self.delay_k_sufficient,
-            "delay_k_necessary": self.delay_k_necessary,
-            "min_refs_nonexpansive": self.min_refs_nonexpansive,
-            "beta_min": self.beta_min,
-            "beta_max": self.beta_max,
-            "boundary_size": self.boundary_size,
-            "dmax_f": self.dmax_f,
-            "hinf_velocity_lower": self.hinf_velocity_lower,
-            "hinf_velocity_upper": enc(self.hinf_velocity_upper),
-            "lg_spectrum": list(self.lg_spectrum),
-            "certificates": {
-                "lambda_min": self.lambda_min_certificate.as_dict(),
-                "lambda_max": self.lambda_max_certificate.as_dict(),
-            },
+        special = {"refs", "lambda_min_certificate", "lambda_max_certificate", "gamma", "swept"}
+        out = {f.name: enc(getattr(self, f.name)) for f in fields(self) if f.name not in special}
+        out["refs"] = list(self.refs)
+        out["followers_count"] = self.n - len(self.refs)
+        out["certificates"] = {
+            "lambda_min": self.lambda_min_certificate.as_dict(),
+            "lambda_max": self.lambda_max_certificate.as_dict(),
         }
         if self.gamma is not None:
             out["gamma"] = {
@@ -408,7 +388,7 @@ def build_report(
         dmax_f=gs.dmax_f,
         hinf_velocity_lower=gs.n_followers / gs.boundary_size,
         hinf_velocity_upper=(1.0 / beta_min) if beta_min > 0 else math.inf,
-        lg_spectrum=tuple(float(v) for v in spec.values),
+        lg_spectrum=spec.values,
         lambda_min_certificate=certify_lambda_min(gs, spec),
         lambda_max_certificate=certify_lambda_max(gs, spec),
         gamma=(gamma_conditions(gs, gamma) if gamma is not None else None),

@@ -2,12 +2,12 @@
 
 Two genuinely independent eigenvalue paths are provided on purpose:
 
-* ``eig_sym`` — the primary solver, a cyclic Jacobi iteration using the
-  round-robin (tournament) ordering so that each sweep applies batches of
-  disjoint plane rotations with dense matrix products.
+* ``eig_sym`` — the primary solver, LAPACK's symmetric eigensolver through
+  ``numpy.linalg.eigvalsh`` / ``eigh``.
 * ``eig_sym_bisection`` — the oracle, Householder tridiagonalization followed
-  by Sturm-sequence bisection.  It shares no code with the Jacobi path and is
-  used to cross-check it in the test suite.
+  by Sturm-sequence bisection, written here from numpy array arithmetic and
+  matrix products.  It calls no LAPACK routine and is used to cross-check
+  ``eig_sym`` in the test suite.
 
 On top of these sit the grounded-spectrum certificates (degree and
 reference-count brackets for the extreme eigenvalues), the quadratic map from
@@ -62,100 +62,34 @@ def _check_symmetric(a: np.ndarray, rtol: float = 1e-12) -> None:
         )
 
 
-def _round_robin_rounds(n: int) -> list:
-    """Tournament pairing: n-1 rounds of disjoint index pairs covering every
-    unordered pair exactly once per sweep."""
-    players = list(range(n)) if n % 2 == 0 else list(range(n)) + [-1]
-    m = len(players)
-    rounds = []
-    arr = players[:]
-    for _ in range(m - 1):
-        pairs = [
-            (min(arr[i], arr[m - 1 - i]), max(arr[i], arr[m - 1 - i]))
-            for i in range(m // 2)
-            if arr[i] >= 0 and arr[m - 1 - i] >= 0
-        ]
-        rounds.append(pairs)
-        arr = [arr[0]] + [arr[-1]] + arr[1:-1]
-    return rounds
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # computed directly, not as sqrt(|A|^2 - |diag|^2): that form hits a
-    # cancellation floor around |A| * sqrt(eps) and can never reach 1e-12
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eig_sym(
-    m,
-    want_vectors: bool = False,
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> Spectrum:
-    """Full spectrum of a symmetric real matrix via cyclic Jacobi rotations.
-
-    Sweeps visit every off-diagonal pair once, in the round-robin ordering;
-    rotations within a round act on disjoint index pairs, so their angles are
-    computed jointly from the current matrix and applied as one orthogonal
-    update.  Iteration stops when the off-diagonal Frobenius norm falls below
-    ``tol * max(1, ||m||_F)``.
+def eig_sym(m, want_vectors: bool = False) -> Spectrum:
+    """Full spectrum of a symmetric real matrix via LAPACK (``numpy.linalg``
+    ``eigvalsh``, or ``eigh`` when vectors are wanted).
 
     Args:
-        m: symmetric real matrix (to 1e-12 relative tolerance).
-        want_vectors: also accumulate the orthonormal eigenvector matrix.
-        tol: off-diagonal Frobenius threshold.
-        max_sweeps: sweep cap; exceeding it raises NumericalError.
+        m: symmetric real matrix (to 1e-12 relative tolerance), finite.
+        want_vectors: also return the orthonormal eigenvector matrix.
 
     Returns:
         Spectrum with ascending values (and vectors when requested).
+
+    Raises:
+        ParameterError: on a non-square, non-finite or non-symmetric matrix.
+        NumericalError: if LAPACK does not converge.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError("matrix has non-finite entries")
     _check_symmetric(a)
-    n = a.shape[0]
-    if n == 1:
-        vec = np.eye(1) if want_vectors else None
-        return Spectrum(values=a[0, 0].reshape(1), vectors=vec)
-    a = 0.5 * (a + a.T)  # exact symmetry for the iteration
-    v = np.eye(n) if want_vectors else None
-    thresh = tol * max(1.0, float(np.linalg.norm(a)))
-    rounds = _round_robin_rounds(n)
-    sweeps = 0
-    while _off_norm(a) > thresh:
-        if sweeps >= max_sweeps:
-            raise NumericalError(
-                f"Jacobi iteration did not converge within the sweep cap of "
-                f"{max_sweeps} (off-diagonal norm {_off_norm(a):.3e})"
-            )
-        for pairs in rounds:
-            ps = np.array([p for p, _ in pairs])
-            qs = np.array([q for _, q in pairs])
-            apq = a[ps, qs]
-            live = apq != 0.0
-            if not live.any():
-                continue
-            ps, qs, apq = ps[live], qs[live], apq[live]
-            with np.errstate(over="ignore"):
-                theta = (a[qs, qs] - a[ps, ps]) / (2.0 * apq)
-                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t = np.where(theta == 0.0, 1.0, t)
-            t = np.where(np.isfinite(t), t, 0.0)  # huge theta: rotation ~ identity
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            j = np.eye(n)
-            j[ps, ps] = c
-            j[qs, qs] = c
-            j[ps, qs] = s
-            j[qs, ps] = -s
-            a = j.T @ a @ j
-            if want_vectors:
-                v = v @ j
-        sweeps += 1
-    d = np.diag(a).copy()
-    order = np.argsort(d, kind="stable")
-    return Spectrum(values=d[order], vectors=(v[:, order] if want_vectors else None))
+    try:
+        if want_vectors:
+            values, vectors = np.linalg.eigh(a)
+            return Spectrum(values=values, vectors=vectors)
+        return Spectrum(values=np.linalg.eigvalsh(a))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +333,8 @@ def formation_radius_closed_form(lambda_max: float) -> float:
 
 def build_formation_matrix(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> np.ndarray:
     """Dense 2|F| x 2|F| formation error matrix, positions stacked above
-    velocities:  [[0, I], [-kp*lg, -ku*lg]]."""
+    velocities:  [[0, I], [-kp*lg, -ku*lg]].  Reads only ``gs.lg``, so a
+    ``dde_sim.SimSystem`` serves as well as a GroundedSystem."""
     lg = np.asarray(gs.lg, dtype=float)
     f = lg.shape[0]
     b = np.zeros((2 * f, 2 * f))

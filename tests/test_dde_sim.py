@@ -542,14 +542,6 @@ class TestTrajectoryCsv:
 
 
 class TestSimSystemValidation:
-    def test_spacing_additivity_checked(self):
-        lg = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        ok = {(1, 2): 5.0, (2, 3): 5.0, (1, 3): 10.0}
-        SimSystem(kind="formation", lg=lg, delta=ok)
-        bad = {(1, 2): 5.0, (2, 3): 5.0, (1, 3): 11.0}
-        with pytest.raises(ParameterError):
-            SimSystem(kind="formation", lg=lg, delta=bad)
-
     def test_bad_kind_and_gains(self):
         lg = np.array([[1.0]])
         with pytest.raises(ParameterError):

@@ -288,6 +288,34 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "verdict.txt").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--disturbance", "sin", "--amplitude", "0.1"]])
+    @pytest.mark.parametrize("horizon", ["1e14", "1e300"])
+    def test_buffers_too_large_exit_2(self, tmp_path, capsys, extra, horizon):
+        # 1e15 steps of a 4-dimensional state is 28 PiB of history alone;
+        # 1e300 / 0.1 steps does not fit a machine integer
+        argv = ["simulate", "--n", "5", "--k", "2", "--tau", "0.1", "--horizon", horizon,
+                "--step", "0.1", "--out", str(tmp_path)]
+        assert main(argv + extra) == 2
+        assert "GiB of buffers" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.txt").exists()
+
+    def test_failed_allocation_exit_2(self, tmp_path, capsys, monkeypatch):
+        # buffers that fit physical memory but not the process's limits: the
+        # run's 20,000 steps are refused, small arrays are not
+        real_empty = np.empty
+
+        def refuse_large(shape, *args, **kwargs):
+            if np.prod(shape) >= 20_000:
+                raise MemoryError
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr("platoonkit.dde_sim.np.empty", refuse_large)
+        argv = ["simulate", "--n", "5", "--k", "2", "--tau", "0.1", "--horizon", "20",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "cannot allocate" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.txt").exists()
+
     def test_verify_violation_exit_4(self, capsys, monkeypatch):
         import platoonkit.cli as cli_mod
 

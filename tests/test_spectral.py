@@ -58,10 +58,23 @@ class TestEigSym:
         with pytest.raises(ParameterError, match="not symmetric"):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_non_convergence_names_the_cap(self):
-        a = np.array([[2.0, -1.0], [-1.0, 1.0]])
-        with pytest.raises(NumericalError, match="sweep cap of 0"):
-            eig_sym(a, max_sweeps=0)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # symmetric in the NaN sense too: both off-diagonal entries are bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            eig_sym(np.array([[1.0, bad], [bad, 2.0]]))
+        with pytest.raises(ParameterError, match="non-finite"):
+            eig_sym(np.array([[bad, 0.0], [0.0, 2.0]]), want_vectors=True)
+
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    def test_lapack_failure_is_numerical_error(self, monkeypatch, want_vectors):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(np.array([[2.0, -1.0], [-1.0, 1.0]]), want_vectors=want_vectors)
 
     def test_eigenvector_invariants(self):
         rng = np.random.default_rng(5)
@@ -80,7 +93,7 @@ class TestEigSym:
             assert np.all(np.diff(spec.values) >= 0.0)
 
     def test_oracle_equivalence_random(self):
-        # Jacobi vs Householder+Sturm-bisection on random symmetric matrices
+        # LAPACK vs Householder+Sturm-bisection on random symmetric matrices
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(200):
