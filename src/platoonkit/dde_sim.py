@@ -15,13 +15,20 @@ known at the stage times t_i, t_i + h/2, t_i + h, one RK4 step is
     x_{i+1} = P x_i + C1 f0 + Ch fh + C4 f1,  P = I + Z + Z^2/2 + Z^3/6 + Z^4/24,
     C1 = (h/6)(I + Z + Z^2/2 + Z^3/4),  Ch = (h/6)(4I + 2Z + Z^2/2),  C4 = (h/6) I.
 
-Step i's forcing reads stored samples no newer than x_i, so the forcings of
+Step i's forcing reads stored samples no newer than x_i, so the forcings g of
 m-1 steps (one step when m <= 2; any number when nothing is delayed) come
-from a few bulk products and only x = P x + g stays a Python loop: the method
-of steps (Bellen & Zennaro, Numerical Methods for Delay Differential
-Equations, 2003).  In mode "full", P = I and the loop is a cumulative sum;
-where A0 is present, the polynomial form rounds differently from evaluating
-the four stages one by one, by a few 1e-14 of the trajectory's maximum.
+from a few bulk products: the method of steps (Bellen & Zennaro, Numerical
+Methods for Delay Differential Equations, 2003).  In mode "full", P = I and
+the recurrence x = P x + g is a cumulative sum.  Where A0 is present, a
+batch of at least two chunks of c = 64 steps is solved as a chunked scan
+(Kogge & Stone 1973; Blelloch, "Prefix sums and their applications", 1990):
+pass 1 sums each chunk's forcings from a zero start, all chunks at once
+(c-1 products); pass 2 carries the chunk starts x_{k+1} = P^c x_k + (chunk
+k's last sum), one small product per chunk; pass 3 adds P^j x_k to every
+row with one product against the stacked powers of P.  Left-over steps, and
+batches of fewer than two chunks, take one product per step.  The
+polynomial form and the chunked sums round differently from evaluating the
+four stages one by one, by a few 1e-14 of the trajectory's maximum.
 
 Three delay modes are supported for the linear dynamics xdot = A x:
 
@@ -58,6 +65,10 @@ TRAILING_WINDOW = 0.25
 # rows handled at a time where whole-run temporaries would double a run's
 # memory: undelayed integration batches and CSV formatting
 _CHUNK_ROWS = 4096
+
+# steps per chunk of the blocked recurrence x = P x + g: a batch of b steps
+# takes about c + b/c Python-level products instead of b
+_SCAN_CHUNK = 64
 
 # cubic Lagrange weights on four consecutive samples:
 # centered stencil (nodes -1,0,1,2) evaluated at 1/2
@@ -355,7 +366,10 @@ def simulate(
     hist[: pad + 1] = x0
     base = pad
     norms[0] = float(np.linalg.norm(x0))
-    last, diverged = _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
+    # a batch past the cutoff, or the powers of P for a step far beyond
+    # RK4's bound, may overflow before the run is cut back
+    with np.errstate(over="ignore", invalid="ignore"):
+        last, diverged = _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
 
     times = np.arange(last + 1) * h
     # a view, not a copy: the history buffer is not used after the run
@@ -391,9 +405,12 @@ def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
     max(m-1, 1) steps starting at i reads rows up to base+i, the last
     accepted state.  Without a delayed term (m = 0) any batch size works;
     _CHUNK_ROWS bounds the batch's temporaries.  A batch's forcings are
-    written into its rows and the recurrence runs over them in place.  It
-    is cut back to its first row whose norm is non-finite or beyond
-    DIVERGENCE_CUTOFF.
+    written into its rows and the recurrence runs over them in place
+    (_recur).  It is cut back to its first row whose norm is non-finite or
+    beyond DIVERGENCE_CUTOFF.  That cut stays exact for the blocked
+    recurrence: its chunk sums read only forcings, which come from accepted
+    history, and its chunk starts are carried in order, so every row before
+    the first failing one is filled from a finite start.
 
     Returns (last, diverged): the number of steps kept and whether the run
     stopped at such a row.
@@ -411,40 +428,74 @@ def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
         c4 = (h / 6.0) * eye
         if atau is not None:
             c1a, cha, c4a = (c @ atau for c in (c1, ch, c4))
+        pc = fill = None
+        if min(batch, nsteps) >= 2 * _SCAN_CHUNK:
+            powers = [p]
+            for _ in range(_SCAN_CHUNK - 1):
+                powers.append(powers[-1] @ p)
+            # a step so far beyond RK4's bound that P^c overflows would fill
+            # a zero state with inf * 0 = NaN; such runs keep the plain loop
+            if np.all(np.isfinite(powers[-1])):
+                pc, fill = powers[-1], np.hstack([q.T for q in powers[:-1]])
+        forced = atau is not None or w_grid is not None
     i = 0
-    # a batch past the cutoff may overflow before it is cut back
-    with np.errstate(over="ignore", invalid="ignore"):
-        while i < nsteps:
-            b = min(batch, nsteps - i)
-            rows = hist[base + i : base + i + b + 1]
+    while i < nsteps:
+        b = min(batch, nsteps - i)
+        rows = hist[base + i : base + i + b + 1]
+        if w_grid is not None:
+            wg0, wgh, wg1 = w_grid[i : i + b], w_mid[i : i + b], w_grid[i + 1 : i + b + 1]
+        if m > 0:
+            lo = base + i - m
+            xd = hist[lo + s0 : lo + s0 + b + 3]
+            xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
+            xd0, xd1 = hist[lo : lo + b], hist[lo + 1 : lo + b + 1]
+        # rows[0] is the accepted state
+        if a0 is None:
+            # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
+            drive = (xd0 + 4.0 * xdh + xd1) @ atau.T
             if w_grid is not None:
-                wg0, wgh, wg1 = w_grid[i : i + b], w_mid[i : i + b], w_grid[i + 1 : i + b + 1]
-            if m > 0:
-                lo = base + i - m
-                xd = hist[lo + s0 : lo + s0 + b + 3]
-                xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
-                xd0, xd1 = hist[lo : lo + b], hist[lo + 1 : lo + b + 1]
-            # rows[0] is the accepted state
-            if a0 is None:
-                # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
-                drive = (xd0 + 4.0 * xdh + xd1) @ atau.T
-                if w_grid is not None:
-                    drive += wg0 + 4.0 * wgh + wg1
-                rows[1:] = (h / 6.0) * drive
-                np.cumsum(rows, axis=0, out=rows)
-            else:
-                rows[1:] = 0.0 if atau is None else xd0 @ c1a.T + xdh @ cha.T + xd1 @ c4a.T
-                if w_grid is not None:
-                    rows[1:] += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
-                for x, nxt in zip(rows[:-1], rows[1:]):
-                    nxt += np.dot(p, x)
-            block_norms = np.linalg.norm(rows[1:], axis=1)
-            norms[i + 1 : i + b + 1] = block_norms
-            # max is NaN if any norm is, and NaN <= cutoff is false
-            if not block_norms.max() <= DIVERGENCE_CUTOFF:
-                return i + 1 + int(np.argmax(~(block_norms <= DIVERGENCE_CUTOFF))), True
-            i += b
+                drive += wg0 + 4.0 * wgh + wg1
+            rows[1:] = (h / 6.0) * drive
+            np.cumsum(rows, axis=0, out=rows)
+        else:
+            rows[1:] = 0.0 if atau is None else xd0 @ c1a.T + xdh @ cha.T + xd1 @ c4a.T
+            if w_grid is not None:
+                rows[1:] += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
+            _recur(rows, p, pc, fill, forced)
+        block_norms = np.linalg.norm(rows[1:], axis=1)
+        norms[i + 1 : i + b + 1] = block_norms
+        # max is NaN if any norm is, and NaN <= cutoff is false
+        if not block_norms.max() <= DIVERGENCE_CUTOFF:
+            return i + 1 + int(np.argmax(~(block_norms <= DIVERGENCE_CUTOFF))), True
+        i += b
     return nsteps, False
+
+
+def _recur(rows, p, pc, fill, forced) -> None:
+    """Solve x_j = P x_{j-1} + g_j in place over rows = [x_0, g_1, .., g_b].
+
+    With pc = P^c and fill = [P^T, (P^2)^T, .., (P^{c-1})^T] side by side
+    (c = _SCAN_CHUNK), the first s = floor(b / c) >= 2 chunks of c steps go
+    through the three passes of the module docstring.  Pass 1 is skipped
+    when the forcings are zero by construction (forced false).  The row at
+    each chunk boundary is the start its chunk is filled from.  The rest,
+    and every batch when fill is None, takes one product per step.
+    """
+    c = _SCAN_CHUNK
+    s = (len(rows) - 1) // c
+    if fill is not None and s >= 2:
+        dim = rows.shape[1]
+        sums = rows[1 : s * c + 1].reshape(s, c, dim)
+        if forced:
+            for j in range(1, c):
+                sums[:, j] += sums[:, j - 1] @ p.T
+        starts = rows[: s * c + 1 : c]
+        for x, nxt in zip(starts[:-1], starts[1:]):
+            nxt += np.dot(pc, x)
+        sums[:, :-1] += (starts[:-1] @ fill).reshape(s, c - 1, dim)
+        rows = rows[s * c :]
+    for x, nxt in zip(rows[:-1], rows[1:]):
+        nxt += np.dot(p, x)
 
 
 def simulate_offdiagonal(sys: SimSystem, tau: float, x0, horizon: float, step: float) -> Trajectory:
@@ -503,9 +554,16 @@ def threshold_scan(
         seed: seed for the default x0.
 
     Raises:
-        ParameterError: on an unordered bracket or endpoints that do not
-            classify as (stable, unstable).
+        ParameterError: on a non-finite bracket or tolerance, an unordered
+            bracket, or endpoints that do not classify as (stable, unstable).
     """
+    # before any run: with a NaN or inf tolerance the loop below would stop
+    # at once and return the unrefined midpoint
+    if not all(map(math.isfinite, (tau_lo, tau_hi, tolerance))):
+        raise ParameterError(
+            f"bracket and tolerance must be finite, got tau_lo={tau_lo}, "
+            f"tau_hi={tau_hi}, tolerance={tolerance}"
+        )
     if not tau_lo < tau_hi:
         raise ParameterError(f"bracket is unordered: tau_lo={tau_lo} >= tau_hi={tau_hi}")
     if tolerance <= 0.0:

@@ -53,6 +53,9 @@ class Spectrum:
 
 
 def _check_symmetric(a: np.ndarray, rtol: float = 1e-12) -> None:
+    # NaN would pass the tolerance test below, since nan > tol is false
+    if not np.isfinite(a).all():
+        raise ParameterError("matrix has non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if asym > rtol * scale:
@@ -80,8 +83,6 @@ def eig_sym(m, want_vectors: bool = False) -> Spectrum:
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ParameterError("matrix has non-finite entries")
     _check_symmetric(a)
     try:
         if want_vectors:
@@ -97,7 +98,11 @@ def eig_sym(m, want_vectors: bool = False) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 def householder_tridiagonalize(m) -> tuple:
-    """Reduce a symmetric matrix to tridiagonal form; returns (diag, offdiag)."""
+    """Reduce a symmetric matrix to tridiagonal form; returns (diag, offdiag).
+
+    Raises:
+        ParameterError: on a non-finite or non-symmetric matrix.
+    """
     a = np.array(m, dtype=float)
     _check_symmetric(a)
     a = 0.5 * (a + a.T)
@@ -152,7 +157,11 @@ def sturm_count(d: np.ndarray, e: np.ndarray, xs) -> np.ndarray:
 
 
 def eig_sym_bisection(m, tol: float | None = None) -> np.ndarray:
-    """Ascending eigenvalues via the tridiagonalize-and-bisect oracle path."""
+    """Ascending eigenvalues via the tridiagonalize-and-bisect oracle path.
+
+    Raises:
+        ParameterError: on a non-finite or non-symmetric matrix.
+    """
     d, e = householder_tridiagonalize(m)
     n = len(d)
     if n == 1:

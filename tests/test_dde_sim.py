@@ -22,6 +22,7 @@ from platoonkit import (
     threshold_scan,
     velocity_system,
 )
+from platoonkit import dde_sim
 from platoonkit.dde_sim import SimSystem, Trajectory, default_horizon, default_step
 
 NONE = DelaySpec(0.0, "none")
@@ -321,12 +322,37 @@ class TestFullDelayMatchesPerStepReference:
                            rng.uniform(-1, 1, sysm.dim), None)
         assert traj.diverged and len(traj.times) < 2001
 
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    def test_undelayed_divergence_inside_a_chunk(self, kind):
+        rng, gs, sysm, a, jmat = self._instance([9, kind == "formation"], kind)
+        # |h mu| = 2.85, just beyond RK4's bound of 2.79: the norm grows
+        # slowly enough to pass the cutoff after several 64-step chunks
+        h = 2.85 / float(np.max(np.abs(np.linalg.eigvals(a))))
+        traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 2000,
+                           rng.uniform(-1, 1, sysm.dim), None)
+        cut = len(traj.times) - 1
+        # steps 283 (velocity) and 297 (formation): neither a chunk start
+        assert traj.diverged and cut > 2 * 64 and cut % 64 != 0
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    def test_undelayed_zero_state_with_overflowing_step_powers(self, kind):
+        rng, gs, sysm, a, jmat = self._instance([10, kind == "formation"], kind)
+        # |h mu| = 50: P^64 overflows, but the zero state stays zero and the
+        # run does not diverge
+        h = 50.0 / float(np.max(np.abs(np.linalg.eigvals(a))))
+        traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 300,
+                           np.zeros(sysm.dim), None)
+        assert not traj.diverged and not traj.states.any()
+
     @pytest.mark.parametrize("m, nsteps, dist", [
         (1, 600, None),
         (2, 701, "noise"),
         (3, 1001, "sin"),
         (150, 2000, None),  # the last batch is partial
         (150, 1700, "noise"),
+        # batches of 999 = 15 * 64 + 39 steps, then 502 = 7 * 64 + 54
+        (1000, 2500, "sin"),
+        (100, 1000, None),  # batches of 99 steps: a single 64-step chunk
     ])
     def test_self_undelayed(self, m, nsteps, dist):
         rng, gs, sysm, _, jmat = self._instance([m, nsteps, 5], "velocity")
@@ -336,6 +362,18 @@ class TestFullDelayMatchesPerStepReference:
         self._check(sysm, "self-undelayed", -self.KU * dg, self.KU * (dg - lg), jmat,
                     tau, tau / m, m, nsteps, rng.uniform(-1, 1, sysm.dim),
                     DISTURBANCES[dist](rng))
+
+    def test_self_undelayed_diverging_run_truncates_at_the_same_step(self):
+        rng, gs, sysm, _, jmat = self._instance([300, 11], "velocity")
+        lg = np.asarray(gs.lg, float)
+        dg = np.diag(np.diag(lg))
+        # own-state step h ku max diag(lg) = 3, beyond RK4's bound of 2.79;
+        # batches of 299 = 4 * 64 + 43 steps
+        h = 3.0 / (self.KU * float(np.max(np.diag(lg))))
+        traj = self._check(sysm, "self-undelayed", -self.KU * dg, self.KU * (dg - lg),
+                           jmat, 300 * h, h, 300, 1500, rng.uniform(-1, 1, sysm.dim), None)
+        cut = len(traj.times) - 1
+        assert traj.diverged and 64 < cut < 4 * 64 and cut % 64 != 0
 
 
 class TestClassify:
@@ -402,6 +440,20 @@ class TestThresholdScan:
             threshold_scan(sysm, 2.0, 2.5, 0.01, horizon=120.0)
         with pytest.raises(ParameterError, match="does not classify unstable"):
             threshold_scan(sysm, 0.5, 0.9, 0.01, horizon=120.0)
+
+
+    @pytest.mark.parametrize("arg", ["tau_lo", "tau_hi", "tolerance"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_rejected_before_any_run(self, monkeypatch, arg, bad):
+        # a NaN or inf tolerance used to return the unrefined midpoint 0.55
+        # after simulating both ends of the bracket
+        def no_run(*args, **kwargs):
+            pytest.fail("threshold_scan simulated before rejecting its arguments")
+
+        monkeypatch.setattr(dde_sim, "simulate", no_run)
+        args = {"tau_lo": 0.1, "tau_hi": 1.0, "tolerance": 0.01, arg: bad}
+        with pytest.raises(ParameterError, match="finite"):
+            threshold_scan(velocity_system(grounded(5, 2, [3])), horizon=20.0, **args)
 
 
 class TestOffDiagonalDelay:

@@ -66,6 +66,15 @@ class TestEigSym:
         with pytest.raises(ParameterError, match="non-finite"):
             eig_sym(np.array([[bad, 0.0], [0.0, 2.0]]), want_vectors=True)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_oracle_rejects_non_finite(self, bad):
+        # the bisection's max(hi - lo) > tol is false for NaN, so without
+        # the check it would return NaN eigenvalues at once
+        with pytest.raises(ParameterError, match="non-finite"):
+            eig_sym_bisection(np.array([[1.0, bad], [bad, 2.0]]))
+        with pytest.raises(ParameterError, match="non-finite"):
+            eig_sym_bisection(np.array([[bad, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]]))
+
     @pytest.mark.parametrize("want_vectors", [False, True])
     def test_lapack_failure_is_numerical_error(self, monkeypatch, want_vectors):
         def no_convergence(*args, **kwargs):
