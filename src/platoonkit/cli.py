@@ -5,8 +5,8 @@ verify.  Scenario parameters come from an optional sections-style config file
 (--config) with CLI flags taking precedence; --emit-config prints the merged
 effective configuration and exits without running.
 
-Exit codes: 0 success, 2 config/parameter error, 3 numerical failure,
-4 verification violation.
+Exit codes: 0 success, 2 config/parameter error or out of memory, 3
+numerical failure, 4 verification violation.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
         for path in paths:
             print(f"wrote {path}")
         return EXIT_OK
-    except ParameterError as exc:
+    except (ParameterError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -44,11 +44,11 @@ the trajectory rather than raising.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import ParameterError
 from .spectral import build_formation_matrix
 from .topology import GroundedSystem
@@ -102,8 +102,8 @@ class SimSystem:
     def __post_init__(self):
         if self.kind not in ("velocity", "formation"):
             raise ParameterError(f"kind must be velocity|formation, got {self.kind!r}")
-        if self.kp <= 0 or self.ku <= 0:
-            raise ParameterError(f"gains must be positive, got kp={self.kp}, ku={self.ku}")
+        errors.check("gain kp", self.kp, 0.0, strict=True)
+        errors.check("gain ku", self.ku, 0.0, strict=True)
 
     @property
     def dim(self) -> int:
@@ -162,37 +162,22 @@ class DelaySpec:
     mode: str = "full"  # "none" | "full" | "self-undelayed"
 
     def __post_init__(self):
-        if not math.isfinite(self.tau) or self.tau < 0.0:
-            raise ParameterError(f"delay must be finite and nonnegative, got {self.tau}")
+        errors.check("delay tau", self.tau, 0.0)
         if self.mode not in ("none", "full", "self-undelayed"):
             raise ParameterError(f"unknown delay mode {self.mode!r}")
 
 
-NO_DELAY = DelaySpec(tau=0.0, mode="none")
-
-
 class SinusoidDisturbance:
-    """Per-channel sinusoid amplitude * sin(omega t + phase)."""
+    """The same sinusoid amplitude * sin(omega t + phase) on every channel."""
 
-    def __init__(self, amplitude: float, omega: float, phase: float = 0.0, channel: int | None = None):
-        if not all(map(math.isfinite, (amplitude, omega, phase))):
-            raise ParameterError(
-                f"sinusoid amplitude, omega and phase must be finite, got {amplitude}, {omega}, {phase}"
-            )
-        self.amplitude = amplitude
-        self.omega = omega
-        self.phase = phase
-        self.channel = channel
-        self.seed = None
+    def __init__(self, amplitude: float, omega: float, phase: float = 0.0):
+        self.amplitude = errors.check("sinusoid amplitude", amplitude)
+        self.omega = errors.check("sinusoid omega", omega)
+        self.phase = errors.check("sinusoid phase", phase)
 
     def sample(self, times: np.ndarray, dim: int, step: float) -> np.ndarray:
-        w = np.zeros((len(times), dim))
         sig = self.amplitude * np.sin(self.omega * np.asarray(times) + self.phase)
-        if self.channel is None:
-            w[:] = sig[:, None]
-        else:
-            w[:, self.channel] = sig
-        return w
+        return np.repeat(sig[:, None], dim, axis=1)
 
     def describe(self) -> str:
         return f"sin(amplitude={self.amplitude:.12g},omega={self.omega:.12g})"
@@ -203,10 +188,8 @@ class NoiseDisturbance:
     over each integration step (so runs are reproducible given the seed)."""
 
     def __init__(self, amplitude: float, seed: int):
-        if not math.isfinite(amplitude):
-            raise ParameterError(f"noise amplitude must be finite, got {amplitude}")
-        self.amplitude = amplitude
-        self.seed = seed
+        self.amplitude = errors.check("noise amplitude", amplitude)
+        self.seed = errors.check("noise seed", seed, 0, integer=True)
 
     def sample(self, times: np.ndarray, dim: int, step: float) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -301,7 +284,7 @@ def simulate(
     Args:
         sys: system to integrate.
         delay: DelaySpec; mode "self-undelayed" is velocity-only.
-        x0: initial state, length sys.dim (also the constant pre-history).
+        x0: initial state, finite, length sys.dim (also the constant pre-history).
         horizon: final time, finite; must be at least 10 steps long, and
             the run's buffers must fit in physical memory.
         step: integration step, finite and > 0.
@@ -311,19 +294,15 @@ def simulate(
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
-    if not math.isfinite(step) or step <= 0.0:
-        raise ParameterError(f"step must be finite and positive, got {step}")
-    if not math.isfinite(horizon):
-        raise ParameterError(f"horizon must be finite, got {horizon}")
-    if horizon < 10.0 * step:
-        raise ParameterError(f"horizon {horizon} shorter than 10 steps ({10 * step})")
+    h = float(errors.check("step", step, 0.0, strict=True))
+    errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
+    x0_norm = errors.check("the norm of x0", float(np.linalg.norm(x0)))
     if delay.mode == "self-undelayed" and sys.kind != "velocity":
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
 
-    h = float(step)
     steps, lag = horizon / h, (delay.tau / h if delay.mode != "none" else 0.0)
     # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
     # history rows, the norms and times, and a disturbance's samples at the
@@ -331,12 +310,7 @@ def simulate(
     f = sys.lg.shape[0]
     width = sys.dim + 2 + (2 * (sys.dim + f) if disturbance is not None else 0)
     nbytes = 8.0 * (steps + lag + 6.0) * width
-    memory = _physical_memory()
-    if nbytes > memory:
-        raise ParameterError(
-            f"a run of {steps:.4g} steps needs {nbytes / 2**30:.4g} GiB of buffers, "
-            f"more than this machine's {memory / 2**30:.4g} GiB of memory"
-        )
+    errors.check_memory(f"a run of {steps:.4g} steps", nbytes)
     nsteps, m = int(round(steps)), int(round(lag))
 
     if m == 0:
@@ -365,7 +339,7 @@ def simulate(
         ) from exc
     hist[: pad + 1] = x0
     base = pad
-    norms[0] = float(np.linalg.norm(x0))
+    norms[0] = x0_norm
     # a batch past the cutoff, or the powers of P for a step far beyond
     # RK4's bound, may overflow before the run is cut back
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,14 +361,6 @@ def simulate(
         "diverged": diverged,
     }
     return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
@@ -501,8 +467,6 @@ def _recur(rows, p, pc, fill, forced) -> None:
 def simulate_offdiagonal(sys: SimSystem, tau: float, x0, horizon: float, step: float) -> Trajectory:
     """Velocity dynamics with instantaneous own state and delayed neighbor
     states: xdot = -Dg x(t) + Ag x(t - tau); stable for any tau."""
-    if sys.kind != "velocity":
-        raise ParameterError("off-diagonal delay applies to the velocity dynamics only")
     return simulate(sys, DelaySpec(tau=tau, mode="self-undelayed"), x0, horizon, step)
 
 
@@ -536,7 +500,6 @@ def threshold_scan(
     x0=None,
     horizon: float | None = None,
     step_fraction: int = 150,
-    seed: int = 0,
 ) -> float:
     """Bisect the empirical critical delay between a stable and an unstable run.
 
@@ -545,31 +508,27 @@ def threshold_scan(
         tau_lo: delay that must classify stable.
         tau_hi: delay that must classify unstable (> tau_lo).
         tolerance: final bracket width; the midpoint is returned.
-        x0: initial state; defaults to a seeded uniform(-1, 1) vector, which
-            excites every mode (structured states can miss the critical one).
+        x0: initial state; defaults to a uniform(-1, 1) vector of seed 0,
+            which excites every mode (structured states can miss the
+            critical one).
         horizon: simulation horizon; defaults to max(80, 1000 / max diag(lg)),
             long enough for the trailing window to see the slowest mode.
         step_fraction: each run uses step = tau / step_fraction so the delay
-            is resolved identically across the bracket.
-        seed: seed for the default x0.
+            is resolved identically across the bracket; > 0.
 
     Raises:
-        ParameterError: on a non-finite bracket or tolerance, an unordered
-            bracket, or endpoints that do not classify as (stable, unstable).
+        ParameterError: on a non-finite or unordered bracket, a non-finite
+            or non-positive tolerance or step fraction, or endpoints that do
+            not classify as (stable, unstable).
     """
     # before any run: with a NaN or inf tolerance the loop below would stop
     # at once and return the unrefined midpoint
-    if not all(map(math.isfinite, (tau_lo, tau_hi, tolerance))):
-        raise ParameterError(
-            f"bracket and tolerance must be finite, got tau_lo={tau_lo}, "
-            f"tau_hi={tau_hi}, tolerance={tolerance}"
-        )
-    if not tau_lo < tau_hi:
-        raise ParameterError(f"bracket is unordered: tau_lo={tau_lo} >= tau_hi={tau_hi}")
-    if tolerance <= 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    errors.check("tau_lo", tau_lo, 0.0, strict=True)
+    errors.check("tau_hi (above tau_lo)", tau_hi, tau_lo, strict=True)
+    errors.check("tolerance", tolerance, 0.0, strict=True)
+    errors.check("step_fraction", step_fraction, 0.0, strict=True)
     if x0 is None:
-        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, sys.dim)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, sys.dim)
     if horizon is None:
         horizon = max(80.0, 1000.0 / float(np.max(np.diag(sys.lg))))
 

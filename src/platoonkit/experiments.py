@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import dde_sim, robustness, spectral, topology
+from . import dde_sim, errors, robustness, spectral, topology
 from .errors import ParameterError
 
 EXPERIMENTS = ("report", "delay-grid", "hinf-sweep", "add-remove", "scaling", "simulate")
@@ -73,10 +73,17 @@ class ScenarioConfig:
         return topology.make_reference_set(self.n, [self.position])
 
 
-_INT_KEYS = {"n", "k", "position", "seed"}
-_FLOAT_KEYS = {"gamma", "horizon", "step", "tau", "amplitude", "omega"}
-_LIST_INT_KEYS = {"refs", "ns"}
-_LIST_FLOAT_KEYS = {"taus"}
+#: every numeric key, with the bounds errors.check holds each of its values to;
+#: the integer keys are parsed as int, the others as float
+_NUMERIC_KEYS = {
+    **dict.fromkeys(("n", "ns"), dict(low=2, integer=True)),
+    **dict.fromkeys(("k", "position", "refs"), dict(low=1, integer=True)),
+    "seed": dict(low=0, integer=True),
+    **dict.fromkeys(("tau", "taus"), dict(low=0.0)),
+    **dict.fromkeys(("gamma", "horizon", "step"), dict(low=0.0, strict=True)),
+    **dict.fromkeys(("amplitude", "omega"), {}),
+}
+_LIST_KEYS = {"refs", "ns", "taus"}
 _BOOL_KEYS = {"sweep_csv"}
 
 
@@ -88,14 +95,11 @@ def _coerce(key: str, value):
     if value is None or not isinstance(value, str):
         return value
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _LIST_INT_KEYS:
-            return tuple(int(v) for v in _parse_list(value))
-        if key in _LIST_FLOAT_KEYS:
-            return tuple(float(v) for v in _parse_list(value))
+        if key in _NUMERIC_KEYS:
+            parse = int if _NUMERIC_KEYS[key].get("integer") else float
+            if key in _LIST_KEYS:
+                return tuple(parse(v) for v in _parse_list(value))
+            return parse(value)
         if key in _BOOL_KEYS:
             if value.lower() in ("1", "true", "yes", "on"):
                 return True
@@ -144,11 +148,11 @@ def finalize_config(raw: dict) -> ScenarioConfig:
     if "n" not in coerced or "k" not in coerced:
         raise ParameterError("config must supply n and k")
     cfg = ScenarioConfig(**coerced)
-    for key in sorted(_FLOAT_KEYS | _LIST_FLOAT_KEYS):
+    for key, bounds in _NUMERIC_KEYS.items():
         value = getattr(cfg, key)
-        for v in value if isinstance(value, tuple) else (value,):
-            if v is not None and not math.isfinite(v):
-                raise ParameterError(f"{key} must be finite, got {v}")
+        for v in value if key in _LIST_KEYS else (value,):
+            if v is not None:
+                errors.check(key, v, **bounds)
 
     if cfg.experiment not in EXPERIMENTS:
         raise ParameterError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -168,13 +172,7 @@ def finalize_config(raw: dict) -> ScenarioConfig:
         raise ParameterError(f"bad delay mode {cfg.delay_mode!r}")
     if cfg.disturbance not in ("none", "sin", "noise"):
         raise ParameterError(f"disturbance must be none|sin|noise, got {cfg.disturbance!r}")
-    if cfg.horizon is not None and cfg.horizon <= 0:
-        raise ParameterError(f"horizon must be positive, got {cfg.horizon}")
-    if cfg.step is not None and cfg.step <= 0:
-        raise ParameterError(f"step must be positive, got {cfg.step}")
-    if cfg.tau < 0:
-        raise ParameterError(f"tau must be nonnegative, got {cfg.tau}")
-    cfg.reference_set()  # validates refs / position against n
+    cfg.reference_set()  # validates refs / position against n, and n against memory
     return cfg
 
 

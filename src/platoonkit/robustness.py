@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import errors
 from .errors import ParameterError
 from .spectral import (
     BoundCertificate,
@@ -59,9 +60,7 @@ def peak_amplitude(lam: float) -> float:
 
     Both branches agree at lam = 2 (value 1/2).
     """
-    if lam <= 0.0:
-        raise ParameterError(f"peak amplitude needs lam > 0, got {lam}")
-    if lam <= 2.0:
+    if errors.check("eigenvalue lam", lam, 0.0, strict=True) <= 2.0:
         return 2.0 / (lam ** 1.5 * math.sqrt(4.0 - lam))
     return 1.0 / lam
 
@@ -98,11 +97,12 @@ class FrequencyGrid:
     hi: float = 1e3
     points: int = 4000
 
+    def __post_init__(self):
+        errors.check("grid lo", self.lo, 0.0, strict=True)
+        errors.check("grid hi (above lo)", self.hi, self.lo, strict=True)
+        errors.check("grid points", self.points, 1, integer=True)
+
     def base(self) -> np.ndarray:
-        if self.points < 1 or self.lo <= 0 or self.hi <= self.lo:
-            raise ParameterError(
-                f"bad frequency grid: lo={self.lo}, hi={self.hi}, points={self.points}"
-            )
         return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
 
 
@@ -160,8 +160,6 @@ def sweep_hinf(
         low = lams[lams <= 2.0]
         extra = list(np.sqrt(low * (1.0 - low / 2.0)))
     omegas = np.unique(np.concatenate([omegas, np.asarray(extra, dtype=float)]))
-    if omegas.size == 0:
-        raise ParameterError("empty frequency grid")
 
     w = omegas[:, None]
     lam = lams[None, :]
@@ -202,9 +200,7 @@ class GammaConditions:
 
 
 def gamma_conditions(gs: GroundedSystem, gamma: float) -> GammaConditions:
-    if gamma <= 0.0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    inv = 1.0 / gamma
+    inv = 1.0 / errors.check("gamma", gamma, 0.0, strict=True)
     boundary = abs(inv - round(inv)) < 1e-12
     return GammaConditions(
         gamma=gamma,
@@ -217,9 +213,8 @@ def gamma_conditions(gs: GroundedSystem, gamma: float) -> GammaConditions:
 def min_refs_nonexpansive(n: int, k: int) -> int:
     """Fewest references for which some arrangement achieves a velocity gain
     of at most one: ceil(n / (2k + 1)); fewer references make it impossible."""
-    if n < 1 or k < 1:
-        raise ParameterError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    return math.ceil(n / (2 * k + 1))
+    n = errors.check("vehicle count n", n, 1, integer=True)
+    return math.ceil(n / (2 * errors.check("connectivity index k", k, 1, integer=True) + 1))
 
 
 def delay_margin_velocity(spec: Spectrum) -> float:
@@ -234,8 +229,7 @@ def delay_margin_velocity(spec: Spectrum) -> float:
 def delay_bounds_k(k: int) -> tuple:
     """Connectivity-only delay brackets for the velocity dynamics:
     stable if tau <= pi/(8k), unstable if tau > pi/(2k)."""
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
+    k = errors.check("connectivity index k", k, 1, integer=True)
     return math.pi / (8.0 * k), math.pi / (2.0 * k)
 
 
@@ -266,8 +260,7 @@ class FormationDelayMargin:
 
 
 def delay_margin_formation(spec: Spectrum, k: int) -> FormationDelayMargin:
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
+    k = errors.check("connectivity index k", k, 1, integer=True)
     rho = spectral_radius_formation(map_formation_spectrum(spec))
     return FormationDelayMargin(rho_bound=1.0 / rho, k_bound=1.0 / (4.0 * k))
 

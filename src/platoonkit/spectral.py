@@ -52,16 +52,20 @@ class Spectrum:
         return float(self.values[-1])
 
 
-def _check_symmetric(a: np.ndarray, rtol: float = 1e-12) -> None:
+def _check_symmetric(a: np.ndarray) -> None:
+    """Refuse anything but a finite square matrix, symmetric to 1e-12
+    relative tolerance."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     # NaN would pass the tolerance test below, since nan > tol is false
     if not np.isfinite(a).all():
         raise ParameterError("matrix has non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if asym > rtol * scale:
+    if asym > 1e-12 * scale:
         raise ParameterError(
             f"matrix is not symmetric: max |a - a.T| = {asym:.3e} exceeds "
-            f"{rtol:.0e} relative tolerance"
+            f"1e-12 relative tolerance"
         )
 
 
@@ -81,8 +85,6 @@ def eig_sym(m, want_vectors: bool = False) -> Spectrum:
         NumericalError: if LAPACK does not converge.
     """
     a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     _check_symmetric(a)
     try:
         if want_vectors:
@@ -101,7 +103,7 @@ def householder_tridiagonalize(m) -> tuple:
     """Reduce a symmetric matrix to tridiagonal form; returns (diag, offdiag).
 
     Raises:
-        ParameterError: on a non-finite or non-symmetric matrix.
+        ParameterError: on a non-square, non-finite or non-symmetric matrix.
     """
     a = np.array(m, dtype=float)
     _check_symmetric(a)
@@ -156,15 +158,16 @@ def sturm_count(d: np.ndarray, e: np.ndarray, xs) -> np.ndarray:
     return count
 
 
-def eig_sym_bisection(m, tol: float | None = None) -> np.ndarray:
-    """Ascending eigenvalues via the tridiagonalize-and-bisect oracle path.
+def eig_sym_bisection(m) -> np.ndarray:
+    """Ascending eigenvalues via the tridiagonalize-and-bisect oracle path,
+    bisected to 1e-14 of the Gershgorin bound.
 
     Raises:
-        ParameterError: on a non-finite or non-symmetric matrix.
+        ParameterError: on a non-square, non-finite or non-symmetric matrix.
     """
     d, e = householder_tridiagonalize(m)
     n = len(d)
-    if n == 1:
+    if n <= 1:
         return d.copy()
     rad = np.zeros(n)
     rad[0] = abs(e[0])
@@ -173,9 +176,7 @@ def eig_sym_bisection(m, tol: float | None = None) -> np.ndarray:
         rad[1:-1] = np.abs(e[:-1]) + np.abs(e[1:])
     glo = float(np.min(d - rad))
     ghi = float(np.max(d + rad))
-    scale = max(abs(glo), abs(ghi), 1.0)
-    if tol is None:
-        tol = 1e-14 * scale
+    tol = 1e-14 * max(abs(glo), abs(ghi), 1.0)
     lo = np.full(n, glo)
     hi = np.full(n, ghi)
     idx = np.arange(n)
@@ -274,11 +275,11 @@ class FormationSpectrum:
     source: Spectrum
 
 
-def map_formation_spectrum(spec: Spectrum, branch_tol: float = 1e-12) -> FormationSpectrum:
+def map_formation_spectrum(spec: Spectrum) -> FormationSpectrum:
     """Map each grounded eigenvalue lam > 0 to both roots of s^2 + lam*s + lam.
 
     lam < 4 gives a conjugate complex pair of magnitude sqrt(lam); lam > 4 two
-    real roots; |lam - 4| < branch_tol collapses to the exact double root -2.
+    real roots; |lam - 4| < 1e-12 collapses to the exact double root -2.
 
     Raises:
         ParameterError: if any eigenvalue is <= 0 (grounding assumption violated).
@@ -292,7 +293,7 @@ def map_formation_spectrum(spec: Spectrum, branch_tol: float = 1e-12) -> Formati
         )
     out = np.empty(2 * len(vals), dtype=complex)
     for i, lam in enumerate(vals):
-        if abs(lam - 4.0) < branch_tol:
+        if abs(lam - 4.0) < 1e-12:
             out[2 * i] = out[2 * i + 1] = -2.0
         elif lam < 4.0:
             im = math.sqrt(lam * (4.0 - lam)) / 2.0

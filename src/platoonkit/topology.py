@@ -18,22 +18,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import ParameterError
+
+
+def _check_size(n, n_min: int) -> int:
+    """Check the vehicle count n before any O(n) work, and refuse an n whose
+    dense arrays would not fit in memory: four n x n copies of 8-byte values
+    (the Laplacian and its temporaries, then the grounded block, the
+    eigensolver's float copy and its symmetry test) are alive at once."""
+    n = errors.check("vehicle count n", n, n_min, integer=True)
+    errors.check_memory(f"a platoon of {n} vehicles", 4 * 8.0 * n * n)
+    return n
 
 
 @dataclass(frozen=True)
 class PlatoonTopology:
-    """A k-nearest-neighbor platoon graph P(n, k).
+    """A k-nearest-neighbor platoon graph P(n, k), stored as its rule.
 
     Attributes:
         n: vehicle count (>= 2).
         k: connectivity index (>= 1); k >= n - 1 yields the complete graph.
-        edges: frozenset of (i, j) pairs with i < j.
     """
 
     n: int
     k: int
-    edges: frozenset
+
+    @property
+    def edges(self) -> frozenset:
+        """Every (i, j) pair with i < j <= i + k."""
+        return frozenset(
+            (i, j) for i in range(1, self.n + 1) for j in range(i + 1, min(self.n, i + self.k) + 1)
+        )
 
     def neighbors(self, i: int) -> tuple:
         """Sorted neighbor indices of vehicle i."""
@@ -43,26 +59,19 @@ class PlatoonTopology:
         hi = min(self.n, i + self.k)
         return tuple(j for j in range(lo, hi + 1) if j != i)
 
-    def degree(self, i: int) -> int:
-        return min(i - 1, self.k) + min(self.n - i, self.k)
-
     def degrees(self) -> np.ndarray:
-        return np.array([self.degree(i) for i in range(1, self.n + 1)], dtype=np.int64)
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in self.edges:
-            a[i - 1, j - 1] = 1
-            a[j - 1, i - 1] = 1
-        return a
+        i = np.arange(1, self.n + 1)
+        return np.minimum(i - 1, self.k) + np.minimum(self.n - i, self.k)
 
     def laplacian(self) -> np.ndarray:
-        a = self.adjacency()
-        return np.diag(a.sum(axis=1)) - a
+        i = np.arange(self.n)
+        near = np.abs(i[:, None] - i) <= self.k
+        # near includes i itself, once in its row sum and once on its diagonal
+        return np.diag(near.sum(axis=1)) - near
 
 
 def build_platoon(n: int, k: int) -> PlatoonTopology:
-    """Construct P(n, k) with the exact |i - j| <= k edge rule.
+    """P(n, k) with the exact |i - j| <= k edge rule.
 
     Args:
         n: vehicle count, n >= 2.
@@ -70,17 +79,11 @@ def build_platoon(n: int, k: int) -> PlatoonTopology:
            saturate to the complete graph.
 
     Raises:
-        ParameterError: if n < 2 or k < 1.
+        ParameterError: if n < 2 or k < 1, either is not a whole number, or
+            the Laplacian of P(n, k) would not fit in memory.
     """
-    if int(n) != n or n < 2:
-        raise ParameterError(f"vehicle count n must be an integer >= 2, got {n!r}")
-    if int(k) != k or k < 1:
-        raise ParameterError(f"connectivity index k must be an integer >= 1, got {k!r}")
-    n, k = int(n), int(k)
-    edges = frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, min(n, i + k) + 1)
-    )
-    return PlatoonTopology(n=n, k=k, edges=edges)
+    n = _check_size(n, 2)
+    return PlatoonTopology(n=n, k=errors.check("connectivity index k", k, 1, integer=True))
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,14 @@ class ReferenceSet:
 
 def make_reference_set(n: int, refs) -> ReferenceSet:
     """Validate and normalize a collection of 1-based reference indices."""
-    refs = sorted(set(int(r) for r in refs))
+    n = _check_size(n, 1)
+    refs = sorted({errors.check("reference index", r, 1, integer=True) for r in refs})
     if not refs:
         raise ParameterError("reference set must be nonempty")
-    if refs[0] < 1 or refs[-1] > n:
-        bad = [r for r in refs if not 1 <= r <= n]
-        raise ParameterError(f"reference indices {bad} outside 1..{n}")
-    followers = tuple(i for i in range(1, n + 1) if i not in set(refs))
+    if refs[-1] > n:
+        raise ParameterError(f"reference indices {[r for r in refs if r > n]} outside 1..{n}")
+    is_ref = set(refs)
+    followers = tuple(i for i in range(1, n + 1) if i not in is_ref)
     return ReferenceSet(n=n, refs=tuple(refs), followers=followers)
 
 
@@ -118,18 +122,9 @@ def md_arrangement(n: int, k: int) -> ReferenceSet:
     at the middle of each segment, position start + ceil(len / 2) - 1.
     Yields ceil(n / (2k + 1)) references.
     """
-    if int(n) != n or n < 1:
-        raise ParameterError(f"vehicle count n must be an integer >= 1, got {n!r}")
-    if int(k) != k or k < 1:
-        raise ParameterError(f"connectivity index k must be an integer >= 1, got {k!r}")
-    n, k = int(n), int(k)
-    seg = 2 * k + 1
-    refs = []
-    start = 1
-    while start <= n:
-        length = min(seg, n - start + 1)
-        refs.append(start + (length + 1) // 2 - 1)
-        start += seg
+    n = _check_size(n, 1)
+    seg = 2 * errors.check("connectivity index k", k, 1, integer=True) + 1
+    refs = [start + (min(seg, n - start + 1) + 1) // 2 - 1 for start in range(1, n + 1, seg)]
     return make_reference_set(n, refs)
 
 
@@ -190,13 +185,12 @@ def ground(topology: PlatoonTopology, refset: ReferenceSet) -> GroundedSystem:
     lg = lap[np.ix_(f_idx, f_idx)]
     l12 = lap[np.ix_(f_idx, r_idx)]
     betas = -l12.sum(axis=1)
-    degrees = topology.degrees()
     return GroundedSystem(
         lg=lg,
         l12=l12,
         betas=betas,
         boundary_size=int(betas.sum()),
-        dmax_f=int(degrees[f_idx].max()),
+        dmax_f=int(lg.diagonal().max()),
         n=topology.n,
         k=topology.k,
         refs=refset.refs,
@@ -219,7 +213,7 @@ def scenario_from_json(doc: str):
     """Parse a {"n":…, "k":…, "refs":[…]} document into topology + references."""
     try:
         raw = json.loads(doc)
-        n, k, refs = raw["n"], raw["k"], raw["refs"]
+        n, k, refs = raw["n"], raw["k"], list(raw["refs"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParameterError(f"malformed scenario document: {exc}") from exc
     topology = build_platoon(n, k)

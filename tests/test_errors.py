@@ -1,0 +1,131 @@
+"""The one numeric check, and every public numeric parameter going through it."""
+
+import math
+
+import numpy as np
+import pytest
+
+from platoonkit import (
+    DelaySpec,
+    FrequencyGrid,
+    NoiseDisturbance,
+    ParameterError,
+    SinusoidDisturbance,
+    build_platoon,
+    delay_bounds_k,
+    delay_margin_formation,
+    eig_sym,
+    formation_system,
+    gamma_conditions,
+    ground,
+    make_reference_set,
+    md_arrangement,
+    min_refs_nonexpansive,
+    peak_amplitude,
+    simulate,
+    threshold_scan,
+    velocity_system,
+)
+from platoonkit.errors import check
+
+GS = ground(build_platoon(5, 2), make_reference_set(5, [3]))
+SPEC = eig_sym(GS.lg)
+
+
+class TestCheck:
+    def test_returns_the_value(self):
+        assert check("x", 2.5) == 2.5
+        assert check("x", 0.0, 0.0) == 0.0
+        assert check("x", -1e308) == -1e308
+
+    def test_integer_comes_back_as_int(self):
+        value = check("n", 5.0, 2, integer=True)
+        assert value == 5 and type(value) is int
+        assert check("n", np.int64(7), 2, integer=True) == 7
+        assert check("n", 10**40, 2, integer=True) == 10**40  # beyond float range
+
+    @pytest.mark.parametrize("value,kwargs", [
+        (math.nan, {}),
+        (math.inf, {}),
+        (-math.inf, {}),
+        (0.0, {"low": 0.0, "strict": True}),
+        (-1e-300, {"low": 0.0}),
+        (2.5, {"integer": True}),
+        (1, {"low": 2, "integer": True}),
+        ("5", {}),
+        (None, {}),
+        (1j, {}),
+    ])
+    def test_rejects(self, value, kwargs):
+        with pytest.raises(ParameterError, match="speed must be a finite"):
+            check("speed", value, **kwargs)
+
+
+def scan(**kwargs):
+    args = {"tau_lo": 0.1, "tau_hi": 1.0, "tolerance": 0.01, **kwargs}
+    return threshold_scan(velocity_system(GS), horizon=20.0, **args)
+
+
+def run(**kwargs):
+    args = {"x0": np.ones(4), "horizon": 10.0, "step": 0.01, **kwargs}
+    return simulate(velocity_system(GS), DelaySpec(0.1, "full"), **args)
+
+
+# each call takes the bad value in one numeric parameter
+CALLS = {
+    "SimSystem.kp": lambda bad: velocity_system(GS, kp=bad),
+    "SimSystem.ku": lambda bad: formation_system(GS, ku=bad),
+    "DelaySpec.tau": lambda bad: DelaySpec(tau=bad),
+    "SinusoidDisturbance.amplitude": lambda bad: SinusoidDisturbance(bad, 1.0),
+    "SinusoidDisturbance.omega": lambda bad: SinusoidDisturbance(1.0, bad),
+    "SinusoidDisturbance.phase": lambda bad: SinusoidDisturbance(1.0, 1.0, bad),
+    "NoiseDisturbance.amplitude": lambda bad: NoiseDisturbance(bad, 0),
+    "NoiseDisturbance.seed": lambda bad: NoiseDisturbance(1.0, bad),
+    "simulate.step": lambda bad: run(step=bad),
+    "simulate.horizon": lambda bad: run(horizon=bad),
+    "simulate.x0": lambda bad: run(x0=[1.0, bad, 0.0, 0.0]),
+    "threshold_scan.tau_lo": lambda bad: scan(tau_lo=bad),
+    "threshold_scan.tau_hi": lambda bad: scan(tau_hi=bad),
+    "threshold_scan.tolerance": lambda bad: scan(tolerance=bad),
+    "threshold_scan.step_fraction": lambda bad: scan(step_fraction=bad),
+    "peak_amplitude": peak_amplitude,
+    "FrequencyGrid.lo": lambda bad: FrequencyGrid(lo=bad),
+    "FrequencyGrid.hi": lambda bad: FrequencyGrid(hi=bad),
+    "FrequencyGrid.points": lambda bad: FrequencyGrid(points=bad),
+    "gamma_conditions": lambda bad: gamma_conditions(GS, bad),
+    "min_refs_nonexpansive.n": lambda bad: min_refs_nonexpansive(bad, 2),
+    "min_refs_nonexpansive.k": lambda bad: min_refs_nonexpansive(10, bad),
+    "delay_bounds_k": delay_bounds_k,
+    "delay_margin_formation": lambda bad: delay_margin_formation(SPEC, bad),
+    "build_platoon.n": lambda bad: build_platoon(bad, 1),
+    "build_platoon.k": lambda bad: build_platoon(10, bad),
+    "md_arrangement.n": lambda bad: md_arrangement(bad, 1),
+    "md_arrangement.k": lambda bad: md_arrangement(10, bad),
+    "make_reference_set.n": lambda bad: make_reference_set(bad, [1]),
+    "make_reference_set.refs": lambda bad: make_reference_set(10, [1, bad]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
+    # refused before any run: a scan that simulates has let the value through
+    def no_run(*args, **kwargs):
+        pytest.fail("threshold_scan simulated before rejecting its arguments")
+
+    monkeypatch.setattr("platoonkit.dde_sim.simulate", no_run)
+    with pytest.raises(ParameterError, match="finite"):
+        CALLS[name](bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scan(step_fraction=0),
+    lambda: scan(tau_lo=0.0),
+    lambda: delay_bounds_k(2.5),
+    lambda: md_arrangement(10, 1.5),
+    lambda: NoiseDisturbance(1.0, -1),
+    lambda: run(horizon=0.05),
+])
+def test_out_of_range_values_rejected(call):
+    with pytest.raises(ParameterError, match="finite"):
+        call()

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonkit import NumericalError, ParameterError
 from platoonkit.cli import main
 from platoonkit.experiments import (
+    _NUMERIC_KEYS,
     ScenarioConfig,
     emit_config,
     finalize_config,
@@ -288,6 +290,26 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "verdict.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "-1"],
+        ["report", "--n", "1"],
+        ["report", "--arrangement", "single", "--position", "0"],
+        ["scaling", "--ns", "8,16,32,64,1"],
+        ["report", "--gamma", "0"],
+        ["simulate", "--tau", "-0.1"],
+        ["simulate", "--step", "0"],
+    ])
+    def test_out_of_range_config_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # refused from the table of bounds, before any platoon is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was rejected")
+
+        monkeypatch.setattr("platoonkit.experiments._analysis", no_work)
+        monkeypatch.setattr("platoonkit.experiments._norms_for", no_work)
+        code = main(argv[:1] + ["--n", "5", "--k", "2", "--out", str(tmp_path)] + argv[1:])
+        assert code == 2
+        assert "must be a finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--disturbance", "sin", "--amplitude", "0.1"]])
     @pytest.mark.parametrize("horizon", ["1e14", "1e300"])
     def test_buffers_too_large_exit_2(self, tmp_path, capsys, extra, horizon):
@@ -315,6 +337,28 @@ class TestCli:
         assert main(argv) == 2
         assert "cannot allocate" in capsys.readouterr().err
         assert not (tmp_path / "verdict.txt").exists()
+
+    def test_platoon_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # with 4 MiB of memory, the 5000 x 5000 Laplacian is refused before
+        # the reference set or any array is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the size was refused")
+
+        monkeypatch.setattr("platoonkit.errors._physical_memory", lambda: 4.0 * 2**20)
+        monkeypatch.setattr("platoonkit.topology.make_reference_set", no_work)
+        monkeypatch.setattr("platoonkit.topology.PlatoonTopology.laplacian", no_work)
+        assert main(["report", "--n", "5000", "--k", "1", "--out", str(tmp_path)]) == 2
+        assert "GiB of buffers" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a Laplacian that fits physical memory but not the process's limits
+        def refuse(self):
+            raise MemoryError("Unable to allocate 1.68 GiB for an array")
+
+        monkeypatch.setattr("platoonkit.topology.PlatoonTopology.laplacian", refuse)
+        assert main(["report", "--n", "5", "--k", "2", "--out", str(tmp_path)]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
 
     def test_verify_violation_exit_4(self, capsys, monkeypatch):
         import platoonkit.cli as cli_mod
@@ -349,6 +393,32 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["report", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert (out / "freq_velocity.csv").exists()
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["report", "delay-grid", "scaling", "simulate"]),
+    values=st.dictionaries(
+        st.sampled_from(sorted(_NUMERIC_KEYS)),
+        st.one_of(NUMBERS, st.lists(NUMBERS, min_size=1, max_size=3)),
+        min_size=1,
+    ),
+)
+def test_any_numeric_config_value_exits_0_or_2(tmp_path_factory, command, values):
+    # every numeric key, one value or a list, through the config file (the
+    # path that takes any string); NaN, infinities, subnormals and integers
+    # far beyond memory must end as success or a parameter error
+    config = {"n": 5, "k": 2, "taus": [0.1], "ns": [8, 16, 32, 64, 128], **values}
+    lines = ["[experiment]"] + [
+        f"{key} = {' '.join(map(repr, v)) if isinstance(v, list) else repr(v)}"
+        for key, v in config.items()
+    ]
+    path = tmp_path_factory.mktemp("cfg") / "s.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", str(path), "--emit-config"]) in (0, 2)
 
 
 class TestDelayGridSufficiencyOnMd:

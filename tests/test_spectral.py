@@ -21,7 +21,12 @@ from platoonkit import (
     spectral_radius_formation,
     stochasticity_defect,
 )
-from platoonkit.spectral import Spectrum, formation_radius_closed_form, spectrum_mismatch
+from platoonkit.spectral import (
+    Spectrum,
+    formation_radius_closed_form,
+    householder_tridiagonalize,
+    spectrum_mismatch,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -74,6 +79,17 @@ class TestEigSym:
             eig_sym_bisection(np.array([[1.0, bad], [bad, 2.0]]))
         with pytest.raises(ParameterError, match="non-finite"):
             eig_sym_bisection(np.array([[bad, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]]))
+
+    @pytest.mark.parametrize("solver", [eig_sym, eig_sym_bisection, householder_tridiagonalize])
+    def test_every_entry_point_rejects_a_non_square_matrix(self, solver):
+        with pytest.raises(ParameterError, match="square"):
+            solver(np.ones((2, 3)))
+        with pytest.raises(ParameterError, match="square"):
+            solver(np.ones(3))
+
+    def test_empty_matrix_has_no_eigenvalues(self):
+        assert len(eig_sym(np.zeros((0, 0)))) == 0
+        assert len(eig_sym_bisection(np.zeros((0, 0)))) == 0
 
     @pytest.mark.parametrize("want_vectors", [False, True])
     def test_lapack_failure_is_numerical_error(self, monkeypatch, want_vectors):

@@ -70,6 +70,31 @@ class TestBuildPlatoon:
                     stack.append(j)
         assert len(seen) == n
 
+    def test_laplacian_matches_the_edge_list(self):
+        # the broadcast |i - j| <= k rule against a Laplacian summed edge by edge
+        for n in range(2, 40):
+            for k in (1, 2, 3, 5, 8, 13, 21, 44):
+                top = build_platoon(n, k)
+                lap = np.zeros((n, n), dtype=np.int64)
+                for i, j in top.edges:
+                    lap[i - 1, j - 1] = lap[j - 1, i - 1] = -1
+                    lap[i - 1, i - 1] += 1
+                    lap[j - 1, j - 1] += 1
+                assert np.array_equal(top.laplacian(), lap)
+                assert np.array_equal(np.diag(lap), top.degrees())
+
+    @pytest.mark.parametrize("build", [
+        lambda n: build_platoon(n, 1),
+        lambda n: md_arrangement(n, 1),
+        lambda n: make_reference_set(n, [1]),
+    ])
+    def test_refuses_a_platoon_too_large_for_memory(self, monkeypatch, build):
+        # 5000 vehicles take 0.75 GiB of dense arrays, more than 4 MiB
+        monkeypatch.setattr("platoonkit.errors._physical_memory", lambda: 4.0 * 2**20)
+        with pytest.raises(ParameterError, match="GiB of buffers"):
+            build(5000)
+        build(200)
+
     def test_neighbors(self):
         top = build_platoon(6, 2)
         assert top.neighbors(1) == (2, 3)
@@ -198,3 +223,5 @@ class TestScenarioJson:
             scenario_from_json("{\"n\": 5}")
         with pytest.raises(ParameterError):
             scenario_from_json("not json")
+        with pytest.raises(ParameterError):
+            scenario_from_json('{"n": 5, "k": 2, "refs": 5}')
