@@ -19,16 +19,23 @@ Step i's forcing reads stored samples no newer than x_i, so the forcings g of
 m-1 steps (one step when m <= 2; any number when nothing is delayed) come
 from a few bulk products: the method of steps (Bellen & Zennaro, Numerical
 Methods for Delay Differential Equations, 2003).  In mode "full", P = I and
-the recurrence x = P x + g is a cumulative sum.  Where A0 is present, a
-batch of at least two chunks of c = 64 steps is solved as a chunked scan
-(Kogge & Stone 1973; Blelloch, "Prefix sums and their applications", 1990):
-pass 1 sums each chunk's forcings from a zero start, all chunks at once
-(c-1 products); pass 2 carries the chunk starts x_{k+1} = P^c x_k + (chunk
-k's last sum), one small product per chunk; pass 3 adds P^j x_k to every
-row with one product against the stacked powers of P.  Left-over steps, and
-batches of fewer than two chunks, take one product per step.  The
-polynomial form and the chunked sums round differently from evaluating the
-four stages one by one, by a few 1e-14 of the trajectory's maximum.
+the recurrence x = P x + g is a cumulative sum.  There every stage reads only
+delayed samples, so a batch's forcings take one product with A over its
+window of b + 3 samples, y = xd (h/24) A^T, and a four-tap filter: with the
+cubic's weights folded in, (h/6)(f0 + 4 fh + f1) of step j is
+sum_q c_q y[j + q] with c = (-1, 13, 13, -1) (centered) or (1, -5, 19, 9)
+(backward, m = 1).
+
+Where A0 is present, a batch of at least two chunks of c = 64 steps is
+solved as a chunked scan (Kogge & Stone 1973; Blelloch, "Prefix sums and
+their applications", 1990): pass 1 sums each chunk's forcings from a zero
+start, all chunks at once (c-1 products); pass 2 carries the chunk starts
+x_{k+1} = P^c x_k + (chunk k's last sum), one small product per chunk; pass
+3 adds P^j x_k to every row with one product against the stacked powers of
+P.  Left-over steps, and batches of fewer than two chunks, take one product
+per step.  The polynomial form, the filter and the chunked sums round
+differently from evaluating the four stages one by one, by a few 1e-14 of
+the trajectory's maximum.
 
 Three delay modes are supported for the linear dynamics xdot = A x:
 
@@ -37,13 +44,19 @@ Three delay modes are supported for the linear dynamics xdot = A x:
     self-undelayed  xdot(t) = -Dg x(t) + Ag x(t-tau)  (velocity only: own
                     state instantaneous, neighbor states delayed)
 
-Divergence (state norm beyond 1e12 or non-finite) truncates the run and marks
-the trajectory rather than raising.
+Divergence (state norm beyond 1e12 or non-finite) truncates the run at its
+first such step and marks the trajectory rather than raising.  A batch is
+screened by its sum of squares, one dot product; only a batch past
+(1e12 / 2)^2 takes per-row norms to find the first divergent row.  The
+trajectory's norms are taken apart from the batches, _CHUNK_ROWS rows at a
+time, with the same np.linalg.norm(axis=1) a caller would apply to the
+states.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +76,7 @@ STABILITY_THRESHOLD = 0.2
 TRAILING_WINDOW = 0.25
 
 # rows handled at a time where whole-run temporaries would double a run's
-# memory: undelayed integration batches and CSV formatting
+# memory: undelayed integration batches, the norms and CSV formatting
 _CHUNK_ROWS = 4096
 
 # steps per chunk of the blocked recurrence x = P x + g: a batch of b steps
@@ -75,6 +88,10 @@ _SCAN_CHUNK = 64
 _W_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 # backward stencil (nodes -3..0) evaluated at -1/2
 _W_BACKWARD = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
+# the same windows folded into the fully delayed forcing x_d0 + 4 x_dh + x_d1,
+# times 4 (16 w plus 4 on the two whole-step samples): taps summing to 24
+_TAPS_CENTERED = np.array([-1.0, 13.0, 13.0, -1.0])
+_TAPS_BACKWARD = np.array([1.0, -5.0, 19.0, 9.0])
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +264,24 @@ class StabilityVerdict:
     horizon: float
 
 
-def default_step(tau: float) -> float:
-    """Default integration step: min(1e-3, tau/40) for delayed runs."""
-    return min(1e-3, tau / 40.0) if tau > 0.0 else 1e-3
+def default_step(tau: float, name: str = "tau") -> float:
+    """Default integration step: min(1e-3, tau/40) for delayed runs.
+
+    Raises:
+        ParameterError: naming the delay `name`, for a tau > 0 so small that
+            tau/40 underflows (is not a normal float); no run could store
+            the steps it would take.
+    """
+    if not tau > 0.0:
+        return 1e-3
+    step = min(1e-3, tau / 40.0)
+    if step < sys.float_info.min:
+        raise ParameterError(
+            f"{name} value {tau!r} is too small: its default step, tau/40, "
+            f"underflows to {step!r}; give a step, or a delay of 0 or at least "
+            f"{40.0 * sys.float_info.min!r}"
+        )
+    return step
 
 
 def default_horizon(lambda1: float) -> float:
@@ -299,7 +331,7 @@ def simulate(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
-    x0_norm = errors.check("the norm of x0", float(np.linalg.norm(x0)))
+    errors.check("the norm of x0", float(np.linalg.norm(x0)))
     if delay.mode == "self-undelayed" and sys.kind != "velocity":
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
 
@@ -339,7 +371,6 @@ def simulate(
         ) from exc
     hist[: pad + 1] = x0
     base = pad
-    norms[0] = x0_norm
     # a batch past the cutoff, or the powers of P for a step far beyond
     # RK4's bound, may overflow before the run is cut back
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,25 +397,48 @@ def simulate(
 def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
     """RK4 for xdot = a0 x(t) + atau x(t - m h) + w(t) (see the module
     docstring), a batch of steps at a time: fills hist[base + 1 ..] and
-    norms[1 ..].  Step i's delayed stages read hist rows base+i-m-1 ..
+    norms.  Step i's delayed stages read hist rows base+i-m-1 ..
     base+i-m+2, or base+i-3 .. base+i when m = 1, so a batch of at most
     max(m-1, 1) steps starting at i reads rows up to base+i, the last
     accepted state.  Without a delayed term (m = 0) any batch size works;
     _CHUNK_ROWS bounds the batch's temporaries.  A batch's forcings are
     written into its rows and the recurrence runs over them in place
-    (_recur).  It is cut back to its first row whose norm is non-finite or
-    beyond DIVERGENCE_CUTOFF.  That cut stays exact for the blocked
-    recurrence: its chunk sums read only forcings, which come from accepted
-    history, and its chunk starts are carried in order, so every row before
-    the first failing one is filled from a finite start.
+    (_recur, or a cumulative sum in mode "full").
+
+    In mode "full" the b + 3 delayed samples of a batch of b steps take one
+    product y = xd (h/24) atau^T, and step j's forcing is the four-tap
+    filter sum_q c_q y[j + q], with c = _TAPS_CENTERED or, when m = 1,
+    _TAPS_BACKWARD.  Batches of one step (m <= 2, or the last step of a run)
+    take the taps as one dot product; longer ones use the centered taps'
+    symmetry, 13 (y1 + y2) - (y0 + y3).
+
+    A batch is cut back to its first row whose norm is non-finite or beyond
+    DIVERGENCE_CUTOFF.  A batch whose sum of squares (one dot product) is at
+    most (DIVERGENCE_CUTOFF / 2)^2 has every row's norm within half the
+    cutoff, a factor of 2 that no rounding of either sum can close, so only
+    a batch that fails this screen (NaN and overflow fail it) takes the
+    per-row norms.  The cut stays exact for the blocked recurrence: its
+    chunk sums read only forcings, which come from accepted history, and its
+    chunk starts are carried in order, so every row before the first failing
+    one is filled from a finite start.
+
+    The stored norms are taken apart from the batches (_store_norms):
+    whenever _CHUNK_ROWS rows are waiting, while they are still in cache,
+    and once more at the end of the run or at the cut.
 
     Returns (last, diverged): the number of steps kept and whether the run
     stopped at such a row.
     """
     nsteps = len(norms) - 1
+    states = hist[base:]
     batch = _CHUNK_ROWS if m == 0 else max(m - 1, 1)
-    (w0, w1, w2, w3), s0 = (_W_BACKWARD, -2) if m == 1 else (_W_CENTERED, -1)
-    if a0 is not None:
+    screen = (0.5 * DIVERGENCE_CUTOFF) ** 2
+    (w0, w1, w2, w3), taps, s0 = (
+        (_W_BACKWARD, _TAPS_BACKWARD, -2) if m == 1 else (_W_CENTERED, _TAPS_CENTERED, -1))
+    if a0 is None:
+        # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
+        kt = (h / 24.0) * atau.T
+    else:
         z = h * a0
         z2 = z @ z
         eye = np.eye(len(z))
@@ -404,37 +458,62 @@ def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
             if np.all(np.isfinite(powers[-1])):
                 pc, fill = powers[-1], np.hstack([q.T for q in powers[:-1]])
         forced = atau is not None or w_grid is not None
-    i = 0
+    last, diverged = nsteps, False
+    i = done = 0  # steps taken; rows whose norms are stored
     while i < nsteps:
         b = min(batch, nsteps - i)
+        # rows[0] is the accepted state, g the batch's rows
         rows = hist[base + i : base + i + b + 1]
+        g = rows[1:]
         if w_grid is not None:
             wg0, wgh, wg1 = w_grid[i : i + b], w_mid[i : i + b], w_grid[i + 1 : i + b + 1]
-        if m > 0:
-            lo = base + i - m
-            xd = hist[lo + s0 : lo + s0 + b + 3]
-            xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
-            xd0, xd1 = hist[lo : lo + b], hist[lo + 1 : lo + b + 1]
-        # rows[0] is the accepted state
         if a0 is None:
-            # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
-            drive = (xd0 + 4.0 * xdh + xd1) @ atau.T
+            lo = base + i - m + s0
+            y = hist[lo : lo + b + 3] @ kt
+            if b == 1:
+                np.dot(taps, y, out=g[0])
+            else:
+                np.add(y[1:-2], y[2:-1], out=g)
+                g *= 13.0
+                g -= y[:-3]
+                g -= y[3:]
             if w_grid is not None:
-                drive += wg0 + 4.0 * wgh + wg1
-            rows[1:] = (h / 6.0) * drive
-            np.cumsum(rows, axis=0, out=rows)
+                g += (h / 6.0) * (wg0 + 4.0 * wgh + wg1)
+            np.add.accumulate(rows, axis=0, out=rows)
         else:
-            rows[1:] = 0.0 if atau is None else xd0 @ c1a.T + xdh @ cha.T + xd1 @ c4a.T
+            if atau is None:
+                g[:] = 0.0
+            else:
+                lo = base + i - m
+                xd = hist[lo + s0 : lo + s0 + b + 3]
+                xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
+                g[:] = hist[lo : lo + b] @ c1a.T + xdh @ cha.T + hist[lo + 1 : lo + b + 1] @ c4a.T
             if w_grid is not None:
-                rows[1:] += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
+                g += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
             _recur(rows, p, pc, fill, forced)
-        block_norms = np.linalg.norm(rows[1:], axis=1)
-        norms[i + 1 : i + b + 1] = block_norms
-        # max is NaN if any norm is, and NaN <= cutoff is false
-        if not block_norms.max() <= DIVERGENCE_CUTOFF:
-            return i + 1 + int(np.argmax(~(block_norms <= DIVERGENCE_CUTOFF))), True
+        # NaN if any entry is NaN, inf if one overflows; neither passes
+        flat = g.ravel()
+        if not np.dot(flat, flat) <= screen:
+            bad = ~(np.linalg.norm(g, axis=1) <= DIVERGENCE_CUTOFF)
+            if bad.any():
+                last, diverged = i + 1 + int(np.argmax(bad)), True
+                break
         i += b
-    return nsteps, False
+        if i + 1 - done >= _CHUNK_ROWS:
+            done = _store_norms(states, norms, done, i + 1)
+    _store_norms(states, norms, done, last + 1)
+    return last, diverged
+
+
+def _store_norms(states, norms, lo, hi) -> int:
+    """Set norms[lo:hi] to the Euclidean norms of states[lo:hi], _CHUNK_ROWS
+    rows at a time: the squares of a whole run at once would add a run-sized
+    temporary.  A row's norm does not depend on the rows taken with it.
+    Returns hi."""
+    for j in range(lo, hi, _CHUNK_ROWS):
+        k = min(j + _CHUNK_ROWS, hi)
+        norms[j:k] = np.linalg.norm(states[j:k], axis=1)
+    return hi
 
 
 def _recur(rows, p, pc, fill, forced) -> None:

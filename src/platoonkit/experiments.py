@@ -153,6 +153,11 @@ def finalize_config(raw: dict) -> ScenarioConfig:
         for v in value if key in _LIST_KEYS else (value,):
             if v is not None:
                 errors.check(key, v, **bounds)
+    if cfg.step is None:
+        # before any run: a delay whose default step underflows fails its run
+        dde_sim.default_step(cfg.tau, "tau")
+        for tau in cfg.taus:
+            dde_sim.default_step(tau, "taus")
 
     if cfg.experiment not in EXPERIMENTS:
         raise ParameterError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,11 +102,25 @@ class TestSimulateBasics:
         assert classify(traj).stable
 
     def test_norms_match_states(self):
-        sysm = velocity_system(grounded(5, 2, [3]))
-        x0 = np.random.default_rng(6).uniform(-1, 1, 4)
-        traj = simulate(sysm, DelaySpec(0.05, "full"), x0, 5.0, 1e-2)
-        assert np.allclose(traj.norms, np.linalg.norm(traj.states, axis=1))
-        assert np.allclose(np.diff(traj.times), 1e-2)
+        # the norms are stored apart from the batches, in chunks of 4096
+        # rows; each must equal the norm of its row, bit for bit
+        gs = grounded(5, 2, [3])
+        velocity, formation = velocity_system(gs), formation_system(gs)
+        rng = np.random.default_rng(6)
+        cases = [
+            (velocity, DelaySpec(0.05, "full"), 5.0, 1e-2, False),
+            (formation, DelaySpec(0.3, "full"), 50.0, 2e-3, False),  # 25,000 steps
+            (velocity, NONE, 45.0, 5e-3, False),  # 9000 = 2 * 4096 + 808 steps
+            (velocity, DelaySpec(2.0, "self-undelayed"), 60.0, 1e-2, False),
+            (scalar_system(), DelaySpec(3.0, "full"), 400.0, 0.02, True),
+            (velocity, NONE, 200.0, 1.0, True),  # far beyond RK4's step bound
+        ]
+        for sysm, delay, horizon, step, diverged in cases:
+            x0 = rng.uniform(-1, 1, sysm.dim)
+            traj = simulate(sysm, delay, x0, horizon, step)
+            assert traj.diverged == diverged
+            assert np.array_equal(traj.norms, np.linalg.norm(traj.states, axis=1))
+            assert np.allclose(np.diff(traj.times), step)
 
     def test_gain_scaling(self):
         gs = grounded(5, 2, [3])
@@ -300,7 +315,36 @@ class TestFullDelayMatchesPerStepReference:
         tau = 3.0 * math.pi / (2.0 * self.KU * eig_sym(gs.lg).lambda_max)
         traj = self._check(sysm, "full", None, a, jmat, tau, tau / m, m, 200 * m,
                            rng.uniform(-1, 1, sysm.dim), None)
-        assert traj.diverged and len(traj.times) < 200 * m + 1
+        cut = len(traj.times) - 1
+        assert traj.diverged and cut < 200 * m
+        # batches of m - 1 = 149 steps: the cut falls inside a batch
+        assert m != 150 or cut % (m - 1) != 0
+
+    @pytest.mark.parametrize("mode, m", [("full", 150), ("none", 0), ("self-undelayed", 150)])
+    def test_screen_false_alarm_does_not_truncate(self, mode, m):
+        # one entry above (cutoff / 2) / sqrt(dim) fails every batch's cheap
+        # screen, but the state's norm stays below the cutoff: the per-row
+        # test must keep every step
+        gs = grounded(5, 2, [3])
+        sysm, a, jmat = self._system(gs, "velocity")
+        x0 = np.array([9e11, 0.0, 0.0, 0.0])
+        assert x0[0] > 0.5 * dde_sim.DIVERGENCE_CUTOFF / math.sqrt(len(x0))
+        h, nsteps = 2e-3, 1000
+        if mode == "full":
+            a0, atau = None, a
+        elif mode == "none":
+            a0, atau = a, None
+        else:
+            lg = np.asarray(gs.lg, float)
+            dg = np.diag(np.diag(lg))
+            a0, atau = -self.KU * dg, self.KU * (dg - lg)
+        traj = self._check(sysm, mode, a0, atau, jmat, m * h, h, m, nsteps, x0, None)
+        assert not traj.diverged and len(traj.times) == nsteps + 1
+
+    def test_filter_taps_fold_the_stencils(self):
+        # x_d0 + 4 x_dh + x_d1 on the window of four delayed samples, times 4
+        assert np.array_equal(dde_sim._TAPS_CENTERED, 16.0 * dde_sim._W_CENTERED + [0, 4, 4, 0])
+        assert np.array_equal(dde_sim._TAPS_BACKWARD, 16.0 * dde_sim._W_BACKWARD + [0, 0, 4, 4])
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
     @pytest.mark.parametrize("dist", [None, "sin", "noise"])
@@ -604,6 +648,12 @@ class TestSimSystemValidation:
     def test_defaults(self):
         assert default_step(0.0) == 1e-3
         assert default_step(0.02) == pytest.approx(5e-4)
+        smallest = 40.0 * sys.float_info.min
+        assert default_step(smallest) == sys.float_info.min
+        # tau / 40 underflows to zero, or to a subnormal step
+        for tiny in (5e-324, 1e-320, smallest / 2.0):
+            with pytest.raises(ParameterError, match="taus value .* is too small"):
+                default_step(tiny, "taus")
         assert default_horizon(1.0) == 200.0
         assert default_horizon(0.1) == 500.0
 

@@ -310,6 +310,26 @@ class TestCli:
         assert code == 2
         assert "must be a finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--tau", "5e-324"], "tau"),
+        (["delay-grid", "--taus", "0.1,1e-320", "--horizon", "20"], "taus"),
+    ])
+    def test_delay_whose_default_step_underflows_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                        argv, name):
+        # tau / 40 underflows: refused under the delay's own name, before any
+        # run (delay-grid would otherwise simulate tau = 0.1 first)
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was rejected")
+
+        monkeypatch.setattr("platoonkit.experiments._analysis", no_work)
+        code = main(argv[:1] + ["--n", "5", "--k", "2", "--out", str(tmp_path)] + argv[1:])
+        assert code == 2
+        assert f"error: {name} value" in capsys.readouterr().err
+        # with a step given, the delay rounds to zero steps and runs undelayed
+        monkeypatch.undo()
+        assert main(["simulate", "--n", "5", "--k", "2", "--tau", "5e-324", "--step", "0.01",
+                     "--horizon", "1", "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("extra", [[], ["--disturbance", "sin", "--amplitude", "0.1"]])
     @pytest.mark.parametrize("horizon", ["1e14", "1e300"])
     def test_buffers_too_large_exit_2(self, tmp_path, capsys, extra, horizon):
