@@ -295,6 +295,27 @@ def default_horizon(lambda1: float) -> float:
 # Integration
 # ---------------------------------------------------------------------------
 
+def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
+              disturbance=None) -> tuple:
+    """Check a run of `simulate` before anything is allocated, and return its
+    (step h, steps, delay in whole steps m, bytes of buffers).
+
+    Raises:
+        ParameterError: on a step not finite and > 0, a horizon shorter than
+            10 steps, or buffers larger than physical memory.
+    """
+    h = float(errors.check("step", step, 0.0, strict=True))
+    errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
+    steps, lag = horizon / h, (delay.tau / h if delay.mode != "none" else 0.0)
+    # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
+    # history rows, the norms and times, and a disturbance's samples at the
+    # grid and midpoint times, before and after the input matrix
+    width = sys.dim + 2 + (2 * (sys.dim + sys.lg.shape[0]) if disturbance is not None else 0)
+    nbytes = 8.0 * (steps + lag + 6.0) * width
+    errors.check_memory(f"a run of {steps:.4g} steps", nbytes)
+    return h, int(round(steps)), int(round(lag)), nbytes
+
+
 def simulate(
     sys: SimSystem,
     delay: DelaySpec,
@@ -317,8 +338,7 @@ def simulate(
         sys: system to integrate.
         delay: DelaySpec; mode "self-undelayed" is velocity-only.
         x0: initial state, finite, length sys.dim (also the constant pre-history).
-        horizon: final time, finite; must be at least 10 steps long, and
-            the run's buffers must fit in physical memory.
+        horizon: final time, at least 10 steps; see check_run.
         step: integration step, finite and > 0.
         disturbance: optional bounded input, added through the system's
             input matrix and sampled at the integration stage times.
@@ -326,24 +346,13 @@ def simulate(
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
-    h = float(errors.check("step", step, 0.0, strict=True))
-    errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
+    h, nsteps, m, nbytes = check_run(sys, delay, horizon, step, disturbance)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
     errors.check("the norm of x0", float(np.linalg.norm(x0)))
     if delay.mode == "self-undelayed" and sys.kind != "velocity":
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
-
-    steps, lag = horizon / h, (delay.tau / h if delay.mode != "none" else 0.0)
-    # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
-    # history rows, the norms and times, and a disturbance's samples at the
-    # grid and midpoint times, before and after the input matrix
-    f = sys.lg.shape[0]
-    width = sys.dim + 2 + (2 * (sys.dim + f) if disturbance is not None else 0)
-    nbytes = 8.0 * (steps + lag + 6.0) * width
-    errors.check_memory(f"a run of {steps:.4g} steps", nbytes)
-    nsteps, m = int(round(steps)), int(round(lag))
 
     if m == 0:
         # no delay, or one that rounds to zero steps: the plain dynamics
@@ -359,6 +368,7 @@ def simulate(
         w_grid = w_mid = None
         if disturbance is not None:
             jmat = sys.input_matrix()
+            f = jmat.shape[1]
             grid_times = np.arange(nsteps + 1) * h
             w_grid = disturbance.sample(grid_times, f, h) @ jmat.T
             w_mid = disturbance.sample(grid_times[:-1] + h / 2.0, f, h) @ jmat.T

@@ -283,8 +283,8 @@ def _report_summary(r: robustness.RobustnessReport) -> str:
         f"velocity delay margin (exact) = {_fmt(r.delay_velocity_max)}",
         f"velocity delay bounds from k: stable <= {_fmt(r.delay_k_sufficient)}, "
         f"unstable > {_fmt(r.delay_k_necessary)}",
-        f"formation delay sufficient: 1/rho = {_fmt(r.delay_formation_sufficient)}, "
-        f"1/(4k) = {_fmt(r.delay_formation_k_sufficient)}",
+        f"formation delay margin (exact) = {_fmt(r.delay_formation_exact)}, "
+        f"sufficient from k: 1/(4k) = {_fmt(r.delay_formation_k_sufficient)}",
         f"min references for non-expansive velocity gain = {r.min_refs_nonexpansive}",
         f"certificate lambda_min holds = {_fmt(r.lambda_min_certificate.holds)}",
         f"certificate lambda_max holds = {_fmt(r.lambda_max_certificate.holds)}",
@@ -306,15 +306,8 @@ def _report_summary(r: robustness.RobustnessReport) -> str:
 
 
 def _norms_for(refs, cfg: ScenarioConfig):
-    top = topology.build_platoon(cfg.n, cfg.k)
-    refset = topology.make_reference_set(cfg.n, refs)
-    gs = topology.ground(top, refset)
-    spec = spectral.eig_sym(gs.lg)
-    return (
-        spec.lambda1,
-        robustness.hinf_velocity(spec),
-        robustness.hinf_formation(spec),
-    )
+    spec = _analysis(cfg, topology.make_reference_set(cfg.n, refs))[3]
+    return spec.lambda1, robustness.hinf_velocity(spec), robustness.hinf_formation(spec)
 
 
 def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
@@ -345,36 +338,39 @@ def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
 
 def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
     """Simulate both dynamics at every tau, classify, and annotate each tau
-    against the analytic thresholds pi/(8k), pi/(2k), 1/(4k), pi/(2 lambda_max)."""
+    against the analytic thresholds pi/(8k), pi/(2k), 1/(4k), pi/(2 lambda_max)
+    and the exact formation margin.  Every run is checked before the first."""
     top, refset, gs, spec = _analysis(cfg)
-    lam1, lam_max = spec.lambda1, spec.lambda_max
     ksuff, kness = robustness.delay_bounds_k(cfg.k)
-    k4 = robustness.delay_margin_formation(spec, cfg.k).k_bound
+    fdm = robustness.delay_margin_formation(spec, cfg.k)
     exact_v = robustness.delay_margin_velocity(spec)
-    horizon = cfg.horizon if cfg.horizon is not None else dde_sim.default_horizon(lam1)
+    horizon = cfg.horizon if cfg.horizon is not None else dde_sim.default_horizon(spec.lambda1)
     rng = np.random.default_rng(cfg.seed)
     systems = {
         "velocity": dde_sim.velocity_system(gs),
         "formation": dde_sim.formation_system(gs),
     }
     x0s = {name: rng.uniform(-1.0, 1.0, sysm.dim) for name, sysm in systems.items()}
+    runs = [(tau, cfg.step if cfg.step is not None else dde_sim.default_step(tau),
+             dde_sim.DelaySpec(tau=tau, mode=("none" if tau == 0.0 else "full")), name)
+            for tau in cfg.taus for name in systems]
+    for tau, step, delay, name in runs:
+        dde_sim.check_run(systems[name], delay, horizon, step)
     rows = []
-    for tau in cfg.taus:
-        step = cfg.step if cfg.step is not None else dde_sim.default_step(tau)
-        delay = dde_sim.DelaySpec(tau=tau, mode=("none" if tau == 0.0 else "full"))
-        for name in ("velocity", "formation"):
-            traj = dde_sim.simulate(systems[name], delay, x0s[name], horizon, step)
-            verdict = dde_sim.classify(traj)
-            rows.append([
-                tau, name, verdict.stable, verdict.decay_ratio, traj.diverged, step,
-                tau < ksuff, tau < kness, tau < k4, tau < exact_v,
-            ])
+    for tau, step, delay, name in runs:
+        traj = dde_sim.simulate(systems[name], delay, x0s[name], horizon, step)
+        verdict = dde_sim.classify(traj)
+        rows.append([
+            tau, name, verdict.stable, verdict.decay_ratio, traj.diverged, step,
+            tau < ksuff, tau < kness, tau < fdm.k_bound, tau < exact_v, tau < fdm.exact,
+        ])
     meta = _meta(cfg, refset)
-    meta.update(horizon=_fmt(horizon), lambda_max=_fmt(lam_max))
+    meta.update(horizon=_fmt(horizon), lambda_max=_fmt(spec.lambda_max))
     text = _csv(
         meta,
         ["tau", "dynamics", "stable", "decay_ratio", "diverged", "step",
-         "below_pi_8k", "below_pi_2k", "below_inv_4k", "below_pi_2lmax"],
+         "below_pi_8k", "below_pi_2k", "below_inv_4k", "below_pi_2lmax",
+         "below_formation_exact"],
         rows,
     )
     return [_write(outdir / "delay_grid.csv", text)]
@@ -397,19 +393,14 @@ def fit_loglog(ns, values) -> dict:
 def run_scaling(cfg: ScenarioConfig, outdir) -> list:
     """Gain growth with platoon size: single end reference vs minimally dense."""
     ns = tuple(sorted(cfg.ns))
-    rows = []
-    single_v, single_f, md_v, md_f = [], [], [], []
+    rows, gains = [], {"single": [], "md": []}
     for n in ns:
         sub = replace(cfg, n=n)
-        lam1, hv, hf = _norms_for([1], sub)
-        rows.append([n, "single", lam1, hv, hf])
-        single_v.append(hv)
-        single_f.append(hf)
-        md_refs = topology.md_arrangement(n, cfg.k).refs
-        lam1, hv, hf = _norms_for(md_refs, sub)
-        rows.append([n, "md", lam1, hv, hf])
-        md_v.append(hv)
-        md_f.append(hf)
+        for name, refs in (("single", [1]), ("md", topology.md_arrangement(n, cfg.k).refs)):
+            lam1, hv, hf = _norms_for(refs, sub)
+            rows.append([n, name, lam1, hv, hf])
+            gains[name].append((hv, hf))
+    (single_v, single_f), (md_v, md_f) = (zip(*gains[name]) for name in ("single", "md"))
     fit_v = fit_loglog(ns, single_v)
     fit_f = fit_loglog(ns, single_f)
     fit_md = fit_loglog(ns, md_v)
@@ -526,14 +517,23 @@ def run_verify(seed: int = 0) -> tuple:
         worst_cert &= spectral.certify_lambda_max(g, s).holds
     check("certificates hold on 60 random instances", worst_cert)
 
-    worst = 0.0
+    worst = worst_closed = 0.0
     for _ in range(20):
-        _, _, g = _random_instance(rng, n_max=18, f_max=12)
+        t, _, g = _random_instance(rng, n_max=18, f_max=12)
         s = spectral.eig_sym(g.lg)
-        mapped = spectral.map_formation_spectrum(s).values
+        mapped = spectral.map_formation_spectrum(s)
         dense = np.linalg.eigvals(spectral.build_formation_matrix(g))
         worst = max(worst, spectral.spectrum_mismatch(mapped, dense))
+        # the closed forms in lambda_1 and lambda_max against every mode
+        worst_closed = max(
+            worst_closed,
+            abs(robustness.hinf_formation(s) - max(map(robustness.peak_amplitude, s.values))),
+            abs(robustness.delay_margin_formation(s, t.k).exact
+                - robustness.delay_margin_exact(mapped)),
+        )
     check("formation mapping matches dense eigenvalues", worst <= 1e-7, f"worst={worst:.2e}")
+    check("formation gain and delay margin match their all-mode values",
+          worst_closed <= 1e-12, f"worst={worst_closed:.2e}")
 
     worst = 0.0
     for _ in range(30):

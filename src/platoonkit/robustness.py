@@ -2,11 +2,11 @@
 
 Everything here is a pure function of the grounded spectrum and the graph
 statistics: worst-case disturbance gains for the velocity-tracking and
-formation dynamics, stability margins, delay margins (exact for the
-first-order dynamics, bounds for the second-order ones; see
-FormationDelayMargin for when each bound holds), the reference-count
-threshold for a non-expansive velocity gain, and the gamma-threshold
-predicates on the beta statistics.
+formation dynamics, stability margins, exact delay margins for both (one
+modal formula, delay_margin_exact) and bounds on the formation one, the
+reference-count threshold for a non-expansive velocity gain, and the
+gamma-threshold predicates on the beta statistics.  Every formation metric
+reads the modes of lambda_1 and lambda_max only (see _extreme_modes).
 
 Unbounded gains are represented as ``math.inf`` in memory and serialized as
 the explicit string marker ``"unbounded"`` in JSON reports.
@@ -29,7 +29,6 @@ from .spectral import (
     certify_lambda_min,
     eig_sym,
     map_formation_spectrum,
-    spectral_radius_formation,
 )
 from .topology import GroundedSystem, PlatoonTopology, ReferenceSet, ground
 
@@ -58,7 +57,8 @@ def peak_amplitude(lam: float) -> float:
         2 / (lam^{3/2} sqrt(4 - lam))   if lam <= 2   (interior peak)
         1 / lam                          otherwise     (peak at omega = 0)
 
-    Both branches agree at lam = 2 (value 1/2).
+    Both branches agree at lam = 2 (value 1/2).  It decreases on (0, inf), as
+    d/dlam log(lam^{3/2} sqrt(4 - lam)) = 3/(2 lam) - 1/(2 (4 - lam)) > 0 for lam < 3.
     """
     if errors.check("eigenvalue lam", lam, 0.0, strict=True) <= 2.0:
         return 2.0 / (lam ** 1.5 * math.sqrt(4.0 - lam))
@@ -66,17 +66,29 @@ def peak_amplitude(lam: float) -> float:
 
 
 def hinf_formation(spec: Spectrum) -> float:
-    """Worst-case disturbance-to-position-error gain of the formation
-    dynamics: the max of peak_amplitude over *all* grounded eigenvalues.
-
-    Taking the max over every eigenvalue (rather than assuming the smallest
-    dominates) keeps the value correct even when the spectrum straddles the
-    lam = 2 branch point.
-    """
-    vals = np.asarray(spec.values, dtype=float)
-    if vals.size == 0 or vals.min() <= GROUNDING_TOL:
+    """Worst-case disturbance-to-position-error gain of the formation dynamics:
+    the max of peak_amplitude over the spectrum, at lambda_1 as it decreases."""
+    if len(spec) == 0 or spec.lambda1 <= GROUNDING_TOL:
         raise ParameterError("formation gain needs a strictly positive spectrum")
-    return max(peak_amplitude(float(lam)) for lam in vals)
+    return peak_amplitude(spec.lambda1)
+
+
+def _extreme_modes(spec: Spectrum) -> np.ndarray:
+    """Formation modes mu (roots of mu^2 + lam*mu + lam) of lambda_1 and
+    lambda_max.  While lam < 4 (complex pair, |mu| = sqrt(lam)) the per-mode
+    delay margin arcsin(sqrt(lam)/2)/sqrt(lam) and |Re mu| = lam/2 rise; for
+    lam >= 4 (real pair, |mu_+-| = (lam -+ sqrt(lam^2 - 4 lam))/2) the
+    margin pi/(2|mu_-|) and the smaller |Re mu| = |mu_+| fall.  So both are
+    least at lambda_1 or lambda_max, and rho(B) = |mu|max, which increases
+    in lam, is reached at lambda_max."""
+    if len(spec) == 0:
+        raise ParameterError("empty spectrum")
+    return map_formation_spectrum(Spectrum(values=np.array([spec.lambda1, spec.lambda_max])))
+
+
+def margin_formation(spec: Spectrum) -> float:
+    """Stability margin of the formation dynamics: min |Re mu| (see _extreme_modes)."""
+    return float(np.min(np.abs(_extreme_modes(spec).real)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +229,31 @@ def min_refs_nonexpansive(n: int, k: int) -> int:
     return math.ceil(n / (2 * errors.check("connectivity index k", k, 1, integer=True) + 1))
 
 
+def delay_margin_exact(mu) -> float:
+    """Exact delay margin of x' = M x(t - tau), M diagonalizable with
+    eigenvalues mu: the min over modes of (|arg mu| - pi/2)/|mu|, the delay
+    at which a root of the mode x' = mu x(t - tau) reaches s = i|mu|.
+
+    Raises:
+        ParameterError: on no mode, or on a mode that is zero or not finite.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    errors.check("number of modes", mu.size, 1)
+    size = np.abs(mu)
+    # min and max pass NaN on, so every mode is checked
+    errors.check("largest mode magnitude |mu|", float(size.max()))
+    errors.check("smallest mode magnitude |mu|", float(size.min()), 0.0, strict=True)
+    return float(np.min((np.abs(np.angle(mu)) - math.pi / 2.0) / size))
+
+
 def delay_margin_velocity(spec: Spectrum) -> float:
     """Exact critical constant delay of the fully delayed velocity dynamics:
-    pi / (2 lambda_max).  Stability holds iff tau is strictly below it."""
+    its modes are -lam, so delay_margin_exact reads only mu = -lambda_max,
+    giving pi / (2 lambda_max).  Stability holds iff tau is strictly below it."""
     lam = spec.lambda_max
     if lam <= GROUNDING_TOL:
         raise ParameterError("delay margin needs lambda_max > 0")
-    return math.pi / (2.0 * lam)
+    return delay_margin_exact(-lam)
 
 
 def delay_bounds_k(k: int) -> tuple:
@@ -235,34 +265,31 @@ def delay_bounds_k(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class FormationDelayMargin:
-    """Two delay bounds for the fully delayed formation dynamics
-    xdot = B x(t - tau).
+    """The exact delay margin of the fully delayed formation dynamics
+    xdot = B x(t - tau), delay_margin_exact of the modes mu of B (see
+    _extreme_modes), and two bounds on it.  Real modes (lam >= 4) give
+    pi / (2|mu|); complex ones (lam < 4) a value in [1/2, pi/4).  Hence:
 
-    Each mode of B is the scalar DDE x' = mu x(t - tau), with mu a root of
-    mu^2 + lam*mu + lam = 0, so the exact margin is the min over modes of
-    (|arg mu| - pi/2) / |mu|.  Real modes (lam >= 4) give pi / (2|mu|);
-    complex modes (lam < 4, |mu| = sqrt(lam)) give a value in [1/2, pi/4).
-    Hence:
-
-    * rho_bound = 1/rho(B) is sufficient whenever lambda_max >= 4
-      (then rho(B) >= 2, so 1/rho(B) <= 1/2).  It is not sufficient in
-      general: on P(8,1) with reference {1} (lambda_max ~= 3.83) it is
-      0.5112 while the exact margin is 0.5009.
-    * pi / (2 rho(B)) is the exact margin whenever rho(B) >= pi (then the
-      largest mode is real and pi / (2 rho(B)) <= 1/2).
-    * k_bound = 1/(4k) is always sufficient: it is <= 1/4 below every
+    * rho_bound = 1/rho(B) is sufficient whenever lambda_max >= 4 (then
+      rho(B) >= 2, so 1/rho(B) <= 1/2), but not in general: on P(8,1) with
+      reference {1} (lambda_max ~= 3.83) it is 0.5112 against 0.5009.
+    * pi / (2 rho(B)) is exact whenever rho(B) >= pi (the largest mode is
+      then real, and pi / (2 rho(B)) <= 1/2).
+    * k_bound = 1/(4k) is always sufficient: it is <= 1/4, below every
       complex-mode margin, and lambda_max <= 4k keeps it below every
       real-mode margin pi / (2|mu|), since |mu| <= lam there.
     """
 
+    exact: float
     rho_bound: float
     k_bound: float
 
 
 def delay_margin_formation(spec: Spectrum, k: int) -> FormationDelayMargin:
     k = errors.check("connectivity index k", k, 1, integer=True)
-    rho = spectral_radius_formation(map_formation_spectrum(spec))
-    return FormationDelayMargin(rho_bound=1.0 / rho, k_bound=1.0 / (4.0 * k))
+    modes = _extreme_modes(spec)
+    rho = float(np.max(np.abs(modes)))
+    return FormationDelayMargin(delay_margin_exact(modes), 1.0 / rho, 1.0 / (4.0 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +308,11 @@ class RobustnessReport:
     hinf_velocity: float
     hinf_formation: float
     margin_velocity: float
-    # lambda1/2 lower-bounds the formation margin whenever lambda1 <= 2
-    # (always true under minimally dense arrangements); margin_formation is
-    # the exact min |Re| over the mapped second-order spectrum
+    # lambda1/2 lower-bounds margin_formation whenever lambda1 <= 2 (always under MD)
     margin_formation_lb: float
     margin_formation: float
     delay_velocity_max: float
-    delay_formation_sufficient: float
+    delay_formation_exact: float
     delay_formation_k_sufficient: float
     delay_k_sufficient: float
     delay_k_necessary: float
@@ -349,7 +374,6 @@ def build_report(
     lam1, lam_max = spec.lambda1, spec.lambda_max
     beta_min = int(gs.betas.min())
     beta_max = int(gs.betas.max())
-    mapped = map_formation_spectrum(spec)
     fdm = delay_margin_formation(spec, topology.k)
     ksuff, kness = delay_bounds_k(topology.k)
     swept = {}
@@ -368,9 +392,9 @@ def build_report(
         hinf_formation=hinf_formation(spec),
         margin_velocity=lam1,
         margin_formation_lb=lam1 / 2.0,
-        margin_formation=float(np.min(np.abs(mapped.values.real))),
+        margin_formation=margin_formation(spec),
         delay_velocity_max=delay_margin_velocity(spec),
-        delay_formation_sufficient=fdm.rho_bound,
+        delay_formation_exact=fdm.exact,
         delay_formation_k_sufficient=fdm.k_bound,
         delay_k_sufficient=ksuff,
         delay_k_necessary=kness,

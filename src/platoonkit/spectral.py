@@ -18,7 +18,6 @@ row-stochasticity check of the steady-state matrix -lg^{-1} l12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,55 +261,30 @@ def certify_lambda_max(gs: GroundedSystem, spec: Spectrum) -> BoundCertificate:
 # Second-order (formation) spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormationSpectrum:
-    """Eigenvalues of the second-order formation matrix, as the image of the
-    grounded spectrum under the quadratic s^2 + lam*s + lam.
+def map_formation_spectrum(spec: Spectrum) -> np.ndarray:
+    """Map each grounded eigenvalue lam > 0 to both roots of
+    mu^2 + lam*mu + lam, the eigenvalues of the formation matrix.
 
-    values holds 2|F| complex numbers, stored as consecutive pairs per source
-    eigenvalue; the multiset is closed under conjugation.
-    """
-
-    values: np.ndarray
-    source: Spectrum
-
-
-def map_formation_spectrum(spec: Spectrum) -> FormationSpectrum:
-    """Map each grounded eigenvalue lam > 0 to both roots of s^2 + lam*s + lam.
-
-    lam < 4 gives a conjugate complex pair of magnitude sqrt(lam); lam > 4 two
-    real roots; |lam - 4| < 1e-12 collapses to the exact double root -2.
+    Returns 2|F| complex numbers, a pair per eigenvalue in order, closed
+    under conjugation: lam < 4 gives a complex pair of magnitude sqrt(lam);
+    lam > 4 two real roots; |lam - 4| < 1e-12 the exact double root -2.
 
     Raises:
         ParameterError: if any eigenvalue is <= 0 (grounding assumption violated).
     """
-    vals = np.asarray(spec.values, dtype=float)
-    if vals.size == 0:
+    lam = np.asarray(spec.values, dtype=float)
+    if lam.size == 0:
         raise ParameterError("empty spectrum")
-    if vals.min() <= 0.0:
+    if lam.min() <= 0.0:
         raise ParameterError(
-            f"formation mapping needs a positive spectrum, got lambda_1 = {vals.min()}"
+            f"formation mapping needs a positive spectrum, got lambda_1 = {lam.min()}"
         )
-    out = np.empty(2 * len(vals), dtype=complex)
-    for i, lam in enumerate(vals):
-        if abs(lam - 4.0) < 1e-12:
-            out[2 * i] = out[2 * i + 1] = -2.0
-        elif lam < 4.0:
-            im = math.sqrt(lam * (4.0 - lam)) / 2.0
-            out[2 * i] = complex(-lam / 2.0, -im)
-            out[2 * i + 1] = complex(-lam / 2.0, im)
-        else:
-            root = math.sqrt(lam * (lam - 4.0))
-            out[2 * i] = (-lam - root) / 2.0
-            out[2 * i + 1] = (-lam + root) / 2.0
-    return FormationSpectrum(values=out, source=spec)
-
-
-def spectral_radius_formation(fs: FormationSpectrum) -> float:
-    """Largest eigenvalue magnitude of the formation matrix."""
-    if len(fs.values) == 0:
-        raise ParameterError("empty formation spectrum")
-    return float(np.max(np.abs(fs.values)))
+    # half the discriminant's root: imaginary on the complex branch
+    half = np.sqrt(np.abs(lam * (lam - 4.0))) / 2.0
+    half = np.where(lam < 4.0, 1j * half, half)
+    pairs = np.column_stack((-lam / 2.0 - half, -lam / 2.0 + half))
+    pairs[np.abs(lam - 4.0) < 1e-12] = -2.0
+    return pairs.ravel()
 
 
 def spectrum_mismatch(a, b) -> float:
@@ -330,15 +304,6 @@ def spectrum_mismatch(a, b) -> float:
         worst = max(worst, abs(rest[i] - z))
         rest.pop(i)
     return worst
-
-
-def formation_radius_closed_form(lambda_max: float) -> float:
-    """Closed form (lam/2)(1 + sqrt(1 - 4/lam)) for the dominant real root;
-    valid as the spectral radius once lambda_max >= 4 dominates every
-    complex-pair magnitude sqrt(lam)."""
-    if lambda_max < 4.0:
-        raise ParameterError(f"closed form needs lambda_max >= 4, got {lambda_max}")
-    return lambda_max / 2.0 * (1.0 + (1.0 - 4.0 / lambda_max) ** 0.5)
 
 
 def build_formation_matrix(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> np.ndarray:

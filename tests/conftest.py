@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -44,3 +46,17 @@ def expm_oracle(a):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def formation_modal_delay_margin(lg_values) -> float:
+    """Exact delay margin of the fully delayed formation dynamics xdot = B x(t - tau).
+
+    Each mode of B is the scalar DDE x' = mu x(t - tau), with mu a root of
+    mu^2 + lam*mu + lam = 0 for an eigenvalue lam of Lg.  Its rightmost
+    characteristic root first reaches the imaginary axis (at s = i|mu|) when
+    tau = (|arg mu| - pi/2) / |mu|; the margin is the smallest such tau.
+    Built from numpy's polynomial roots only, independent of the integrator
+    and of the package's own spectrum mapping.
+    """
+    mus = np.concatenate([np.roots([1.0, lam, lam]) for lam in lg_values])
+    return float(np.min((np.abs(np.angle(mus)) - math.pi / 2.0) / np.abs(mus)))

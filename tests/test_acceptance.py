@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import expm_oracle, random_grounded
+from conftest import expm_oracle, formation_modal_delay_margin, random_grounded
 from platoonkit import (
     DelaySpec,
     build_formation_matrix,
@@ -18,6 +18,7 @@ from platoonkit import (
     certify_lambda_max,
     certify_lambda_min,
     classify,
+    delay_margin_formation,
     eig_sym,
     formation_system,
     ground,
@@ -28,7 +29,6 @@ from platoonkit import (
     md_arrangement,
     simulate,
     simulate_offdiagonal,
-    spectral_radius_formation,
     stochasticity_defect,
     sweep_hinf,
     threshold_scan,
@@ -78,7 +78,7 @@ def test_criterion_02_spectrum_mapping_oracle():
     worst = 0.0
     for _ in range(100):
         _, _, gs = random_grounded(rng, n_hi=30, f_max=20)
-        mapped = map_formation_spectrum(eig_sym(gs.lg)).values
+        mapped = map_formation_spectrum(eig_sym(gs.lg))
         dense = np.linalg.eigvals(build_formation_matrix(gs))
         worst = max(worst, spectrum_mismatch(mapped, dense))
     ok = worst <= 1e-7
@@ -137,20 +137,6 @@ def test_criterion_05_remove_add_reference():
                   f"remove_ok={remove_ok}, add_ok={add_ok}")
 
 
-def formation_modal_delay_margin(lg_values) -> float:
-    """Exact delay margin of the fully delayed formation dynamics xdot = B x(t - tau).
-
-    Each mode of B is the scalar DDE x' = mu x(t - tau), with mu a root of
-    mu^2 + lam*mu + lam = 0 for an eigenvalue lam of Lg.  Its rightmost
-    characteristic root first reaches the imaginary axis (at s = i|mu|) when
-    tau = (|arg mu| - pi/2) / |mu|; the margin is the smallest such tau.
-    Built from numpy's polynomial roots only, independent of the integrator
-    and of the package's own spectrum mapping.
-    """
-    mus = np.concatenate([np.roots([1.0, lam, lam]) for lam in lg_values])
-    return float(np.min((np.abs(np.angle(mus)) - math.pi / 2.0) / np.abs(mus)))
-
-
 def test_criterion_06_delay_grid_p36():
     # each dynamics must classify stable below its exact delay margin and
     # unstable above it: velocity pi/(2 lambda_max) ~= 0.145, formation the
@@ -158,14 +144,17 @@ def test_criterion_06_delay_grid_p36():
     _, _, gs = p36_grounded()
     spec = eig_sym(gs.lg)
     margin_f = formation_modal_delay_margin(spec.values)
-    closed_form = math.pi / (2.0 * spectral_radius_formation(map_formation_spectrum(spec)))
+    fdm = delay_margin_formation(spec, 4)
+    closed_form = math.pi / 2.0 * fdm.rho_bound
     tau_f_unstable = 0.20
     problems = []
-    if not (abs(margin_f - closed_form) <= 1e-9 * margin_f
+    if not (abs(margin_f - fdm.exact) <= 1e-12 * margin_f
+            and abs(margin_f - closed_form) <= 1e-9 * margin_f
             and 0.10 < margin_f < tau_f_unstable):
         problems.append(
-            f"formation modal margin {margin_f:.6g} should equal pi/(2 rho(B)) = "
-            f"{closed_form:.6g} and lie in (0.10, {tau_f_unstable})"
+            f"formation modal margin {margin_f:.6g} should equal the exact margin "
+            f"{fdm.exact:.6g} and pi/(2 rho(B)) = {closed_form:.6g}, and lie in "
+            f"(0.10, {tau_f_unstable})"
         )
     rng = np.random.default_rng(1006)
     sys_v = velocity_system(gs)

@@ -13,6 +13,7 @@ from platoonkit import (
     build_formation_matrix,
     build_platoon,
     classify,
+    delay_margin_formation,
     eig_sym,
     formation_system,
     ground,
@@ -459,22 +460,18 @@ class TestThresholdScan:
         assert abs(est - 0.356) <= 0.01
 
     def test_p36_formation_flip_matches_modal_threshold(self):
-        # the exact delay margin of the fully delayed formation dynamics is
-        # pi / (2 rho(B)) whenever rho(B) >= pi, which holds on P(36,4) MD:
-        # ~0.1612, notably above 1/rho(B) ~ 0.1026 (a sufficient bound
-        # whenever lambda_max >= 4, as here)
+        # the exact delay margin of the fully delayed formation dynamics on
+        # P(36,4) MD is ~0.1612 (= pi / (2 rho(B)), since rho(B) >= pi),
+        # notably above 1/rho(B) ~ 0.1026 (a sufficient bound whenever
+        # lambda_max >= 4, as here)
         gs = ground(build_platoon(36, 4), md_arrangement(36, 4))
-        spec = eig_sym(gs.lg)
-        from platoonkit import map_formation_spectrum, spectral_radius_formation
-
-        rho = spectral_radius_formation(map_formation_spectrum(spec))
-        predicted = math.pi / (2.0 * rho)
+        fdm = delay_margin_formation(eig_sym(gs.lg), 4)
         est = threshold_scan(
             formation_system(gs), 0.10, 0.22, tolerance=0.004,
             horizon=100.0, step_fraction=120,
         )
-        assert abs(est - predicted) / predicted <= 0.06
-        assert 1.0 / rho < est  # the sufficient bound is conservative here
+        assert abs(est - fdm.exact) / fdm.exact <= 0.06
+        assert fdm.rho_bound < est  # the sufficient bound is conservative here
 
     def test_bracket_validation(self):
         sysm = scalar_system()

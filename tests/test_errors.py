@@ -13,6 +13,7 @@ from platoonkit import (
     SinusoidDisturbance,
     build_platoon,
     delay_bounds_k,
+    delay_margin_exact,
     delay_margin_formation,
     eig_sym,
     formation_system,
@@ -96,6 +97,7 @@ CALLS = {
     "min_refs_nonexpansive.n": lambda bad: min_refs_nonexpansive(bad, 2),
     "min_refs_nonexpansive.k": lambda bad: min_refs_nonexpansive(10, bad),
     "delay_bounds_k": delay_bounds_k,
+    "delay_margin_exact": delay_margin_exact,
     "delay_margin_formation": lambda bad: delay_margin_formation(SPEC, bad),
     "build_platoon.n": lambda bad: build_platoon(bad, 1),
     "build_platoon.k": lambda bad: build_platoon(10, bad),
@@ -122,6 +124,8 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
     lambda: scan(step_fraction=0),
     lambda: scan(tau_lo=0.0),
     lambda: delay_bounds_k(2.5),
+    lambda: delay_margin_exact(0.0),
+    lambda: delay_margin_exact([-1.0, 0.0]),
     lambda: md_arrangement(10, 1.5),
     lambda: NoiseDisturbance(1.0, -1),
     lambda: run(horizon=0.05),

@@ -171,11 +171,12 @@ class TestRunners:
         run_delay_grid(cfg, tmp_path)
         lines = (tmp_path / "delay_grid.csv").read_text().splitlines()
         header = lines[1].split(",")
-        assert header[-4:] == ["below_pi_8k", "below_pi_2k", "below_inv_4k", "below_pi_2lmax"]
+        assert header[-5:] == ["below_pi_8k", "below_pi_2k", "below_inv_4k", "below_pi_2lmax",
+                               "below_formation_exact"]
         small = lines[2].split(",")
         big = lines[4].split(",")
-        assert small[-4:] == ["true", "true", "true", "true"]
-        assert big[-4:] == ["false", "false", "false", "false"]
+        assert small[-5:] == ["true", "true", "true", "true", "true"]
+        assert big[-5:] == ["false", "false", "false", "false", "false"]
 
     def test_scaling_small(self, tmp_path):
         cfg = ScenarioConfig(n=8, k=1, experiment="scaling", ns=(8, 12, 16, 20, 24))
@@ -329,6 +330,19 @@ class TestCli:
         monkeypatch.undo()
         assert main(["simulate", "--n", "5", "--k", "2", "--tau", "5e-324", "--step", "0.01",
                      "--horizon", "1", "--out", str(tmp_path)]) == 0
+
+    def test_delay_grid_checks_every_run_before_the_first(self, tmp_path, capsys, monkeypatch):
+        # tau = 1e-10 takes the default step 2.5e-12: 8e12 steps over the
+        # horizon, refused before tau = 0.1 is simulated
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before every run was checked")
+
+        monkeypatch.setattr("platoonkit.dde_sim.simulate", no_run)
+        argv = ["delay-grid", "--n", "5", "--k", "2", "--taus", "0.1,1e-10", "--horizon", "20",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "GiB of buffers" in capsys.readouterr().err
+        assert not (tmp_path / "delay_grid.csv").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--disturbance", "sin", "--amplitude", "0.1"]])
     @pytest.mark.parametrize("horizon", ["1e14", "1e300"])

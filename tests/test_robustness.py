@@ -1,13 +1,15 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_grounded
+from conftest import formation_modal_delay_margin, random_grounded
 from platoonkit import (
     FrequencyGrid,
     ParameterError,
+    build_formation_matrix,
     build_platoon,
     build_report,
     delay_bounds_k,
@@ -19,6 +21,8 @@ from platoonkit import (
     hinf_formation,
     hinf_velocity,
     make_reference_set,
+    map_formation_spectrum,
+    margin_formation,
     md_arrangement,
     min_refs_nonexpansive,
     peak_amplitude,
@@ -246,6 +250,43 @@ class TestDelayMargins:
             margin = delay_margin_velocity(eig_sym(gs.lg))
             assert math.pi / (4 * gs.dmax_f) - 1e-12 <= margin
             assert margin <= math.pi / (2 * gs.dmax_f) + 1e-12
+
+
+def closed_form_cases():
+    """(k, Lg) of 500 seeded random platoons, the spectra [4], [4, 4] and [1]
+    as diagonal Lg, and P(8,1) with reference {1}."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(500):
+        top, _, gs = random_grounded(rng, n_hi=59, k_hi=7, f_max=30)
+        cases.append((top.k, gs.lg))
+    cases += [(1, np.diag(values)) for values in ([4.0], [4.0, 4.0], [1.0])]
+    return cases + [(1, grounded(8, 1, [1]).lg)]
+
+
+class TestFormationClosedForms:
+    """Each formation metric reads only the modes of lambda_1 and lambda_max;
+    each is checked here against a value taken over every mode."""
+
+    def test_matches_all_mode_oracles(self):
+        for k, lg in closed_form_cases():
+            spec = eig_sym(lg)
+            fdm = delay_margin_formation(spec, k)
+            every_peak = max(peak_amplitude(float(lam)) for lam in spec.values)
+            assert hinf_formation(spec) == pytest.approx(every_peak, rel=1e-12), lg
+            every_re = np.min(np.abs(map_formation_spectrum(spec).real))
+            assert margin_formation(spec) == pytest.approx(every_re, rel=1e-12), lg
+            # defective double roots at lam = 4 put dense eigenvalues off by ~1e-8
+            dense = np.linalg.eigvals(build_formation_matrix(SimpleNamespace(lg=lg)))
+            assert 1.0 / fdm.rho_bound == pytest.approx(np.max(np.abs(dense)), rel=1e-7), lg
+            assert fdm.exact == pytest.approx(formation_modal_delay_margin(spec.values), rel=1e-12), lg
+
+    def test_rho_bound_not_sufficient_below_four(self):
+        # P(8,1) ref {1}: lambda_max ~= 3.83 < 4, and 1/rho(B) exceeds the margin
+        spec = eig_sym(grounded(8, 1, [1]).lg)
+        fdm = delay_margin_formation(spec, 1)
+        assert abs(fdm.exact - 0.500915022789) < 1e-12
+        assert fdm.rho_bound > 0.511 > fdm.exact
 
 
 class TestGainBoundsChain:

@@ -12,18 +12,17 @@ from platoonkit import (
     build_platoon,
     certify_lambda_max,
     certify_lambda_min,
+    delay_margin_formation,
     eig_sym,
     eig_sym_bisection,
     ground,
     make_reference_set,
     map_formation_spectrum,
     md_arrangement,
-    spectral_radius_formation,
     stochasticity_defect,
 )
 from platoonkit.spectral import (
     Spectrum,
-    formation_radius_closed_form,
     householder_tridiagonalize,
     spectrum_mismatch,
 )
@@ -192,18 +191,18 @@ class TestCertificates:
 class TestFormationSpectrum:
     def test_branch_point_double_root(self):
         fs = map_formation_spectrum(Spectrum(values=np.array([4.0])))
-        assert np.array_equal(fs.values, np.array([-2.0 + 0j, -2.0 + 0j]))
+        assert np.array_equal(fs, np.array([-2.0 + 0j, -2.0 + 0j]))
 
     def test_unit_eigenvalue_complex_pair(self):
         fs = map_formation_spectrum(Spectrum(values=np.array([1.0])))
         expected = np.array([complex(-0.5, -math.sqrt(3) / 2), complex(-0.5, math.sqrt(3) / 2)])
-        assert np.max(np.abs(fs.values - expected)) < 1e-15
-        assert np.max(np.abs(np.abs(fs.values) - 1.0)) < 1e-15
+        assert np.max(np.abs(fs - expected)) < 1e-15
+        assert np.max(np.abs(np.abs(fs) - 1.0)) < 1e-15
 
     def test_real_branch(self):
         fs = map_formation_spectrum(Spectrum(values=np.array([5.0])))
         expected = np.array([(-5 - SQRT5) / 2, (-5 + SQRT5) / 2])
-        assert np.max(np.abs(fs.values - expected)) < 1e-14
+        assert np.max(np.abs(fs - expected)) < 1e-14
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
@@ -216,10 +215,10 @@ class TestFormationSpectrum:
         for _ in range(30):
             _, _, gs = random_grounded(rng, n_hi=30)
             fs = map_formation_spectrum(eig_sym(gs.lg))
-            a = np.sort_complex(fs.values)
-            b = np.sort_complex(np.conj(fs.values))
+            a = np.sort_complex(fs)
+            b = np.sort_complex(np.conj(fs))
             assert np.max(np.abs(a - b)) < 1e-12
-            assert np.all(fs.values.real < 0.0)
+            assert np.all(fs.real < 0.0)
 
     def test_real_parts_bounded_by_half_lambda1(self):
         # valid for lambda1 <= 2 (every minimally dense arrangement qualifies);
@@ -233,7 +232,7 @@ class TestFormationSpectrum:
             if spec.lambda1 > 2.0:
                 continue
             fs = map_formation_spectrum(spec)
-            assert np.all(fs.values.real <= -spec.lambda1 / 2.0 + 1e-9)
+            assert np.all(fs.real <= -spec.lambda1 / 2.0 + 1e-9)
             checked += 1
 
     def test_real_parts_md_arrangements(self):
@@ -241,25 +240,30 @@ class TestFormationSpectrum:
             gs = ground(build_platoon(n, k), md_arrangement(n, k))
             spec = eig_sym(gs.lg)
             fs = map_formation_spectrum(spec)
-            assert np.all(fs.values.real <= -spec.lambda1 / 2.0 + 1e-9)
-            assert np.all(fs.values.real < 0.0)
+            assert np.all(fs.real <= -spec.lambda1 / 2.0 + 1e-9)
+            assert np.all(fs.real < 0.0)
+
+
+def formation_radius(values) -> float:
+    """rho(B), as the reciprocal of the rho_bound read from lambda_max."""
+    spec = Spectrum(values=np.asarray(values, dtype=float))
+    return 1.0 / delay_margin_formation(spec, 1).rho_bound
 
 
 class TestSpectralRadius:
     def test_p52_matches_closed_form(self):
         gs = grounded(5, 2, [3])
-        spec = eig_sym(gs.lg)
-        rho = spectral_radius_formation(map_formation_spectrum(spec))
-        assert abs(rho - formation_radius_closed_form(3 + SQRT2)) < 1e-10
+        rho = formation_radius(eig_sym(gs.lg).values)
+        # the dominant real root (lam/2)(1 + sqrt(1 - 4/lam)) of lambda_max >= 4
+        lam = 3 + SQRT2
+        assert abs(rho - lam / 2.0 * (1.0 + (1.0 - 4.0 / lam) ** 0.5)) < 1e-10
         assert abs(rho - 2.8832035059135253) < 1e-9
 
     def test_all_fours(self):
-        fs = map_formation_spectrum(Spectrum(values=np.array([4.0, 4.0])))
-        assert spectral_radius_formation(fs) == 2.0
+        assert formation_radius([4.0, 4.0]) == 2.0
 
     def test_single_unit_eigenvalue(self):
-        fs = map_formation_spectrum(Spectrum(values=np.array([1.0])))
-        assert abs(spectral_radius_formation(fs) - 1.0) < 1e-15
+        assert abs(formation_radius([1.0]) - 1.0) < 1e-15
 
 
 class TestFormationMatrix:
@@ -279,7 +283,7 @@ class TestFormationMatrix:
 
     def test_p52_multiset_matches_mapping(self):
         gs = grounded(5, 2, [3])
-        mapped = map_formation_spectrum(eig_sym(gs.lg)).values
+        mapped = map_formation_spectrum(eig_sym(gs.lg))
         dense = np.linalg.eigvals(build_formation_matrix(gs))
         assert dense.shape == (8,)
         assert spectrum_mismatch(mapped, dense) < 1e-7
@@ -288,7 +292,7 @@ class TestFormationMatrix:
         rng = np.random.default_rng(12)
         for _ in range(40):
             _, _, gs = random_grounded(rng, n_hi=30, f_max=20)
-            mapped = map_formation_spectrum(eig_sym(gs.lg)).values
+            mapped = map_formation_spectrum(eig_sym(gs.lg))
             dense = np.linalg.eigvals(build_formation_matrix(gs))
             assert spectrum_mismatch(mapped, dense) < 1e-7
 
