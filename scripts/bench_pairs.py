@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Alternating benchmark pairs of two checkouts, and the verdict on a gain.
+"""Alternating benchmark pairs of two checkouts, and the verdicts on a gain
+and on a regression.
 
 Runs the benchmark command of BENCHMARK.json (perfbench/run.py) for one
 workload in the PARENT checkout and in the CHANGE checkout, pair after pair.
@@ -10,10 +11,19 @@ median and quartiles, how many pairs the change won (ties count for
 neither), and whether a gain claimed on that metric passes: the change wins
 at least nine tenths of the pairs, and its median is better than the
 parent's, in the metric's better direction, by more than the distance
-between the parent's quartiles.
+between the parent's quartiles.  For every end-to-end metric, whose bound
+BENCHMARK.json gives as a share of the parent's median, it also prints the
+no-regression verdict:
+
+    unresolved  the parent's Q3 - Q1 is wider than the bound, and not every
+                change run beats every parent run: the runs cannot tell;
+    regressed   the change's median is worse than the parent's by more
+                than the bound;
+    within      otherwise.
 
 Exits 1 if any run fails to print a result, reports "correct": false or
-reports failed operations; else 0.  Standard library only.
+reports failed operations, or if a metric regressed; else 0.  Standard
+library only.
 
 Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--trace 0|1]
 """
@@ -59,14 +69,28 @@ def quartiles(values: list) -> tuple:
     return q1, med, q3
 
 
-def summarize(parent: list, change: list, better: dict) -> list:
+def regression_verdict(a: list, b: list, sign: float, bound: float) -> str:
+    """The no-regression verdict, within, regressed or unresolved (see the
+    module docstring), on parent values a and change values b of a metric
+    whose better direction is lower when sign is 1 and higher when it is -1."""
+    qa, qb = quartiles(a), quartiles(b)
+    tol = bound * abs(qa[1])
+    if qa[2] - qa[0] > tol and not max(sign * y for y in b) < min(sign * x for x in a):
+        return "unresolved"
+    return "regressed" if sign * (qb[1] - qa[1]) > tol else "within"
+
+
+def summarize(parent: list, change: list, better: dict, bounds: dict | None = None) -> list:
     """One row per metric reported by every run of both sides.
 
     parent and change are the result objects of the runs, pair i being
     (parent[i], change[i]); better maps a metric name to "lower" or
-    "higher".  A row holds the metric's unit, each side's quartiles, the
-    change's wins and the verdict on a gain claimed on it.
+    "higher", bounds an end-to-end metric's name to its bound.  A row holds
+    the metric's unit, each side's quartiles, the change's wins, the verdict
+    on a gain claimed on it and, for a metric with a bound, the
+    no-regression verdict (else None).
     """
+    bounds = bounds or {}
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on each side")
     names = set(parent[0]["metrics"])
@@ -89,6 +113,8 @@ def summarize(parent: list, change: list, better: dict) -> list:
             "wins": wins,
             "pairs": len(a),
             "claim_passes": wins >= WIN_SHARE * len(a) and gain > spread,
+            "regression": (regression_verdict(a, b, sign, bounds[name])
+                           if name in bounds else None),
         })
     return rows
 
@@ -98,10 +124,11 @@ def format_rows(rows: list) -> str:
         return f"{t[1]:.4g} [{t[0]:.4g}, {t[2]:.4g}]"
 
     lines = [f"{'metric':40s} {'unit':6s} {'parent median [Q1, Q3]':28s} "
-             f"{'change median [Q1, Q3]':28s} wins   gain claim"]
+             f"{'change median [Q1, Q3]':28s} wins   gain claim  regression"]
     for r in rows:
         lines.append(f"{r['metric']:40s} {r['unit']:6s} {q(r['parent']):28s} {q(r['change']):28s} "
-                     f"{r['wins']:2d}/{r['pairs']:<2d}  {'passes' if r['claim_passes'] else 'fails'}")
+                     f"{r['wins']:2d}/{r['pairs']:<2d}  "
+                     f"{'passes' if r['claim_passes'] else 'fails':11s} {r['regression'] or '-'}")
     return "\n".join(lines)
 
 
@@ -130,6 +157,7 @@ def main(argv=None) -> int:
 
     spec = _spec(args.change)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = {"parent": [], "change": []}
     problems = []
@@ -147,7 +175,9 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs}: {side} ran in {time.perf_counter() - t0:.0f} s",
                   file=sys.stderr)
     print(f"{args.workload}, {args.pairs} pairs, trace {args.trace}")
-    print(format_rows(summarize(results["parent"], results["change"], better)))
+    rows = summarize(results["parent"], results["change"], better, bounds)
+    print(format_rows(rows))
+    problems += [f"{r['metric']} regressed" for r in rows if r["regression"] == "regressed"]
     for msg in problems:
         print(f"FAIL {msg}")
     return 1 if problems else 0

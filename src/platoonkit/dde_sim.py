@@ -103,24 +103,22 @@ class SimSystem:
     """A simulatable platoon error system.
 
     kind "velocity" integrates the |F|-dimensional velocity-error dynamics
-    xdot = -ku * lg * x; kind "formation" the 2|F|-dimensional stacked
-    (position errors, velocity errors) dynamics.  The error coordinates
-    eliminate the reference velocity and the desired spacings, so neither
-    appears here; n and k only label the trajectory's metadata.
+    xdot = -lg x; kind "formation" the 2|F|-dimensional stacked (position
+    errors, velocity errors) dynamics, whose matrix is [[0, I], [-lg, -lg]].
+    Both controller gains are one, as in every closed form of the
+    robustness module.  The error coordinates eliminate the reference
+    velocity and the desired spacings, so neither appears here; n and k
+    only label the trajectory's metadata.
     """
 
     kind: str
     lg: np.ndarray
-    kp: float = 1.0
-    ku: float = 1.0
     n: int | None = None
     k: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("velocity", "formation"):
             raise ParameterError(f"kind must be velocity|formation, got {self.kind!r}")
-        errors.check("gain kp", self.kp, 0.0, strict=True)
-        errors.check("gain ku", self.ku, 0.0, strict=True)
 
     @property
     def dim(self) -> int:
@@ -129,8 +127,8 @@ class SimSystem:
 
     def a_matrix(self) -> np.ndarray:
         if self.kind == "velocity":
-            return -self.ku * np.asarray(self.lg, dtype=float)
-        return build_formation_matrix(self, self.kp, self.ku)
+            return -np.asarray(self.lg, dtype=float)
+        return build_formation_matrix(self)
 
     def input_matrix(self) -> np.ndarray:
         """Disturbance injection: identity for velocity; into the
@@ -149,26 +147,12 @@ class SimSystem:
         return dg, dg - lg
 
 
-def velocity_system(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> SimSystem:
-    return SimSystem(
-        kind="velocity",
-        lg=np.asarray(gs.lg, dtype=float),
-        kp=kp,
-        ku=ku,
-        n=gs.n,
-        k=gs.k,
-    )
+def velocity_system(gs: GroundedSystem) -> SimSystem:
+    return SimSystem(kind="velocity", lg=np.asarray(gs.lg, dtype=float), n=gs.n, k=gs.k)
 
 
-def formation_system(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> SimSystem:
-    return SimSystem(
-        kind="formation",
-        lg=np.asarray(gs.lg, dtype=float),
-        kp=kp,
-        ku=ku,
-        n=gs.n,
-        k=gs.k,
-    )
+def formation_system(gs: GroundedSystem) -> SimSystem:
+    return SimSystem(kind="formation", lg=np.asarray(gs.lg, dtype=float), n=gs.n, k=gs.k)
 
 
 @dataclass(frozen=True)
@@ -185,19 +169,15 @@ class DelaySpec:
 
 
 class SinusoidDisturbance:
-    """The same sinusoid amplitude * sin(omega t + phase) on every channel."""
+    """The same sinusoid amplitude * sin(omega t) on every channel."""
 
-    def __init__(self, amplitude: float, omega: float, phase: float = 0.0):
+    def __init__(self, amplitude: float, omega: float):
         self.amplitude = errors.check("sinusoid amplitude", amplitude)
         self.omega = errors.check("sinusoid omega", omega)
-        self.phase = errors.check("sinusoid phase", phase)
 
     def sample(self, times: np.ndarray, dim: int, step: float) -> np.ndarray:
-        sig = self.amplitude * np.sin(self.omega * np.asarray(times) + self.phase)
+        sig = self.amplitude * np.sin(self.omega * np.asarray(times))
         return np.repeat(sig[:, None], dim, axis=1)
-
-    def describe(self) -> str:
-        return f"sin(amplitude={self.amplitude:.12g},omega={self.omega:.12g})"
 
 
 class NoiseDisturbance:
@@ -214,9 +194,6 @@ class NoiseDisturbance:
         table = rng.uniform(-self.amplitude, self.amplitude, size=(nsteps, dim))
         idx = np.minimum((np.asarray(times) / step).astype(int), nsteps - 1)
         return table[idx]
-
-    def describe(self) -> str:
-        return f"noise(amplitude={self.amplitude:.12g},seed={self.seed})"
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +338,7 @@ def simulate(
         a0, atau = None, sys.a_matrix()
     else:
         dg, ag = sys.split_degree_adjacency()
-        a0, atau = -sys.ku * dg, sys.ku * ag
+        a0, atau = -dg, ag
 
     pad = m + 4
     try:
@@ -398,7 +375,6 @@ def simulate(
         "tau_effective": m * h,
         "step": h,
         "seed": getattr(disturbance, "seed", None),
-        "disturbance": disturbance.describe() if disturbance is not None else "none",
         "diverged": diverged,
     }
     return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)

@@ -80,7 +80,8 @@ _NUMERIC_KEYS = {
     **dict.fromkeys(("k", "position", "refs"), dict(low=1, integer=True)),
     "seed": dict(low=0, integer=True),
     **dict.fromkeys(("tau", "taus"), dict(low=0.0)),
-    **dict.fromkeys(("gamma", "horizon", "step"), dict(low=0.0, strict=True)),
+    "gamma": dict(low=robustness.GAMMA_MIN, strict=True),
+    **dict.fromkeys(("horizon", "step"), dict(low=0.0, strict=True)),
     **dict.fromkeys(("amplitude", "omega"), {}),
 }
 _LIST_KEYS = {"refs", "ns", "taus"}
@@ -254,16 +255,16 @@ def _make_disturbance(cfg: ScenarioConfig):
 
 def run_report(cfg: ScenarioConfig, outdir) -> list:
     top, refset, gs, spec = _analysis(cfg)
-    want_sweep = cfg.sweep_csv or cfg.experiment == "hinf-sweep"
-    report = robustness.build_report(
-        top, refset, gs=gs, spec=spec, gamma=cfg.gamma, with_sweep=want_sweep
-    )
+    report = robustness.build_report(top, refset, gs=gs, spec=spec, gamma=cfg.gamma)
+    responses = {}
+    if cfg.sweep_csv or cfg.experiment == "hinf-sweep":
+        # one sweep per dynamics feeds both the report's peaks and its CSV
+        responses = {dyn: robustness.sweep_hinf(gs, dyn, spec=spec)
+                     for dyn in robustness.DYNAMICS}
+        report = replace(report, swept=robustness.swept_peaks(responses))
     paths = [_write(outdir / "report.json", report.to_json())]
     paths.append(_write(outdir / "report.txt", _report_summary(report)))
-    if want_sweep:
-        for dyn in ("velocity", "formation"):
-            fr = robustness.sweep_hinf(gs, dyn, spec=spec)
-            paths.append(_write(outdir / f"freq_{dyn}.csv", fr.to_csv()))
+    paths += [_write(outdir / f"freq_{dyn}.csv", fr.to_csv()) for dyn, fr in responses.items()]
     return paths
 
 

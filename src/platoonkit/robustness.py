@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,6 +38,12 @@ GROUNDING_TOL = 1e-12
 
 #: JSON marker for unbounded gains / vacuous upper bounds
 UNBOUNDED = "unbounded"
+
+#: the two error dynamics, in the order reports list them
+DYNAMICS = ("velocity", "formation")
+
+#: gamma must lie above this, the largest gamma whose 1/gamma overflows
+GAMMA_MIN = 1.0 / sys.float_info.max
 
 
 def hinf_velocity(spec: Spectrum) -> float:
@@ -68,7 +75,7 @@ def peak_amplitude(lam: float) -> float:
 def hinf_formation(spec: Spectrum) -> float:
     """Worst-case disturbance-to-position-error gain of the formation dynamics:
     the max of peak_amplitude over the spectrum, at lambda_1 as it decreases."""
-    if len(spec) == 0 or spec.lambda1 <= GROUNDING_TOL:
+    if spec.lambda1 <= GROUNDING_TOL:
         raise ParameterError("formation gain needs a strictly positive spectrum")
     return peak_amplitude(spec.lambda1)
 
@@ -81,8 +88,6 @@ def _extreme_modes(spec: Spectrum) -> np.ndarray:
     margin pi/(2|mu_-|) and the smaller |Re mu| = |mu_+| fall.  So both are
     least at lambda_1 or lambda_max, and rho(B) = |mu|max, which increases
     in lam, is reached at lambda_max."""
-    if len(spec) == 0:
-        raise ParameterError("empty spectrum")
     return map_formation_spectrum(Spectrum(values=np.array([spec.lambda1, spec.lambda_max])))
 
 
@@ -95,27 +100,8 @@ def margin_formation(spec: Spectrum) -> float:
 # Frequency sweep (independent of the closed forms above)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Logarithmic frequency grid in rad/s.
-
-    The default (4000 points over [1e-4, 1e3]) is augmented inside the sweep
-    with the analytic stationary frequencies so the sampled peak touches the
-    true peak: omega = 0 for the velocity dynamics, omega^2 = lam(1 - lam/2)
-    for every formation eigenvalue lam <= 2.
-    """
-
-    lo: float = 1e-4
-    hi: float = 1e3
-    points: int = 4000
-
-    def __post_init__(self):
-        errors.check("grid lo", self.lo, 0.0, strict=True)
-        errors.check("grid hi (above lo)", self.hi, self.lo, strict=True)
-        errors.check("grid points", self.points, 1, integer=True)
-
-    def base(self) -> np.ndarray:
-        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
+#: base frequency grid of every sweep, rad/s: 4000 log-spaced points over [1e-4, 1e3]
+SWEEP_OMEGAS = np.logspace(math.log10(1e-4), math.log10(1e3), 4000)
 
 
 @dataclass(frozen=True)
@@ -136,10 +122,12 @@ class FrequencyResponse:
 def sweep_hinf(
     gs: GroundedSystem,
     dynamics: str,
-    grid: FrequencyGrid | None = None,
     spec: Spectrum | None = None,
 ) -> FrequencyResponse:
-    """Sweep the largest singular value of the disturbance transfer matrix.
+    """Sweep the largest singular value of the disturbance transfer matrix
+    over SWEEP_OMEGAS, augmented with the analytic stationary frequencies so
+    the sampled peak touches the true peak: omega = 0 for the velocity
+    dynamics, omega^2 = lam(1 - lam/2) for every formation eigenvalue lam <= 2.
 
     Because lg is symmetric, both transfer matrices diagonalize in its
     eigenbasis, so the largest singular value at each frequency reduces to a
@@ -151,27 +139,24 @@ def sweep_hinf(
     Args:
         gs: grounded system (lambda_1 must be > 0).
         dynamics: "velocity" or "formation".
-        grid: base frequency grid; defaults to FrequencyGrid().
         spec: optionally a precomputed spectrum of gs.lg.
 
     Returns:
         FrequencyResponse over the augmented, ascending grid.
     """
-    if dynamics not in ("velocity", "formation"):
+    if dynamics not in DYNAMICS:
         raise ParameterError(f"dynamics must be velocity|formation, got {dynamics!r}")
     if spec is None:
         spec = eig_sym(gs.lg)
-    lams = np.asarray(spec.values, dtype=float)
-    if lams.min() <= GROUNDING_TOL:
+    if spec.lambda1 <= GROUNDING_TOL:
         raise ParameterError("sweep needs a grounded system (lambda_1 > 0)")
-    grid = grid or FrequencyGrid()
-    omegas = grid.base()
+    lams = np.asarray(spec.values, dtype=float)
     if dynamics == "velocity":
         extra = [0.0]
     else:
         low = lams[lams <= 2.0]
         extra = list(np.sqrt(low * (1.0 - low / 2.0)))
-    omegas = np.unique(np.concatenate([omegas, np.asarray(extra, dtype=float)]))
+    omegas = np.unique(np.concatenate([SWEEP_OMEGAS, np.asarray(extra, dtype=float)]))
 
     w = omegas[:, None]
     lam = lams[None, :]
@@ -187,6 +172,16 @@ def sweep_hinf(
         peak_omega=float(omegas[ipeak]),
         peak_gain=float(gains[ipeak]),
     )
+
+
+def swept_peaks(responses: dict) -> dict:
+    """A report's `swept` entries from {dynamics: FrequencyResponse}: each
+    dynamics' sampled peak gain and the frequency it is reached at."""
+    swept = {}
+    for dyn, fr in responses.items():
+        swept[f"{dyn}_peak"] = fr.peak_gain
+        swept[f"{dyn}_peak_omega"] = fr.peak_omega
+    return swept
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ class GammaConditions:
 
 
 def gamma_conditions(gs: GroundedSystem, gamma: float) -> GammaConditions:
-    inv = 1.0 / errors.check("gamma", gamma, 0.0, strict=True)
+    inv = 1.0 / errors.check("gamma", gamma, GAMMA_MIN, strict=True)
     boundary = abs(inv - round(inv)) < 1e-12
     return GammaConditions(
         gamma=gamma,
@@ -376,12 +371,7 @@ def build_report(
     beta_max = int(gs.betas.max())
     fdm = delay_margin_formation(spec, topology.k)
     ksuff, kness = delay_bounds_k(topology.k)
-    swept = {}
-    if with_sweep:
-        for dyn in ("velocity", "formation"):
-            fr = sweep_hinf(gs, dyn, spec=spec)
-            swept[f"{dyn}_peak"] = fr.peak_gain
-            swept[f"{dyn}_peak_omega"] = fr.peak_omega
+    sweeps = {dyn: sweep_hinf(gs, dyn, spec=spec) for dyn in DYNAMICS} if with_sweep else {}
     return RobustnessReport(
         n=topology.n,
         k=topology.k,
@@ -409,5 +399,5 @@ def build_report(
         lambda_min_certificate=certify_lambda_min(gs, spec),
         lambda_max_certificate=certify_lambda_max(gs, spec),
         gamma=(gamma_conditions(gs, gamma) if gamma is not None else None),
-        swept=swept,
+        swept=swept_peaks(sweeps),
     )

@@ -33,7 +33,9 @@ CERT_TOL = 1e-9
 class Spectrum:
     """Eigenvalues (ascending) and optional orthonormal eigenvectors.
 
-    When vectors are present, column i pairs with values[i].
+    When vectors are present, column i pairs with values[i].  Every metric
+    reads the extremes through lambda1 and lambda_max, which refuse an empty
+    spectrum with ParameterError.
     """
 
     values: np.ndarray
@@ -42,13 +44,18 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.values)
 
+    def _extreme(self, i: int) -> float:
+        if len(self.values) == 0:
+            raise ParameterError("empty spectrum: no grounded follower")
+        return float(self.values[i])
+
     @property
     def lambda1(self) -> float:
-        return float(self.values[0])
+        return self._extreme(0)
 
     @property
     def lambda_max(self) -> float:
-        return float(self.values[-1])
+        return self._extreme(-1)
 
 
 def _check_symmetric(a: np.ndarray) -> None:
@@ -306,16 +313,16 @@ def spectrum_mismatch(a, b) -> float:
     return worst
 
 
-def build_formation_matrix(gs: GroundedSystem, kp: float = 1.0, ku: float = 1.0) -> np.ndarray:
+def build_formation_matrix(gs: GroundedSystem) -> np.ndarray:
     """Dense 2|F| x 2|F| formation error matrix, positions stacked above
-    velocities:  [[0, I], [-kp*lg, -ku*lg]].  Reads only ``gs.lg``, so a
+    velocities:  [[0, I], [-lg, -lg]].  Reads only ``gs.lg``, so a
     ``dde_sim.SimSystem`` serves as well as a GroundedSystem."""
     lg = np.asarray(gs.lg, dtype=float)
     f = lg.shape[0]
     b = np.zeros((2 * f, 2 * f))
     b[:f, f:] = np.eye(f)
-    b[f:, :f] = -kp * lg
-    b[f:, f:] = -ku * lg
+    b[f:, :f] = -lg
+    b[f:, f:] = -lg
     return b
 
 

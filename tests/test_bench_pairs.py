@@ -68,6 +68,38 @@ def test_higher_is_better_metric():
     assert "trace.self_coverage" in bench_pairs.format_rows([r])
 
 
+BOUNDS = {"scan_median_s": 0.25}
+
+
+def verdict(parent, change, coverage=(0.9, 0.9)):
+    rows = bench_pairs.summarize(runs(parent, coverage=coverage[0]),
+                                 runs(change, coverage=coverage[1]), BETTER, BOUNDS)
+    assert row(rows, "trace.self_coverage")["regression"] is None  # no bound: no verdict
+    return row(rows, "scan_median_s")["regression"]
+
+
+def test_slower_within_the_bound():
+    # median 0.285 -> 0.335 (+18%), under the 25% bound; parent spread 6%
+    assert verdict(PARENT, [v + 0.05 for v in PARENT]) == "within"
+    assert verdict(PARENT, PARENT) == "within"
+
+
+def test_slower_beyond_the_bound_regresses():
+    # median 0.285 -> 0.385 (+35%)
+    r = row(bench_pairs.summarize(runs(PARENT), runs([v + 0.1 for v in PARENT]),
+                                  BETTER, BOUNDS), "scan_median_s")
+    assert r["regression"] == "regressed"
+    assert "regressed" in bench_pairs.format_rows([r])
+
+
+def test_wide_parent_spread_is_unresolved():
+    # parent Q3 - Q1 = 0.145, 51% of its median 0.285: wider than the bound
+    parent = [0.20, 0.40, 0.22, 0.38, 0.25, 0.35, 0.21, 0.39, 0.30, 0.27]
+    assert verdict(parent, [v + 0.01 for v in parent]) == "unresolved"
+    # unless every change run beats every parent run
+    assert verdict(parent, [0.15] * 10) == "within"
+
+
 @pytest.mark.parametrize("kw, problem", [
     (dict(correct=False), "correct is not true"),
     (dict(failed=2), "2 of 40 operations failed"),

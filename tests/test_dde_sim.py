@@ -123,15 +123,6 @@ class TestSimulateBasics:
             assert np.array_equal(traj.norms, np.linalg.norm(traj.states, axis=1))
             assert np.allclose(np.diff(traj.times), step)
 
-    def test_gain_scaling(self):
-        gs = grounded(5, 2, [3])
-        fast = velocity_system(gs, ku=2.0)
-        assert np.array_equal(fast.a_matrix(), -2.0 * np.asarray(gs.lg, float))
-        form = formation_system(gs, kp=3.0, ku=2.0)
-        b = form.a_matrix()
-        assert np.array_equal(b[4:, :4], -3.0 * np.asarray(gs.lg, float))
-        assert np.array_equal(b[4:, 4:], -2.0 * np.asarray(gs.lg, float))
-
 
 class TestZeroDelayOracle:
     def test_matches_matrix_exponential(self):
@@ -245,7 +236,7 @@ def reference_rk4(a0, atau, jmat, x0, m, h, nsteps, disturbance=None):
 
 DISTURBANCES = {
     None: lambda rng: None,
-    "sin": lambda rng: SinusoidDisturbance(amplitude=0.3, omega=1.7, phase=0.4),
+    "sin": lambda rng: SinusoidDisturbance(amplitude=0.3, omega=1.7),
     "noise": lambda rng: NoiseDisturbance(amplitude=0.2, seed=int(rng.integers(1000))),
 }
 
@@ -255,16 +246,14 @@ class TestFullDelayMatchesPerStepReference:
     path, the undelayed run (one batch) and the self-undelayed run (own state
     instantaneous, neighbor states delayed)."""
 
-    KP, KU = 0.8, 1.3
-
     def _system(self, gs, kind):
         lg = np.asarray(gs.lg, float)
         f = len(lg)
         if kind == "velocity":
-            return velocity_system(gs, ku=self.KU), -self.KU * lg, np.eye(f)
-        a = np.block([[np.zeros((f, f)), np.eye(f)], [-self.KP * lg, -self.KU * lg]])
+            return velocity_system(gs), -lg, np.eye(f)
+        a = np.block([[np.zeros((f, f)), np.eye(f)], [-lg, -lg]])
         jmat = np.vstack([np.zeros((f, f)), np.eye(f)])
-        return formation_system(gs, kp=self.KP, ku=self.KU), a, jmat
+        return formation_system(gs), a, jmat
 
     def _instance(self, seed, kind):
         rng = np.random.default_rng(seed)
@@ -279,7 +268,6 @@ class TestFullDelayMatchesPerStepReference:
         assert traj.meta == {
             "n": sysm.n, "k": sysm.k, "kind": sysm.kind, "mode": mode, "tau": tau,
             "tau_effective": m * h, "step": h, "seed": getattr(dist, "seed", None),
-            "disturbance": dist.describe() if dist is not None else "none",
             "diverged": diverged,
         }
         # relative to the trajectory's maximum: near-zero norms of a growing
@@ -311,9 +299,9 @@ class TestFullDelayMatchesPerStepReference:
     @pytest.mark.parametrize("m", [3, 150])
     def test_diverging_run_truncates_at_the_same_step(self, kind, m):
         rng, gs, sysm, a, jmat = self._instance([m, 99, kind == "formation"], kind)
-        # three times the velocity margin pi / (2 ku lambda_max); on these
+        # three times the velocity margin pi / (2 lambda_max); on these
         # seeded instances both dynamics diverge within 200 delays
-        tau = 3.0 * math.pi / (2.0 * self.KU * eig_sym(gs.lg).lambda_max)
+        tau = 3.0 * math.pi / (2.0 * eig_sym(gs.lg).lambda_max)
         traj = self._check(sysm, "full", None, a, jmat, tau, tau / m, m, 200 * m,
                            rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
@@ -338,7 +326,7 @@ class TestFullDelayMatchesPerStepReference:
         else:
             lg = np.asarray(gs.lg, float)
             dg = np.diag(np.diag(lg))
-            a0, atau = -self.KU * dg, self.KU * (dg - lg)
+            a0, atau = -dg, dg - lg
         traj = self._check(sysm, mode, a0, atau, jmat, m * h, h, m, nsteps, x0, None)
         assert not traj.diverged and len(traj.times) == nsteps + 1
 
@@ -376,7 +364,7 @@ class TestFullDelayMatchesPerStepReference:
         traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 2000,
                            rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
-        # steps 283 (velocity) and 297 (formation): neither a chunk start
+        # steps 283 (velocity) and 295 (formation): neither a chunk start
         assert traj.diverged and cut > 2 * 64 and cut % 64 != 0
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
@@ -404,7 +392,7 @@ class TestFullDelayMatchesPerStepReference:
         lg = np.asarray(gs.lg, float)
         dg = np.diag(np.diag(lg))
         tau = float(rng.uniform(0.05, 0.5))
-        self._check(sysm, "self-undelayed", -self.KU * dg, self.KU * (dg - lg), jmat,
+        self._check(sysm, "self-undelayed", -dg, dg - lg, jmat,
                     tau, tau / m, m, nsteps, rng.uniform(-1, 1, sysm.dim),
                     DISTURBANCES[dist](rng))
 
@@ -412,11 +400,11 @@ class TestFullDelayMatchesPerStepReference:
         rng, gs, sysm, _, jmat = self._instance([300, 11], "velocity")
         lg = np.asarray(gs.lg, float)
         dg = np.diag(np.diag(lg))
-        # own-state step h ku max diag(lg) = 3, beyond RK4's bound of 2.79;
+        # own-state step h max diag(lg) = 3, beyond RK4's bound of 2.79;
         # batches of 299 = 4 * 64 + 43 steps
-        h = 3.0 / (self.KU * float(np.max(np.diag(lg))))
-        traj = self._check(sysm, "self-undelayed", -self.KU * dg, self.KU * (dg - lg),
-                           jmat, 300 * h, h, 300, 1500, rng.uniform(-1, 1, sysm.dim), None)
+        h = 3.0 / float(np.max(np.diag(lg)))
+        traj = self._check(sysm, "self-undelayed", -dg, dg - lg, jmat, 300 * h, h, 300, 1500,
+                           rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
         assert traj.diverged and 64 < cut < 4 * 64 and cut % 64 != 0
 
@@ -565,7 +553,6 @@ class TestDisturbances:
         traj = simulate(sysm, NONE, np.zeros(4), 60.0, 1e-2, disturbance=dist)
         tail = traj.norms[len(traj.norms) // 2:]
         assert 0.0 < tail.min() and tail.max() < 10.0
-        assert traj.meta["disturbance"].startswith("sin(")
 
     def test_noise_reproducible_from_seed(self):
         gs = grounded(5, 2, [3])
@@ -587,8 +574,7 @@ class TestDisturbances:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):
-        for kwargs in ({"amplitude": bad, "omega": 1.0}, {"amplitude": 1.0, "omega": bad},
-                       {"amplitude": 1.0, "omega": 1.0, "phase": bad}):
+        for kwargs in ({"amplitude": bad, "omega": 1.0}, {"amplitude": 1.0, "omega": bad}):
             with pytest.raises(ParameterError):
                 SinusoidDisturbance(**kwargs)
         with pytest.raises(ParameterError):
@@ -639,8 +625,6 @@ class TestSimSystemValidation:
         lg = np.array([[1.0]])
         with pytest.raises(ParameterError):
             SimSystem(kind="position", lg=lg)
-        with pytest.raises(ParameterError):
-            SimSystem(kind="velocity", lg=lg, ku=0.0)
 
     def test_defaults(self):
         assert default_step(0.0) == 1e-3

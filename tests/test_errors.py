@@ -7,7 +7,6 @@ import pytest
 
 from platoonkit import (
     DelaySpec,
-    FrequencyGrid,
     NoiseDisturbance,
     ParameterError,
     SinusoidDisturbance,
@@ -16,7 +15,6 @@ from platoonkit import (
     delay_margin_exact,
     delay_margin_formation,
     eig_sym,
-    formation_system,
     gamma_conditions,
     ground,
     make_reference_set,
@@ -74,12 +72,9 @@ def run(**kwargs):
 
 # each call takes the bad value in one numeric parameter
 CALLS = {
-    "SimSystem.kp": lambda bad: velocity_system(GS, kp=bad),
-    "SimSystem.ku": lambda bad: formation_system(GS, ku=bad),
     "DelaySpec.tau": lambda bad: DelaySpec(tau=bad),
     "SinusoidDisturbance.amplitude": lambda bad: SinusoidDisturbance(bad, 1.0),
     "SinusoidDisturbance.omega": lambda bad: SinusoidDisturbance(1.0, bad),
-    "SinusoidDisturbance.phase": lambda bad: SinusoidDisturbance(1.0, 1.0, bad),
     "NoiseDisturbance.amplitude": lambda bad: NoiseDisturbance(bad, 0),
     "NoiseDisturbance.seed": lambda bad: NoiseDisturbance(1.0, bad),
     "simulate.step": lambda bad: run(step=bad),
@@ -90,9 +85,6 @@ CALLS = {
     "threshold_scan.tolerance": lambda bad: scan(tolerance=bad),
     "threshold_scan.step_fraction": lambda bad: scan(step_fraction=bad),
     "peak_amplitude": peak_amplitude,
-    "FrequencyGrid.lo": lambda bad: FrequencyGrid(lo=bad),
-    "FrequencyGrid.hi": lambda bad: FrequencyGrid(hi=bad),
-    "FrequencyGrid.points": lambda bad: FrequencyGrid(points=bad),
     "gamma_conditions": lambda bad: gamma_conditions(GS, bad),
     "min_refs_nonexpansive.n": lambda bad: min_refs_nonexpansive(bad, 2),
     "min_refs_nonexpansive.k": lambda bad: min_refs_nonexpansive(10, bad),
@@ -129,6 +121,7 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
     lambda: md_arrangement(10, 1.5),
     lambda: NoiseDisturbance(1.0, -1),
     lambda: run(horizon=0.05),
+    lambda: gamma_conditions(GS, 1e-320),  # 1/gamma overflows to inf
 ])
 def test_out_of_range_values_rejected(call):
     with pytest.raises(ParameterError, match="finite"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonkit import NumericalError, ParameterError
+from platoonkit import NumericalError, ParameterError, robustness
 from platoonkit.cli import main
 from platoonkit.experiments import (
     _NUMERIC_KEYS,
@@ -107,6 +107,23 @@ class TestRunners:
         head = (tmp_path / "freq_velocity.csv").read_text().splitlines()[0]
         assert head == "omega,gain"
         assert len(paths) == 4
+
+    def test_report_sweeps_each_dynamics_once(self, tmp_path, monkeypatch):
+        # the report's peaks and the frequency CSVs come from the same sweeps
+        calls = []
+        sweep = robustness.sweep_hinf
+
+        def counted(gs, dynamics, *args, **kwargs):
+            calls.append(dynamics)
+            return sweep(gs, dynamics, *args, **kwargs)
+
+        monkeypatch.setattr(robustness, "sweep_hinf", counted)
+        run_report(ScenarioConfig(n=12, k=2, sweep_csv=True), tmp_path)
+        assert sorted(calls) == ["formation", "velocity"]
+        doc = json.loads((tmp_path / "report.json").read_text())
+        for dyn in ("velocity", "formation"):
+            gains = np.loadtxt(tmp_path / f"freq_{dyn}.csv", delimiter=",", skiprows=1)[:, 1]
+            assert doc["swept"][f"{dyn}_peak"] == pytest.approx(gains.max(), rel=1e-11)
 
     def test_remove_sweep_breaks_bound(self, tmp_path):
         cfg = ScenarioConfig(n=10, k=2)  # MD refs {3, 8}
@@ -299,6 +316,7 @@ class TestCli:
         ["report", "--gamma", "0"],
         ["simulate", "--tau", "-0.1"],
         ["simulate", "--step", "0"],
+        ["report", "--gamma", "1e-320"],  # 1/gamma overflows to inf
     ])
     def test_out_of_range_config_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         # refused from the table of bounds, before any platoon is built
