@@ -21,11 +21,13 @@ no-regression verdict:
                 than the bound;
     within      otherwise.
 
-Exits 1 if any run fails to print a result, reports "correct": false or
-reports failed operations, or if a metric regressed; else 0.  Standard
-library only.
+With --workload all it runs every workload of the CHANGE checkout's
+BENCHMARK.json in turn, all pairs of one before the next, and prints one
+table per workload.  Exits 1 if any run fails to print a result, reports
+"correct": false or reports failed operations, or if a metric regressed on
+any workload; else 0.  Standard library only.
 
-Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W [--pairs 10] [--trace 0|1]
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W|all [--pairs 10] [--trace 0|1]
 """
 
 import argparse
@@ -146,11 +148,46 @@ def _run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return parse_result(proc.stdout)
 
 
+def workload_names(spec: dict, workload: str) -> list:
+    """The workloads to run: every one BENCHMARK.json lists for "all", else
+    the one named."""
+    return [w["name"] for w in spec["workloads"]] if workload == "all" else [workload]
+
+
+def run_workload(sides: dict, workload: str, pairs: int, trace: int,
+                 better: dict, bounds: dict) -> list | None:
+    """Run the pairs of one workload and print its table; return what fails
+    it (wrong or failed runs, regressed metrics), or None when a run printed
+    no result."""
+    results = {"parent": [], "change": []}
+    problems = []
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            t0 = time.perf_counter()
+            try:
+                result = _run(sides[side], workload, i + 1, trace)
+            except (RuntimeError, ValueError) as exc:
+                print(f"{workload} pair {i + 1}: {side}: {exc}", file=sys.stderr)
+                return None
+            problems += [f"pair {i + 1}: {side}: {msg}" for msg in run_problems(result)]
+            results[side].append(result)
+            print(f"{workload} pair {i + 1}/{pairs}: {side} ran in "
+                  f"{time.perf_counter() - t0:.0f} s", file=sys.stderr)
+    print(f"{workload}, {pairs} pairs, trace {trace}")
+    rows = summarize(results["parent"], results["change"], better, bounds)
+    print(format_rows(rows))
+    problems += [f"{r['metric']} regressed" for r in rows if r["regression"] == "regressed"]
+    for msg in problems:
+        print(f"FAIL {workload}: {msg}")
+    return problems
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help='a workload name, or "all"')
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
@@ -159,28 +196,13 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    results = {"parent": [], "change": []}
-    problems = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            t0 = time.perf_counter()
-            try:
-                result = _run(sides[side], args.workload, i + 1, args.trace)
-            except (RuntimeError, ValueError) as exc:
-                print(f"pair {i + 1}: {side}: {exc}", file=sys.stderr)
-                return 1
-            problems += [f"pair {i + 1}: {side}: {msg}" for msg in run_problems(result)]
-            results[side].append(result)
-            print(f"pair {i + 1}/{args.pairs}: {side} ran in {time.perf_counter() - t0:.0f} s",
-                  file=sys.stderr)
-    print(f"{args.workload}, {args.pairs} pairs, trace {args.trace}")
-    rows = summarize(results["parent"], results["change"], better, bounds)
-    print(format_rows(rows))
-    problems += [f"{r['metric']} regressed" for r in rows if r["regression"] == "regressed"]
-    for msg in problems:
-        print(f"FAIL {msg}")
-    return 1 if problems else 0
+    failed = False
+    for workload in workload_names(spec, args.workload):
+        problems = run_workload(sides, workload, args.pairs, args.trace, better, bounds)
+        if problems is None:
+            return 1
+        failed = failed or bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -90,8 +90,8 @@ _W_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _W_BACKWARD = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
 # the same windows folded into the fully delayed forcing x_d0 + 4 x_dh + x_d1,
 # times 4 (16 w plus 4 on the two whole-step samples): taps summing to 24
-_TAPS_CENTERED = np.array([-1.0, 13.0, 13.0, -1.0])
-_TAPS_BACKWARD = np.array([1.0, -5.0, 19.0, 9.0])
+_TAPS_CENTERED = 16.0 * _W_CENTERED + [0.0, 4.0, 4.0, 0.0]
+_TAPS_BACKWARD = 16.0 * _W_BACKWARD + [0.0, 0.0, 4.0, 4.0]
 
 
 # ---------------------------------------------------------------------------

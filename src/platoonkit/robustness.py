@@ -97,7 +97,9 @@ def margin_formation(spec: Spectrum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Frequency sweep (independent of the closed forms above)
+# Frequency sweep: the modal reduction sampled over frequency.  It reads the
+# same spectrum as the closed forms above, so it checks where in omega the
+# peak lies and how high it is, but not the eigenvalues themselves.
 # ---------------------------------------------------------------------------
 
 #: base frequency grid of every sweep, rad/s: 4000 log-spaced points over [1e-4, 1e3]
@@ -136,6 +138,14 @@ def sweep_hinf(
         velocity:   max_i 1 / |j*omega + lam_i|
         formation:  max_i 1 / |-omega^2 + lam_i * (1 + j*omega)|
 
+    Each max is taken over at most two modes of the ascending spectrum, which
+    is exact: |lam + j*omega|^2 = lam^2 + omega^2 increases for lam >= 0, so
+    lambda_1 holds every velocity maximum; and
+    |lam(1 + j*omega) - omega^2|^2 = (1 + omega^2) lam^2 - 2 omega^2 lam + omega^4
+    is convex in lam with its minimum at lam* = omega^2 / (1 + omega^2), so
+    the smallest formation denominator sits on one of the two eigenvalues
+    that bracket lam*.
+
     Args:
         gs: grounded system (lambda_1 must be > 0).
         dynamics: "velocity" or "formation".
@@ -159,11 +169,13 @@ def sweep_hinf(
     omegas = np.unique(np.concatenate([SWEEP_OMEGAS, np.asarray(extra, dtype=float)]))
 
     w = omegas[:, None]
-    lam = lams[None, :]
     if dynamics == "velocity":
-        denom = np.abs(1j * w + lam)
+        denom = np.abs(1j * w + lams[:1])
     else:
-        denom = np.abs(-(w ** 2) + lam * (1.0 + 1j * w))
+        # the eigenvalues just below and at or above each lam*
+        above = np.searchsorted(lams, omegas ** 2 / (1.0 + omegas ** 2))
+        pair = np.clip(np.column_stack((above - 1, above)), 0, len(lams) - 1)
+        denom = np.abs(-(w ** 2) + lams[pair] * (1.0 + 1j * w))
     gains = (1.0 / denom).max(axis=1)
     ipeak = int(np.argmax(gains))
     return FrequencyResponse(

@@ -31,15 +31,23 @@ CERT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and optional orthonormal eigenvectors.
+    """Eigenvalues (finite and ascending) and optional orthonormal eigenvectors.
 
     When vectors are present, column i pairs with values[i].  Every metric
     reads the extremes through lambda1 and lambda_max, which refuse an empty
-    spectrum with ParameterError.
+    spectrum with ParameterError; non-finite or unsorted values are refused
+    at construction, since those extremes and the frequency sweep rely on
+    the order.
     """
 
     values: np.ndarray
     vectors: np.ndarray | None = None
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        # a NaN fails both tests, as every comparison with it is false
+        if not (np.isfinite(v).all() and (v[1:] >= v[:-1]).all()):
+            raise ParameterError(f"spectrum values must be finite and ascending, got {v}")
 
     def __len__(self) -> int:
         return len(self.values)

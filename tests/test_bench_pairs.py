@@ -114,3 +114,75 @@ def test_line_without_a_result_is_refused():
         bench_pairs.parse_result("perfbench: metrics not measured\n")
     with pytest.raises(ValueError):
         bench_pairs.parse_result("")
+
+
+def checkout(tmp_path, workloads=("light", "heavy")):
+    """A directory holding a BENCHMARK.json with the given workloads."""
+    spec = {
+        "command": ["true"], "run_seconds": 1,
+        "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": "scan_median_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "trace.self_coverage", "better": "higher"}],
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    return tmp_path
+
+
+def test_all_names_every_workload_in_order(tmp_path):
+    spec = bench_pairs._spec(checkout(tmp_path, ("a", "b", "c")))
+    assert bench_pairs.workload_names(spec, "all") == ["a", "b", "c"]
+    assert bench_pairs.workload_names(spec, "b") == ["b"]
+
+
+def fake_runs(monkeypatch, tmp_path, slower=None, broken=None):
+    """Serve canned result lines instead of running the benchmark: the change
+    is 0.1 s slower on workload `slower`, and `broken` prints no result."""
+    calls = []
+
+    def run(side, workload, seed, trace):
+        calls.append((side.name, workload, seed))
+        if workload == broken:
+            raise ValueError("no output")
+        scan = PARENT[seed - 1] + (0.1 if side.name == "change" and workload == slower else 0.0)
+        return bench_pairs.parse_result(line(scan))
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    sides = [tmp_path / "parent", tmp_path / "change"]
+    for side in sides:
+        side.mkdir()
+        checkout(side)
+    return calls, [str(side) for side in sides]
+
+
+def test_all_runs_every_workload_with_a_table_each(monkeypatch, tmp_path, capsys):
+    calls, sides = fake_runs(monkeypatch, tmp_path)
+    assert bench_pairs.main([*sides, "--workload", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "light, 10 pairs, trace 0" in out and "heavy, 10 pairs, trace 0" in out
+    assert out.count("scan_median_s") == 2 and "FAIL" not in out
+    assert len(calls) == 40
+    # every pair alternates which side runs first, on the pair's seed
+    assert calls[:4] == [("parent", "light", 1), ("change", "light", 1),
+                         ("change", "light", 2), ("parent", "light", 2)]
+    assert {w for _, w, _ in calls[20:]} == {"heavy"}
+
+
+def test_all_fails_when_one_workload_regresses(monkeypatch, tmp_path, capsys):
+    _, sides = fake_runs(monkeypatch, tmp_path, slower="heavy")
+    assert bench_pairs.main([*sides, "--workload", "all"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL heavy: scan_median_s regressed" in out
+    assert "FAIL light" not in out and "light, 10 pairs" in out
+
+
+def test_one_named_workload_runs_alone(monkeypatch, tmp_path, capsys):
+    calls, sides = fake_runs(monkeypatch, tmp_path, slower="heavy")
+    assert bench_pairs.main([*sides, "--workload", "light", "--pairs", "3"]) == 0
+    assert {w for _, w, _ in calls} == {"light"} and len(calls) == 6
+
+
+def test_a_run_without_a_result_stops_with_exit_1(monkeypatch, tmp_path, capsys):
+    calls, sides = fake_runs(monkeypatch, tmp_path, broken="heavy")
+    assert bench_pairs.main([*sides, "--workload", "all"]) == 1
+    assert "heavy pair 1: parent: no output" in capsys.readouterr().err
+    assert calls[-1] == ("parent", "heavy", 1)

@@ -331,9 +331,12 @@ class TestFullDelayMatchesPerStepReference:
         assert not traj.diverged and len(traj.times) == nsteps + 1
 
     def test_filter_taps_fold_the_stencils(self):
-        # x_d0 + 4 x_dh + x_d1 on the window of four delayed samples, times 4
-        assert np.array_equal(dde_sim._TAPS_CENTERED, 16.0 * dde_sim._W_CENTERED + [0, 4, 4, 0])
-        assert np.array_equal(dde_sim._TAPS_BACKWARD, 16.0 * dde_sim._W_BACKWARD + [0, 0, 4, 4])
+        # x_d0 + 4 x_dh + x_d1 on the window of four delayed samples, times 4:
+        # the taps are derived from the weights, so pin both to their values
+        assert np.array_equal(16.0 * dde_sim._W_CENTERED, [-1, 9, 9, -1])
+        assert np.array_equal(16.0 * dde_sim._W_BACKWARD, [1, -5, 15, 5])
+        assert np.array_equal(dde_sim._TAPS_CENTERED, [-1, 13, 13, -1])
+        assert np.array_equal(dde_sim._TAPS_BACKWARD, [1, -5, 19, 9])
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
     @pytest.mark.parametrize("dist", [None, "sin", "noise"])

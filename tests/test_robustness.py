@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import formation_modal_delay_margin, random_grounded
 from platoonkit import (
@@ -27,6 +28,7 @@ from platoonkit import (
     peak_amplitude,
     sweep_hinf,
 )
+from platoonkit.robustness import SWEEP_OMEGAS
 from platoonkit.spectral import Spectrum
 
 SQRT2 = math.sqrt(2.0)
@@ -73,6 +75,13 @@ def test_empty_spectrum_rejected(call):
     assert len(empty) == 0
     with pytest.raises(ParameterError, match="empty spectrum"):
         call(empty)
+
+
+@pytest.mark.parametrize("values", [[np.nan, 2.0], [0.5, np.inf], [2.0, 0.5], [np.inf]])
+def test_non_finite_or_unsorted_spectrum_rejected(values):
+    # the first three once gave hinf_velocity nan, 2.0 and 0.5, silently
+    with pytest.raises(ParameterError, match="finite and ascending"):
+        spec_of(values)
 
 
 class TestPeakAmplitude:
@@ -159,6 +168,65 @@ class TestSweep:
             ):
                 peak = sweep_hinf(gs, dyn, spec=spec).peak_gain
                 assert abs(peak - analytic) <= 5e-3 * analytic
+
+
+def all_mode_gains(omegas, values, dynamics):
+    """The largest modal gain at each omega, taken over every eigenvalue."""
+    w = omegas[:, None]
+    lam = np.asarray(values, dtype=float)[None, :]
+    if dynamics == "velocity":
+        denom = np.abs(1j * w + lam)
+    else:
+        denom = np.abs(-(w ** 2) + lam * (1.0 + 1j * w))
+    return (1.0 / denom).max(axis=1)
+
+
+def assert_matches_all_modes(values, gs=None):
+    """The sweep, which reads at most two modes per omega, equals the all-mode
+    maximum to 1e-15 relative at every frequency of its grid."""
+    spec = spec_of(values)
+    for dyn in ("velocity", "formation"):
+        fr = sweep_hinf(gs or grounded(5, 2, [3]), dyn, spec=spec)
+        ref = all_mode_gains(fr.omegas, values, dyn)
+        assert np.max(np.abs(fr.gains - ref) / ref) <= 1e-15, (dyn, values)
+        assert fr.peak_gain == fr.gains.max()
+
+
+# lam*(omega) = omega^2 / (1 + omega^2) at a grid frequency, where the formation
+# denominator is least: the bracketing pair then holds that eigenvalue itself
+OMEGA_GRID = float(SWEEP_OMEGAS[2800])
+LAM_STAR = OMEGA_GRID ** 2 / (1.0 + OMEGA_GRID ** 2)
+
+
+class TestSweepOracle:
+    def test_random_platoons_up_to_219_followers(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            _, _, gs = random_grounded(rng, n_lo=2, n_hi=220, f_max=219)
+            assert_matches_all_modes(eig_sym(gs.lg).values, gs)
+
+    def test_p256_md(self):
+        gs = ground(build_platoon(256, 3), md_arrangement(256, 3))
+        assert gs.n_followers == 219
+        assert_matches_all_modes(eig_sym(gs.lg).values, gs)
+
+    @pytest.mark.parametrize("values", [
+        [4.0, 4.0],
+        [0.7],
+        [LAM_STAR],
+        [0.5 * LAM_STAR, LAM_STAR, LAM_STAR, 1.5],
+        [np.nextafter(LAM_STAR, 0.0), np.nextafter(LAM_STAR, 1.0)],
+        [2.5, 3.0, 7.0, 40.0],
+        [0.3, 1.9, 2.0, 2.1, 5.0],
+        [1e-6, 1e-3, 0.999, 1.0, 1.001],
+    ], ids=["repeated", "single", "at-lam-star", "lam-star-repeated", "around-lam-star",
+            "all-above-two", "both-sides-of-two", "crowded-below-one"])
+    def test_adversarial_spectra(self, values):
+        assert_matches_all_modes(values)
+
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=40))
+    def test_random_ascending_spectra(self, values):
+        assert_matches_all_modes(sorted(values))
 
 
 class TestGammaConditions:
