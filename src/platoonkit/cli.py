@@ -30,16 +30,51 @@ def _add_platoon_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="sections-style config file; flags override its keys")
     p.add_argument("--scenario",
                    help='JSON scenario fragment {"n":…, "k":…, "refs":[…]}')
-    p.add_argument("--n", type=int, help="vehicle count")
-    p.add_argument("--k", type=int, help="connectivity index")
-    p.add_argument("--arrangement", choices=experiments.ARRANGEMENTS,
-                   help="reference arrangement (default md)")
+    p.add_argument("--n", help="vehicle count")
+    p.add_argument("--k", help="connectivity index")
+    p.add_argument("--arrangement",
+                   help="reference arrangement: md | explicit | single (default md)")
     p.add_argument("--refs", help="explicit reference indices, e.g. '5,14,23,32'")
-    p.add_argument("--position", type=int, help="reference position for arrangement=single")
-    p.add_argument("--seed", type=int, help="seed for initial states and noise (default 0)")
+    p.add_argument("--position", help="reference position for arrangement=single")
+    p.add_argument("--seed", help="seed for initial states and noise (default 0)")
     p.add_argument("--out", dest="outdir", help="output directory (default results)")
     p.add_argument("--emit-config", action="store_true",
                    help="print the effective merged config and exit")
+
+
+# subcommand: (help, the experiment it pins, its runner in experiments, the
+# runner's arguments between the config and outdir, and its own flags).
+# Flags pass their values on as strings: finalize_config parses them, as it
+# does a config file's.
+_COMMANDS = {
+    "report": ("robustness report (JSON + text summary)", "report", "run_report", (), (
+        ("--gamma", "also evaluate the gain-threshold predicates"),
+        ("--sweep-csv", "also write the frequency-response CSVs"),
+    )),
+    "sweep-remove": ("drop each minimally-dense reference in turn", "add-remove",
+                     "run_remove_add_sweep", ("remove",), ()),
+    "sweep-add": ("promote each non-reference position in turn", "add-remove",
+                  "run_remove_add_sweep", ("add",), ()),
+    "delay-grid": ("simulate both dynamics over a list of delays", "delay-grid",
+                   "run_delay_grid", (), (
+        ("--taus", "delay list, e.g. '0.05,0.09,0.1,0.4'"),
+        ("--horizon", "simulation horizon"),
+        ("--step", "integration step"),
+    )),
+    "scaling": ("gain growth with n: single end reference vs MD", "scaling", "run_scaling", (), (
+        ("--ns", "platoon sizes, e.g. '8,16,32,64,128' (>= 5 values)"),
+    )),
+    "simulate": ("one time-domain run, exported as CSV", "simulate", "run_simulate", (), (
+        ("--dynamics", "velocity | formation (default velocity)"),
+        ("--tau", "constant communication delay (default 0)"),
+        ("--delay-mode", "none | full | self-undelayed (default full)"),
+        ("--horizon", "simulation horizon"),
+        ("--step", "integration step"),
+        ("--disturbance", "none | sin | noise (default none)"),
+        ("--amplitude", "disturbance amplitude (default 0)"),
+        ("--omega", "sinusoid frequency in rad/s (default 1)"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,54 +83,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robustness analysis and delay simulation of k-nearest-neighbor platoons",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("report", help="robustness report (JSON + text summary)")
-    _add_platoon_flags(p)
-    p.add_argument("--gamma", type=float, help="also evaluate the gain-threshold predicates")
-    p.add_argument("--sweep-csv", action="store_true", dest="sweep_csv",
-                   help="also write the frequency-response CSVs")
-
-    for name, title in (("sweep-remove", "drop each minimally-dense reference in turn"),
-                        ("sweep-add", "promote each non-reference position in turn")):
+    for name, (title, _, _, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=title)
         _add_platoon_flags(p)
-
-    p = sub.add_parser("delay-grid", help="simulate both dynamics over a list of delays")
-    _add_platoon_flags(p)
-    p.add_argument("--taus", help="delay list, e.g. '0.05,0.09,0.1,0.4'")
-    p.add_argument("--horizon", type=float, help="simulation horizon")
-    p.add_argument("--step", type=float, help="integration step")
-
-    p = sub.add_parser("scaling", help="gain growth with n: single end reference vs MD")
-    _add_platoon_flags(p)
-    p.add_argument("--ns", help="platoon sizes, e.g. '8,16,32,64,128' (>= 5 values)")
-
-    p = sub.add_parser("simulate", help="one time-domain run, exported as CSV")
-    _add_platoon_flags(p)
-    p.add_argument("--dynamics", choices=("velocity", "formation"))
-    p.add_argument("--tau", type=float, help="constant communication delay (default 0)")
-    p.add_argument("--delay-mode", dest="delay_mode",
-                   choices=("none", "full", "self-undelayed"))
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--disturbance", choices=("none", "sin", "noise"))
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--omega", type=float, help="sinusoid frequency (rad/s)")
-
+        for flag, text in flags:
+            p.add_argument(flag, help=text,
+                           action="store_true" if flag == "--sweep-csv" else None)
     p = sub.add_parser("verify", help="fast correctness battery (exit 4 on violation)")
     p.add_argument("--seed", type=int, default=0)
-
     return parser
-
-
-_COMMAND_EXPERIMENT = {
-    "report": "report",
-    "sweep-remove": "add-remove",
-    "sweep-add": "add-remove",
-    "delay-grid": "delay-grid",
-    "scaling": "scaling",
-    "simulate": "simulate",
-}
 
 
 def _merge_config(args: argparse.Namespace) -> experiments.ScenarioConfig:
@@ -120,7 +116,7 @@ def _merge_config(args: argparse.Namespace) -> experiments.ScenarioConfig:
     # the report subcommand honors a hinf-sweep experiment from the config
     # file; every other subcommand pins its own experiment
     if not (args.command == "report" and raw.get("experiment") == "hinf-sweep"):
-        raw["experiment"] = _COMMAND_EXPERIMENT[args.command]
+        raw["experiment"] = _COMMANDS[args.command][1]
     if args.command == "report" and raw.get("sweep_csv") == "true":
         raw["experiment"] = "hinf-sweep"
     return experiments.finalize_config(raw)
@@ -144,19 +140,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "report":
-            paths = experiments.run_report(cfg, outdir)
-        elif args.command == "sweep-remove":
-            paths = experiments.run_remove_add_sweep(cfg, "remove", outdir)
-        elif args.command == "sweep-add":
-            paths = experiments.run_remove_add_sweep(cfg, "add", outdir)
-        elif args.command == "delay-grid":
-            paths = experiments.run_delay_grid(cfg, outdir)
-        elif args.command == "scaling":
-            paths = experiments.run_scaling(cfg, outdir)
-        else:
-            paths = experiments.run_simulate(cfg, outdir)
-        for path in paths:
+        _, _, runner, extra, _ = _COMMANDS[args.command]
+        # looked up at the call: a runner replaced on experiments is the one run
+        for path in getattr(experiments, runner)(cfg, *extra, outdir):
             print(f"wrote {path}")
         return EXIT_OK
     except (ParameterError, MemoryError) as exc:

@@ -47,10 +47,10 @@ Three delay modes are supported for the linear dynamics xdot = A x:
 Divergence (state norm beyond 1e12 or non-finite) truncates the run at its
 first such step and marks the trajectory rather than raising.  A batch is
 screened by its sum of squares, one dot product; only a batch past
-(1e12 / 2)^2 takes per-row norms to find the first divergent row.  The
-trajectory's norms are taken apart from the batches, _CHUNK_ROWS rows at a
-time, with the same np.linalg.norm(axis=1) a caller would apply to the
-states.
+(1e12 / 2)^2 takes per-row norms to find the first divergent row.  No norms
+are stored: Trajectory.norms takes every row's, _CHUNK_ROWS rows at a time,
+when it is read; classify takes the two rows it compares, and to_csv each
+chunk's as it formats it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ TRAILING_WINDOW = 0.25
 # rows handled at a time where whole-run temporaries would double a run's
 # memory: undelayed integration batches, the norms and CSV formatting
 _CHUNK_ROWS = 4096
+
+# steps per delay in each run of threshold_scan
+_SCAN_STEPS_PER_TAU = 150
 
 # steps per chunk of the blocked recurrence x = P x + g: a batch of b steps
 # takes about c + b/c Python-level products instead of b
@@ -124,27 +127,6 @@ class SimSystem:
     def dim(self) -> int:
         f = self.lg.shape[0]
         return f if self.kind == "velocity" else 2 * f
-
-    def a_matrix(self) -> np.ndarray:
-        if self.kind == "velocity":
-            return -np.asarray(self.lg, dtype=float)
-        return build_formation_matrix(self)
-
-    def input_matrix(self) -> np.ndarray:
-        """Disturbance injection: identity for velocity; into the
-        velocity-error derivative rows for formation."""
-        f = self.lg.shape[0]
-        if self.kind == "velocity":
-            return np.eye(f)
-        j = np.zeros((2 * f, f))
-        j[f:, :] = np.eye(f)
-        return j
-
-    def split_degree_adjacency(self) -> tuple:
-        """(Dg, Ag) with lg = Dg - Ag; used by the self-undelayed mode."""
-        lg = np.asarray(self.lg, dtype=float)
-        dg = np.diag(np.diag(lg))
-        return dg, dg - lg
 
 
 def velocity_system(gs: GroundedSystem) -> SimSystem:
@@ -200,18 +182,35 @@ class NoiseDisturbance:
 # Trajectories and verdicts
 # ---------------------------------------------------------------------------
 
+def _row_norms(states: np.ndarray) -> np.ndarray:
+    # a diverged run's last row may hold inf or NaN, or values whose squares
+    # overflow; its norm is then inf or NaN, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(states, axis=1)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled state history with per-sample Euclidean norms."""
+    """Uniformly sampled state history."""
 
     times: np.ndarray
     states: np.ndarray
-    norms: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def diverged(self) -> bool:
         return bool(self.meta.get("diverged", False))
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Each sample's Euclidean norm, computed on every read, _CHUNK_ROWS
+        rows at a time: the squares of a whole run at once would add a
+        run-sized temporary.  A row's norm does not depend on the rows taken
+        with it."""
+        out = np.empty(len(self.states))
+        for lo in range(0, len(out), _CHUNK_ROWS):
+            out[lo : lo + _CHUNK_ROWS] = _row_norms(self.states[lo : lo + _CHUNK_ROWS])
+        return out
 
     def to_csv(self) -> str:
         header = "# " + ", ".join(
@@ -229,7 +228,8 @@ class Trajectory:
         # as a Python float at once
         for lo in range(0, len(self.times), _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
-            chunk = np.column_stack((self.times[lo:hi], self.norms[lo:hi], self.states[lo:hi]))
+            states = self.states[lo:hi]
+            chunk = np.column_stack((self.times[lo:hi], _row_norms(states), states))
             lines.append("\n".join(fmt % tuple(row) for row in chunk.tolist()))
         return "\n".join(lines) + "\n"
 
@@ -285,9 +285,9 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
     errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
     steps, lag = horizon / h, (delay.tau / h if delay.mode != "none" else 0.0)
     # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
-    # history rows, the norms and times, and a disturbance's samples at the
-    # grid and midpoint times, before and after the input matrix
-    width = sys.dim + 2 + (2 * (sys.dim + sys.lg.shape[0]) if disturbance is not None else 0)
+    # history rows, the times, and a disturbance's samples at the grid and
+    # midpoint times, before and after the input matrix
+    width = sys.dim + 1 + (2 * (sys.dim + sys.lg.shape[0]) if disturbance is not None else 0)
     nbytes = 8.0 * (steps + lag + 6.0) * width
     errors.check_memory(f"a run of {steps:.4g} steps", nbytes)
     return h, int(round(steps)), int(round(lag)), nbytes
@@ -331,26 +331,30 @@ def simulate(
     if delay.mode == "self-undelayed" and sys.kind != "velocity":
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
 
+    # xdot = a0 x(t) + atau x(t - tau) + jmat w(t), with a0 or atau absent
+    lg = np.asarray(sys.lg, dtype=float)
+    f = lg.shape[0]
+    a = -lg if sys.kind == "velocity" else build_formation_matrix(sys)
     if m == 0:
         # no delay, or one that rounds to zero steps: the plain dynamics
-        a0, atau = sys.a_matrix(), None
+        a0, atau = a, None
     elif delay.mode == "full":
-        a0, atau = None, sys.a_matrix()
+        a0, atau = None, a
     else:
-        dg, ag = sys.split_degree_adjacency()
-        a0, atau = -dg, ag
+        # lg = Dg - Ag: own state instantaneous, neighbor states delayed
+        dg = np.diag(np.diag(lg))
+        a0, atau = -dg, dg - lg
 
     pad = m + 4
     try:
         w_grid = w_mid = None
         if disturbance is not None:
-            jmat = sys.input_matrix()
-            f = jmat.shape[1]
+            # jmat: the disturbance enters every velocity error, the last f rows
+            jmat = np.eye(sys.dim, f, f - sys.dim)
             grid_times = np.arange(nsteps + 1) * h
             w_grid = disturbance.sample(grid_times, f, h) @ jmat.T
             w_mid = disturbance.sample(grid_times[:-1] + h / 2.0, f, h) @ jmat.T
         hist = np.empty((pad + nsteps + 1, len(x0)))
-        norms = np.empty(nsteps + 1)
     except MemoryError as exc:
         raise ParameterError(
             f"cannot allocate the {nbytes / 2**30:.4g} GiB of buffers "
@@ -361,7 +365,7 @@ def simulate(
     # a batch past the cutoff, or the powers of P for a step far beyond
     # RK4's bound, may overflow before the run is cut back
     with np.errstate(over="ignore", invalid="ignore"):
-        last, diverged = _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms)
+        last, diverged = _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid)
 
     times = np.arange(last + 1) * h
     # a view, not a copy: the history buffer is not used after the run
@@ -377,13 +381,13 @@ def simulate(
         "seed": getattr(disturbance, "seed", None),
         "diverged": diverged,
     }
-    return Trajectory(times=times, states=states, norms=norms[: last + 1], meta=meta)
+    return Trajectory(times=times, states=states, meta=meta)
 
 
-def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
+def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid) -> tuple:
     """RK4 for xdot = a0 x(t) + atau x(t - m h) + w(t) (see the module
-    docstring), a batch of steps at a time: fills hist[base + 1 ..] and
-    norms.  Step i's delayed stages read hist rows base+i-m-1 ..
+    docstring), a batch of steps at a time: fills hist[base + 1 ..
+    base + nsteps].  Step i's delayed stages read hist rows base+i-m-1 ..
     base+i-m+2, or base+i-3 .. base+i when m = 1, so a batch of at most
     max(m-1, 1) steps starting at i reads rows up to base+i, the last
     accepted state.  Without a delayed term (m = 0) any batch size works;
@@ -406,17 +410,12 @@ def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
     per-row norms.  The cut stays exact for the blocked recurrence: its
     chunk sums read only forcings, which come from accepted history, and its
     chunk starts are carried in order, so every row before the first failing
-    one is filled from a finite start.
-
-    The stored norms are taken apart from the batches (_store_norms):
-    whenever _CHUNK_ROWS rows are waiting, while they are still in cache,
-    and once more at the end of the run or at the cut.
+    one is filled from a finite start.  No other norm is taken here: the
+    Trajectory computes them where they are read.
 
     Returns (last, diverged): the number of steps kept and whether the run
     stopped at such a row.
     """
-    nsteps = len(norms) - 1
-    states = hist[base:]
     batch = _CHUNK_ROWS if m == 0 else max(m - 1, 1)
     screen = (0.5 * DIVERGENCE_CUTOFF) ** 2
     (w0, w1, w2, w3), taps, s0 = (
@@ -445,7 +444,7 @@ def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
                 pc, fill = powers[-1], np.hstack([q.T for q in powers[:-1]])
         forced = atau is not None or w_grid is not None
     last, diverged = nsteps, False
-    i = done = 0  # steps taken; rows whose norms are stored
+    i = 0  # steps taken
     while i < nsteps:
         b = min(batch, nsteps - i)
         # rows[0] is the accepted state, g the batch's rows
@@ -485,21 +484,7 @@ def _advance(hist, base, m, a0, atau, h, w_grid, w_mid, norms) -> tuple:
                 last, diverged = i + 1 + int(np.argmax(bad)), True
                 break
         i += b
-        if i + 1 - done >= _CHUNK_ROWS:
-            done = _store_norms(states, norms, done, i + 1)
-    _store_norms(states, norms, done, last + 1)
     return last, diverged
-
-
-def _store_norms(states, norms, lo, hi) -> int:
-    """Set norms[lo:hi] to the Euclidean norms of states[lo:hi], _CHUNK_ROWS
-    rows at a time: the squares of a whole run at once would add a run-sized
-    temporary.  A row's norm does not depend on the rows taken with it.
-    Returns hi."""
-    for j in range(lo, hi, _CHUNK_ROWS):
-        k = min(j + _CHUNK_ROWS, hi)
-        norms[j:k] = np.linalg.norm(states[j:k], axis=1)
-    return hi
 
 
 def _recur(rows, p, pc, fill, forced) -> None:
@@ -545,10 +530,11 @@ def classify(traj: Trajectory) -> StabilityVerdict:
     horizon = float(traj.times[-1]) if len(traj.times) else 0.0
     if traj.diverged:
         return StabilityVerdict(stable=False, decay_ratio=math.inf, horizon=horizon)
-    if len(traj.norms) < 2:
+    if len(traj.states) < 2:
         raise ParameterError("trajectory too short to cover the trailing window")
-    w0 = int(round((1.0 - TRAILING_WINDOW) * (len(traj.norms) - 1)))
-    start, end = float(traj.norms[w0]), float(traj.norms[-1])
+    w0 = int(round((1.0 - TRAILING_WINDOW) * (len(traj.states) - 1)))
+    # the two rows compared, not the whole run's norms
+    start, end = _row_norms(traj.states[[w0, -1]]).tolist()
     ratio = 0.0 if start == 0.0 else end / start
     return StabilityVerdict(
         stable=bool(ratio < STABILITY_THRESHOLD),
@@ -564,7 +550,6 @@ def threshold_scan(
     tolerance: float,
     x0=None,
     horizon: float | None = None,
-    step_fraction: int = 150,
 ) -> float:
     """Bisect the empirical critical delay between a stable and an unstable run.
 
@@ -578,27 +563,28 @@ def threshold_scan(
             critical one).
         horizon: simulation horizon; defaults to max(80, 1000 / max diag(lg)),
             long enough for the trailing window to see the slowest mode.
-        step_fraction: each run uses step = tau / step_fraction so the delay
-            is resolved identically across the bracket; > 0.
+
+    Each run uses step = tau / _SCAN_STEPS_PER_TAU, so the delay is resolved
+    identically across the bracket.
 
     Raises:
         ParameterError: on a non-finite or unordered bracket, a non-finite
-            or non-positive tolerance or step fraction, or endpoints that do
-            not classify as (stable, unstable).
+            or non-positive tolerance, or endpoints that do not classify as
+            (stable, unstable).
     """
     # before any run: with a NaN or inf tolerance the loop below would stop
     # at once and return the unrefined midpoint
     errors.check("tau_lo", tau_lo, 0.0, strict=True)
     errors.check("tau_hi (above tau_lo)", tau_hi, tau_lo, strict=True)
     errors.check("tolerance", tolerance, 0.0, strict=True)
-    errors.check("step_fraction", step_fraction, 0.0, strict=True)
     if x0 is None:
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, sys.dim)
     if horizon is None:
         horizon = max(80.0, 1000.0 / float(np.max(np.diag(sys.lg))))
 
     def verdict(tau: float) -> bool:
-        traj = simulate(sys, DelaySpec(tau=tau, mode="full"), x0, horizon, tau / step_fraction)
+        step = tau / _SCAN_STEPS_PER_TAU
+        traj = simulate(sys, DelaySpec(tau=tau, mode="full"), x0, horizon, step)
         return classify(traj).stable
 
     if not verdict(tau_lo):

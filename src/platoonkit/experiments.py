@@ -176,6 +176,10 @@ def finalize_config(raw: dict) -> ScenarioConfig:
         raise ParameterError(f"dynamics must be velocity|formation, got {cfg.dynamics!r}")
     if cfg.delay_mode not in ("none", "full", "self-undelayed"):
         raise ParameterError(f"bad delay mode {cfg.delay_mode!r}")
+    # run_simulate runs tau = 0 undelayed, in any mode
+    if (cfg.experiment == "simulate" and cfg.delay_mode == "self-undelayed"
+            and cfg.dynamics == "formation" and cfg.tau > 0):
+        raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
     if cfg.disturbance not in ("none", "sin", "noise"):
         raise ParameterError(f"disturbance must be none|sin|noise, got {cfg.disturbance!r}")
     cfg.reference_set()  # validates refs / position against n, and n against memory

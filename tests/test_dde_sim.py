@@ -103,8 +103,9 @@ class TestSimulateBasics:
         assert classify(traj).stable
 
     def test_norms_match_states(self):
-        # the norms are stored apart from the batches, in chunks of 4096
-        # rows; each must equal the norm of its row, bit for bit
+        # the norms are computed on read, in chunks of 4096 rows; each must
+        # equal the norm of its row, bit for bit, and so must the two rows
+        # classify compares and the CSV's norm column
         gs = grounded(5, 2, [3])
         velocity, formation = velocity_system(gs), formation_system(gs)
         rng = np.random.default_rng(6)
@@ -120,8 +121,14 @@ class TestSimulateBasics:
             x0 = rng.uniform(-1, 1, sysm.dim)
             traj = simulate(sysm, delay, x0, horizon, step)
             assert traj.diverged == diverged
-            assert np.array_equal(traj.norms, np.linalg.norm(traj.states, axis=1))
+            norms = traj.norms
+            assert np.array_equal(norms, np.linalg.norm(traj.states, axis=1))
             assert np.allclose(np.diff(traj.times), step)
+            if not diverged:
+                w0 = round(0.75 * (len(norms) - 1))
+                assert classify(traj).decay_ratio == norms[-1] / norms[w0]
+            rows = traj.to_csv().splitlines()[-len(norms):]
+            assert [row.split(",")[1] for row in rows] == [f"{v:.12g}" for v in norms]
 
 
 class TestZeroDelayOracle:
@@ -274,8 +281,7 @@ class TestFullDelayMatchesPerStepReference:
         # run carry the absolute rounding of its largest states
         assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
         assert np.max(np.abs(traj.norms - norms)) <= 1e-12 * np.max(norms)
-        ref = Trajectory(times=traj.times, states=states, norms=norms,
-                         meta={"diverged": diverged})
+        ref = Trajectory(times=traj.times, states=states, meta={"diverged": diverged})
         assert classify(traj).stable == classify(ref).stable
         return traj
 
@@ -419,9 +425,7 @@ class TestClassify:
         assert verdict.stable and verdict.decay_ratio == 0.0
 
     def test_requires_enough_samples(self):
-        traj = Trajectory(
-            times=np.array([0.0]), states=np.zeros((1, 1)), norms=np.array([1.0])
-        )
+        traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 1)))
         with pytest.raises(ParameterError):
             classify(traj)
 
@@ -438,7 +442,7 @@ class TestClassify:
 class TestThresholdScan:
     def test_scalar_boundary(self):
         est = threshold_scan(
-            scalar_system(), 1.0, 2.2, tolerance=0.01, horizon=1800.0, step_fraction=100
+            scalar_system(), 1.0, 2.2, tolerance=0.01, horizon=1800.0
         )
         assert abs(est - math.pi / 2) <= 0.02
 
@@ -458,8 +462,7 @@ class TestThresholdScan:
         gs = ground(build_platoon(36, 4), md_arrangement(36, 4))
         fdm = delay_margin_formation(eig_sym(gs.lg), 4)
         est = threshold_scan(
-            formation_system(gs), 0.10, 0.22, tolerance=0.004,
-            horizon=100.0, step_fraction=120,
+            formation_system(gs), 0.10, 0.22, tolerance=0.004, horizon=100.0,
         )
         assert abs(est - fdm.exact) / fdm.exact <= 0.06
         assert fdm.rho_bound < est  # the sufficient bound is conservative here
@@ -605,9 +608,10 @@ class TestTrajectoryCsv:
         states[::5, 1] = 0.0
         states[-3:] = [[1e13, -math.inf, 2.5], [math.inf, math.nan, -0.0],
                        [-math.inf, 1e300, 1e-300]]
-        norms = np.abs(states).max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(states, axis=1)
         times = np.arange(rows) * 1e-3
-        traj = Trajectory(times=times, states=states, norms=norms,
+        traj = Trajectory(times=times, states=states,
                           meta={"n": 5, "k": 2, "tau": 0.1, "diverged": True})
         lines = traj.to_csv().split("\n")
         assert lines[:3] == [

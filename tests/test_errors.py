@@ -83,7 +83,6 @@ CALLS = {
     "threshold_scan.tau_lo": lambda bad: scan(tau_lo=bad),
     "threshold_scan.tau_hi": lambda bad: scan(tau_hi=bad),
     "threshold_scan.tolerance": lambda bad: scan(tolerance=bad),
-    "threshold_scan.step_fraction": lambda bad: scan(step_fraction=bad),
     "peak_amplitude": peak_amplitude,
     "gamma_conditions": lambda bad: gamma_conditions(GS, bad),
     "min_refs_nonexpansive.n": lambda bad: min_refs_nonexpansive(bad, 2),
@@ -113,7 +112,6 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: scan(step_fraction=0),
     lambda: scan(tau_lo=0.0),
     lambda: delay_bounds_k(2.5),
     lambda: delay_margin_exact(0.0),

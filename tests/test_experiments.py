@@ -296,9 +296,16 @@ class TestCli:
          "--amplitude", "nan"],
         ["simulate", "--tau", "0.1", "--horizon", "20", "--disturbance", "sin",
          "--amplitude", "1", "--omega", "inf"],
+        ["simulate", "--dynamics", "formation", "--delay-mode", "self-undelayed",
+         "--tau", "0.1"],
+        ["simulate", "--tau", "abc"],
+        ["simulate", "--n", "5.0"],
+        ["simulate", "--delay-mode", "bogus"],
     ])
     def test_non_finite_delay_inputs_exit_2(self, tmp_path, capsys, monkeypatch, argv):
-        # rejected with the config, before any platoon is built
+        # rejected with the config, before any platoon is built; so are a
+        # mode the dynamics lacks and flag values that do not parse, which
+        # returns 2 instead of raising SystemExit
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the config was rejected")
 
@@ -348,6 +355,12 @@ class TestCli:
         monkeypatch.undo()
         assert main(["simulate", "--n", "5", "--k", "2", "--tau", "5e-324", "--step", "0.01",
                      "--horizon", "1", "--out", str(tmp_path)]) == 0
+
+    def test_self_undelayed_formation_without_delay_runs(self, tmp_path, capsys):
+        # tau = 0 runs undelayed in any mode, so the mode is not refused
+        assert main(["simulate", "--n", "5", "--k", "2", "--dynamics", "formation",
+                     "--delay-mode", "self-undelayed", "--horizon", "1",
+                     "--out", str(tmp_path)]) == 0
 
     def test_delay_grid_checks_every_run_before_the_first(self, tmp_path, capsys, monkeypatch):
         # tau = 1e-10 takes the default step 2.5e-12: 8e12 steps over the
