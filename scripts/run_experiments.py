@@ -9,12 +9,13 @@ Produces, under the output directory (default ./results):
     scaling/       gain growth for k=1, n in {8,...,128}: single ref vs MD
     sim_offdiag/   off-diagonal-delay run at tau=5 (stable for any tau)
 
-Each subcommand's wall time goes to stderr, so stdout and the output files
-stay deterministic.
+Each subcommand's wall time, and the process's peak resident memory so far,
+go to stderr, so stdout and the output files stay deterministic.
 
 Usage: python scripts/run_experiments.py [outdir]
 """
 
+import resource
 import sys
 import time
 
@@ -41,7 +42,10 @@ def run(outdir: str) -> int:
         print(f"$ platoonkit {' '.join(argv)}")
         start = time.perf_counter()
         code = main(argv)
-        print(f"{argv[0]}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
+        # ru_maxrss is in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"{argv[0]}: {time.perf_counter() - start:.2f} s, peak RSS {peak_mb:.0f} MB",
+              file=sys.stderr)
         if code != 0:
             print(f"command failed with exit code {code}", file=sys.stderr)
             return code

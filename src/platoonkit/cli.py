@@ -5,8 +5,9 @@ verify.  Scenario parameters come from an optional sections-style config file
 (--config) with CLI flags taking precedence; --emit-config prints the merged
 effective configuration and exits without running.
 
-Exit codes: 0 success, 2 config/parameter error or out of memory, 3
-numerical failure, 4 verification violation.
+Exit codes: 0 success (and --help), 2 malformed command line, config or
+parameter error, or out of memory, 3 numerical failure, 4 verification
+violation.  main() returns the code; it does not raise SystemExit.
 """
 
 from __future__ import annotations
@@ -123,7 +124,11 @@ def _merge_config(args: argparse.Namespace) -> experiments.ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or its usage error (code 2)
+        return exc.code
     try:
         if args.command == "verify":
             failures, lines = experiments.run_verify(seed=args.seed)

@@ -50,7 +50,8 @@ screened by its sum of squares, one dot product; only a batch past
 (1e12 / 2)^2 takes per-row norms to find the first divergent row.  No norms
 are stored: Trajectory.norms takes every row's, _CHUNK_ROWS rows at a time,
 when it is read; classify takes the two rows it compares, and to_csv each
-chunk's as it formats it.
+chunk's as it formats it.  to_csv writes each chunk to its file before it
+formats the next, so it holds no more than one chunk's text at a time.
 """
 
 from __future__ import annotations
@@ -212,7 +213,11 @@ class Trajectory:
             out[lo : lo + _CHUNK_ROWS] = _row_norms(self.states[lo : lo + _CHUNK_ROWS])
         return out
 
-    def to_csv(self) -> str:
+    def to_csv(self, fh) -> None:
+        """Write the run as CSV to the open text file `fh`: the metadata and
+        column lines, then each chunk of _CHUNK_ROWS rows as soon as it is
+        formatted.  Only one chunk's text is held at a time, so the run's
+        own arrays bound the memory of writing it."""
         header = "# " + ", ".join(
             f"{key}={'none' if self.meta[key] is None else self.meta[key]}"
             for key in ("n", "k", "kind", "mode", "tau", "tau_effective", "step", "seed")
@@ -222,16 +227,16 @@ class Trajectory:
             header += "\n# diverged=true (run truncated at state norm > 1e12)"
         dim = self.states.shape[1]
         cols = "t,norm," + ",".join(f"x_{i + 1}" for i in range(dim))
-        lines = [header, cols]
-        fmt = ",".join(["%.12g"] * (dim + 2))
+        fh.write(f"{header}\n{cols}\n")
+        fmt = ",".join(["%.12g"] * (dim + 2)) + "\n"
         # chunks of rows: tolist() on the whole run would hold every value
-        # as a Python float at once
+        # as a Python float at once, and its text would be several times
+        # the size of the states
         for lo in range(0, len(self.times), _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
             states = self.states[lo:hi]
             chunk = np.column_stack((self.times[lo:hi], _row_norms(states), states))
-            lines.append("\n".join(fmt % tuple(row) for row in chunk.tolist()))
-        return "\n".join(lines) + "\n"
+            fh.write("".join(fmt % tuple(row) for row in chunk.tolist()))
 
 
 @dataclass(frozen=True)

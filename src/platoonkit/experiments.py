@@ -344,7 +344,8 @@ def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
 def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
     """Simulate both dynamics at every tau, classify, and annotate each tau
     against the analytic thresholds pi/(8k), pi/(2k), 1/(4k), pi/(2 lambda_max)
-    and the exact formation margin.  Every run is checked before the first."""
+    and the exact formation margin.  Every run is checked before the first,
+    and only one run's trajectory is held at a time."""
     top, refset, gs, spec = _analysis(cfg)
     ksuff, kness = robustness.delay_bounds_k(cfg.k)
     fdm = robustness.delay_margin_formation(spec, cfg.k)
@@ -369,6 +370,8 @@ def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
             tau, name, verdict.stable, verdict.decay_ratio, traj.diverged, step,
             tau < ksuff, tau < kness, tau < fdm.k_bound, tau < exact_v, tau < fdm.exact,
         ])
+        # released before the next run allocates its own history buffer
+        del traj
     meta = _meta(cfg, refset)
     meta.update(horizon=_fmt(horizon), lambda_max=_fmt(spec.lambda_max))
     text = _csv(
@@ -444,7 +447,10 @@ def run_simulate(cfg: ScenarioConfig, outdir) -> list:
     x0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, sysm.dim)
     traj = dde_sim.simulate(sysm, delay, x0, horizon, step, disturbance=_make_disturbance(cfg))
     verdict = dde_sim.classify(traj)
-    paths = [_write(outdir / "trajectory.csv", traj.to_csv())]
+    path = outdir / "trajectory.csv"
+    with open(path, "w") as fh:
+        traj.to_csv(fh)
+    paths = [str(path)]
     verdict_text = (
         f"stable={_fmt(verdict.stable)}, decay_ratio={_fmt(verdict.decay_ratio)}, "
         f"horizon={_fmt(verdict.horizon)}, tau_effective={_fmt(traj.meta['tau_effective'])}\n"

@@ -1,5 +1,8 @@
+import io
 import math
+import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +39,12 @@ def grounded(n, k, refs):
 
 def scalar_system():
     return velocity_system(grounded(2, 1, [1]))  # lg = [1]
+
+
+def csv_text(traj):
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return buf.getvalue()
 
 
 class TestSimulateBasics:
@@ -127,7 +136,7 @@ class TestSimulateBasics:
             if not diverged:
                 w0 = round(0.75 * (len(norms) - 1))
                 assert classify(traj).decay_ratio == norms[-1] / norms[w0]
-            rows = traj.to_csv().splitlines()[-len(norms):]
+            rows = csv_text(traj).splitlines()[-len(norms):]
             assert [row.split(",")[1] for row in rows] == [f"{v:.12g}" for v in norms]
 
 
@@ -592,7 +601,7 @@ class TestTrajectoryCsv:
         gs = grounded(5, 2, [3])
         sysm = velocity_system(gs)
         traj = simulate(sysm, DelaySpec(0.1, "full"), np.ones(4), 1.0, 1e-2)
-        lines = traj.to_csv().splitlines()
+        lines = csv_text(traj).splitlines()
         assert lines[0].startswith("# n=5, k=2, kind=velocity, mode=full, tau=0.1")
         assert "step=0.01" in lines[0]
         assert lines[1] == "t,norm,x_1,x_2,x_3,x_4"
@@ -613,7 +622,7 @@ class TestTrajectoryCsv:
         times = np.arange(rows) * 1e-3
         traj = Trajectory(times=times, states=states,
                           meta={"n": 5, "k": 2, "tau": 0.1, "diverged": True})
-        lines = traj.to_csv().split("\n")
+        lines = csv_text(traj).split("\n")
         assert lines[:3] == [
             "# n=5, k=2, tau=0.1",
             "# diverged=true (run truncated at state norm > 1e12)",
@@ -625,6 +634,27 @@ class TestTrajectoryCsv:
             for t, nrm, row in zip(times, norms, states)
         ]
         assert "-0" in lines[3].split(",") and "inf" in lines[-2] and "nan" in lines[-3]
+
+    def test_memory_does_not_grow_with_the_run(self, monkeypatch):
+        # the text is written a chunk at a time: writing 32 chunks of rows
+        # peaks where writing 8 does, below the longer run's own states.
+        # Smaller chunks keep the traced runs short; the bound holds per row.
+        monkeypatch.setattr(dde_sim, "_CHUNK_ROWS", 1024)
+        rng = np.random.default_rng(3)
+        peaks = []
+        for chunks in (8, 32):
+            rows = chunks * dde_sim._CHUNK_ROWS
+            traj = Trajectory(times=np.arange(rows) * 1e-3,
+                              states=rng.standard_normal((rows, 4)), meta={"n": 5})
+            with open(os.devnull, "w") as fh:
+                tracemalloc.start()
+                try:
+                    traj.to_csv(fh)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) < traj.states.nbytes
 
 
 class TestSimSystemValidation:

@@ -1,11 +1,12 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonkit import NumericalError, ParameterError, robustness
+from platoonkit import NumericalError, ParameterError, dde_sim, robustness
 from platoonkit.cli import main
 from platoonkit.experiments import (
     _NUMERIC_KEYS,
@@ -194,6 +195,27 @@ class TestRunners:
         big = lines[4].split(",")
         assert small[-5:] == ["true", "true", "true", "true", "true"]
         assert big[-5:] == ["false", "false", "false", "false", "false"]
+
+    def test_delay_grid_holds_one_trajectory_at_a_time(self, tmp_path, monkeypatch):
+        # each run's trajectory, and with it its history buffer, is released
+        # before the next run allocates its own
+        real_simulate = dde_sim.simulate
+        returned = []
+
+        def tracked(*args, **kwargs):
+            alive = [ref for ref in returned if ref() is not None]
+            assert not alive, f"{alive} still alive when a new run starts"
+            traj = real_simulate(*args, **kwargs)
+            returned.extend((weakref.ref(traj), weakref.ref(traj.states)))
+            return traj
+
+        monkeypatch.setattr(dde_sim, "simulate", tracked)
+        cfg = ScenarioConfig(
+            n=5, k=2, arrangement="explicit", refs=(3,),
+            experiment="delay-grid", taus=(0.0, 0.1, 0.5), horizon=20.0, step=0.01,
+        )
+        run_delay_grid(cfg, tmp_path)
+        assert len(returned) == 2 * 6  # a trajectory and its states for each of six runs
 
     def test_scaling_small(self, tmp_path):
         cfg = ScenarioConfig(n=8, k=1, experiment="scaling", ns=(8, 12, 16, 20, 24))
@@ -437,6 +459,26 @@ class TestCli:
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
         assert "verification passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "5", "--k", "2", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["simulate", "--tau"], "argument --tau: expected one argument"),
+        ([], "required: command"),
+        (["verify", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    ])
+    def test_malformed_command_line_returns_2(self, capsys, argv, message):
+        # returned, not raised as SystemExit, with argparse's usage message
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: platoonkit")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_returns_0(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: platoonkit")
+        assert "--help" in out
 
     def test_scenario_json_input(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
