@@ -52,6 +52,12 @@ are stored: Trajectory.norms takes every row's, _CHUNK_ROWS rows at a time,
 when it is read; classify takes the two rows it compares, and to_csv each
 chunk's as it formats it.  to_csv writes each chunk to its file before it
 formats the next, so it holds no more than one chunk's text at a time.
+
+simulate keeps the whole run in its history buffer.  verdict, which returns
+only classify's verdict, integrates the same batches into a buffer of the
+delay window plus one batch or _CHUNK_ROWS rows: when a batch would run past
+its end, the window that the batch reads is copied to the front and the run
+goes on from there, so every row is computed as simulate computes it.
 """
 
 from __future__ import annotations
@@ -244,6 +250,7 @@ class StabilityVerdict:
     stable: bool
     decay_ratio: float
     horizon: float
+    diverged: bool
 
 
 def default_step(tau: float, name: str = "tau") -> float:
@@ -279,8 +286,14 @@ def default_horizon(lambda1: float) -> float:
 
 def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
               disturbance=None) -> tuple:
-    """Check a run of `simulate` before anything is allocated, and return its
-    (step h, steps, delay in whole steps m, bytes of buffers).
+    """Check a run of `simulate` or `verdict` before anything is allocated,
+    and return its (step h, steps, delay in whole steps m, bytes of buffers).
+
+    A run of `verdict` holds less than these buffers, but is checked the same
+    way: every run refused here is refused by both, and the guard also bounds
+    how many steps a run may take.  A delay of 1e-10 at its default step,
+    2.5e-12, takes 8e12 steps over a horizon of 20; its window would fit,
+    and the run would take days.
 
     Raises:
         ParameterError: on a step not finite and > 0, a horizon shorter than
@@ -328,33 +341,13 @@ def simulate(
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
-    h, nsteps, m, nbytes = check_run(sys, delay, horizon, step, disturbance)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if len(x0) != sys.dim:
-        raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
-    errors.check("the norm of x0", float(np.linalg.norm(x0)))
-    if delay.mode == "self-undelayed" and sys.kind != "velocity":
-        raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
-
-    # xdot = a0 x(t) + atau x(t - tau) + jmat w(t), with a0 or atau absent
-    lg = np.asarray(sys.lg, dtype=float)
-    f = lg.shape[0]
-    a = -lg if sys.kind == "velocity" else build_formation_matrix(sys)
-    if m == 0:
-        # no delay, or one that rounds to zero steps: the plain dynamics
-        a0, atau = a, None
-    elif delay.mode == "full":
-        a0, atau = None, a
-    else:
-        # lg = Dg - Ag: own state instantaneous, neighbor states delayed
-        dg = np.diag(np.diag(lg))
-        a0, atau = -dg, dg - lg
-
+    h, nsteps, m, nbytes, x0, a0, atau = _prepare(sys, delay, x0, horizon, step, disturbance)
     pad = m + 4
     try:
         w_grid = w_mid = None
         if disturbance is not None:
             # jmat: the disturbance enters every velocity error, the last f rows
+            f = sys.lg.shape[0]
             jmat = np.eye(sys.dim, f, f - sys.dim)
             grid_times = np.arange(nsteps + 1) * h
             w_grid = disturbance.sample(grid_times, f, h) @ jmat.T
@@ -366,11 +359,11 @@ def simulate(
             f"for a run of {nsteps} steps"
         ) from exc
     hist[: pad + 1] = x0
-    base = pad
     # a batch past the cutoff, or the powers of P for a step far beyond
-    # RK4's bound, may overflow before the run is cut back
+    # RK4's bound, may overflow before the run is cut back; the buffer holds
+    # the whole run, so it never slides
     with np.errstate(over="ignore", invalid="ignore"):
-        last, diverged = _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid)
+        base, last, diverged, _ = _advance(hist, pad, nsteps, m, a0, atau, h, w_grid, w_mid)
 
     times = np.arange(last + 1) * h
     # a view, not a copy: the history buffer is not used after the run
@@ -389,16 +382,77 @@ def simulate(
     return Trajectory(times=times, states=states, meta=meta)
 
 
-def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid) -> tuple:
+def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -> StabilityVerdict:
+    """classify(simulate(sys, delay, x0, horizon, step)), field for field,
+    without holding the run: the history buffer keeps the delay window and
+    one batch (at least _CHUNK_ROWS rows, at most the run), and slides (see
+    _advance).  classify's start row is copied when the batch that fills it
+    is accepted.  Inputs are checked and refused as by simulate, check_run
+    included, which also bounds the number of steps.
+    """
+    h, nsteps, m, _, x0, a0, atau = _prepare(sys, delay, x0, horizon, step, None)
+    pad = m + 4
+    hist = np.empty((pad + 1 + min(nsteps, max(_batch_steps(m), _CHUNK_ROWS)), len(x0)))
+    hist[: pad + 1] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, last, diverged, start = _advance(
+            hist, pad, nsteps, m, a0, atau, h, None, None, keep=_window_start(nsteps))
+    rows = None if diverged else np.stack((start, hist[base + last]))
+    # last * h is classify's horizon, the last of simulate's times
+    return _judge(rows, last * h, diverged)
+
+
+def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
+             disturbance) -> tuple:
+    """The checks and operators of a run of simulate or verdict: returns
+    (h, nsteps, m, bytes of buffers, x0, a0, atau) for xdot = a0 x(t) +
+    atau x(t - m h), with a0 or atau None where absent."""
+    h, nsteps, m, nbytes = check_run(sys, delay, horizon, step, disturbance)
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if len(x0) != sys.dim:
+        raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
+    errors.check("the norm of x0", float(np.linalg.norm(x0)))
+    if delay.mode == "self-undelayed" and sys.kind != "velocity":
+        raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
+
+    lg = np.asarray(sys.lg, dtype=float)
+    a = -lg if sys.kind == "velocity" else build_formation_matrix(sys)
+    if m == 0:
+        # no delay, or one that rounds to zero steps: the plain dynamics
+        a0, atau = a, None
+    elif delay.mode == "full":
+        a0, atau = None, a
+    else:
+        # lg = Dg - Ag: own state instantaneous, neighbor states delayed
+        dg = np.diag(np.diag(lg))
+        a0, atau = -dg, dg - lg
+    return h, nsteps, m, nbytes, x0, a0, atau
+
+
+def _batch_steps(m: int) -> int:
+    """Steps per batch for a delay of m steps (see _advance)."""
+    return _CHUNK_ROWS if m == 0 else max(m - 1, 1)
+
+
+def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tuple:
     """RK4 for xdot = a0 x(t) + atau x(t - m h) + w(t) (see the module
-    docstring), a batch of steps at a time: fills hist[base + 1 ..
-    base + nsteps].  Step i's delayed stages read hist rows base+i-m-1 ..
-    base+i-m+2, or base+i-3 .. base+i when m = 1, so a batch of at most
-    max(m-1, 1) steps starting at i reads rows up to base+i, the last
-    accepted state.  Without a delayed term (m = 0) any batch size works;
-    _CHUNK_ROWS bounds the batch's temporaries.  A batch's forcings are
-    written into its rows and the recurrence runs over them in place
-    (_recur, or a cumulative sum in mode "full").
+    docstring), a batch of steps at a time: step i's state goes to row
+    base + i of hist, whose rows base - m - 4 .. base hold the pre-history.
+    Step i's delayed stages read hist rows base+i-m-1 .. base+i-m+2, or
+    base+i-3 .. base+i when m = 1, so a batch of at most max(m-1, 1) steps
+    starting at i reads rows up to base+i, the last accepted state.  Without
+    a delayed term (m = 0) any batch size works; _CHUNK_ROWS bounds the
+    batch's temporaries.  A batch's forcings are written into its rows and
+    the recurrence runs over them in place (_recur, or a cumulative sum in
+    mode "full").
+
+    When a batch would run past the end of hist, the accepted state and the
+    m + 4 rows before it, which hold every row the batch reads, are copied
+    to the front, and base moves back so that the state is row base + i
+    again; hist must then hold m + 5 rows and one batch.  Batches and
+    products are the same wherever the rows lie, so a run that slides fills
+    its rows bit for bit as one that does not.  A buffer of m + 5 + nsteps
+    rows, the whole run, never slides.
 
     In mode "full" the b + 3 delayed samples of a batch of b steps take one
     product y = xd (h/24) atau^T, and step j's forcing is the four-tap
@@ -418,10 +472,12 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid) -> tuple:
     one is filled from a finite start.  No other norm is taken here: the
     Trajectory computes them where they are read.
 
-    Returns (last, diverged): the number of steps kept and whether the run
-    stopped at such a row.
+    Returns (base, last, diverged, kept): the final base, the number of
+    steps kept, whether the run stopped at such a row, and a copy of step
+    keep's state, taken when the batch that fills it is accepted (None if
+    no accepted batch filled it).
     """
-    batch = _CHUNK_ROWS if m == 0 else max(m - 1, 1)
+    batch = _batch_steps(m)
     screen = (0.5 * DIVERGENCE_CUTOFF) ** 2
     (w0, w1, w2, w3), taps, s0 = (
         (_W_BACKWARD, _TAPS_BACKWARD, -2) if m == 1 else (_W_CENTERED, _TAPS_CENTERED, -1))
@@ -448,10 +504,14 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid) -> tuple:
             if np.all(np.isfinite(powers[-1])):
                 pc, fill = powers[-1], np.hstack([q.T for q in powers[:-1]])
         forced = atau is not None or w_grid is not None
-    last, diverged = nsteps, False
+    last, diverged, kept = nsteps, False, None
+    pad = m + 4
     i = 0  # steps taken
     while i < nsteps:
         b = min(batch, nsteps - i)
+        if base + i + b + 1 > len(hist):
+            hist[: pad + 1] = hist[base + i - pad : base + i + 1]
+            base = pad - i
         # rows[0] is the accepted state, g the batch's rows
         rows = hist[base + i : base + i + b + 1]
         g = rows[1:]
@@ -488,8 +548,10 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid) -> tuple:
             if bad.any():
                 last, diverged = i + 1 + int(np.argmax(bad)), True
                 break
+        if i < keep <= i + b:
+            kept = hist[base + keep].copy()
         i += b
-    return last, diverged
+    return base, last, diverged, kept
 
 
 def _recur(rows, p, pc, fill, forced) -> None:
@@ -534,17 +596,33 @@ def classify(traj: Trajectory) -> StabilityVerdict:
     the covered horizon; a divergence marker forces unstable."""
     horizon = float(traj.times[-1]) if len(traj.times) else 0.0
     if traj.diverged:
-        return StabilityVerdict(stable=False, decay_ratio=math.inf, horizon=horizon)
+        return _judge(None, horizon, True)
     if len(traj.states) < 2:
         raise ParameterError("trajectory too short to cover the trailing window")
-    w0 = int(round((1.0 - TRAILING_WINDOW) * (len(traj.states) - 1)))
     # the two rows compared, not the whole run's norms
-    start, end = _row_norms(traj.states[[w0, -1]]).tolist()
+    return _judge(traj.states[[_window_start(len(traj.states) - 1), -1]], horizon, False)
+
+
+def _window_start(last: int) -> int:
+    """The row that starts the trailing window of a run of last steps."""
+    return int(round((1.0 - TRAILING_WINDOW) * last))
+
+
+def _judge(rows, horizon: float, diverged: bool) -> StabilityVerdict:
+    """The verdict of classify and verdict: unstable if diverged, else
+    stable iff the norm of rows[1] (the last state) is below
+    STABILITY_THRESHOLD times that of rows[0] (the window's start).  A
+    ratio that overflows is inf without any divergence."""
+    if diverged:
+        return StabilityVerdict(stable=False, decay_ratio=math.inf, horizon=horizon,
+                                diverged=True)
+    start, end = _row_norms(rows).tolist()
     ratio = 0.0 if start == 0.0 else end / start
     return StabilityVerdict(
         stable=bool(ratio < STABILITY_THRESHOLD),
         decay_ratio=ratio,
         horizon=horizon,
+        diverged=False,
     )
 
 
@@ -587,19 +665,18 @@ def threshold_scan(
     if horizon is None:
         horizon = max(80.0, 1000.0 / float(np.max(np.diag(sys.lg))))
 
-    def verdict(tau: float) -> bool:
+    def is_stable(tau: float) -> bool:
         step = tau / _SCAN_STEPS_PER_TAU
-        traj = simulate(sys, DelaySpec(tau=tau, mode="full"), x0, horizon, step)
-        return classify(traj).stable
+        return verdict(sys, DelaySpec(tau=tau, mode="full"), x0, horizon, step).stable
 
-    if not verdict(tau_lo):
+    if not is_stable(tau_lo):
         raise ParameterError(f"lower bracket tau={tau_lo} does not classify stable")
-    if verdict(tau_hi):
+    if is_stable(tau_hi):
         raise ParameterError(f"upper bracket tau={tau_hi} does not classify unstable")
     lo, hi = float(tau_lo), float(tau_hi)
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if verdict(mid):
+        if is_stable(mid):
             lo = mid
         else:
             hi = mid

@@ -342,10 +342,11 @@ def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
 
 
 def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
-    """Simulate both dynamics at every tau, classify, and annotate each tau
-    against the analytic thresholds pi/(8k), pi/(2k), 1/(4k), pi/(2 lambda_max)
-    and the exact formation margin.  Every run is checked before the first,
-    and only one run's trajectory is held at a time."""
+    """Classify both dynamics at every tau, and annotate each tau against the
+    analytic thresholds pi/(8k), pi/(2k), 1/(4k), pi/(2 lambda_max) and the
+    exact formation margin.  Every run is checked before the first, and each
+    is classified by dde_sim.verdict, which holds the delay window and one
+    chunk of rows rather than the run."""
     top, refset, gs, spec = _analysis(cfg)
     ksuff, kness = robustness.delay_bounds_k(cfg.k)
     fdm = robustness.delay_margin_formation(spec, cfg.k)
@@ -364,14 +365,11 @@ def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
         dde_sim.check_run(systems[name], delay, horizon, step)
     rows = []
     for tau, step, delay, name in runs:
-        traj = dde_sim.simulate(systems[name], delay, x0s[name], horizon, step)
-        verdict = dde_sim.classify(traj)
+        verdict = dde_sim.verdict(systems[name], delay, x0s[name], horizon, step)
         rows.append([
-            tau, name, verdict.stable, verdict.decay_ratio, traj.diverged, step,
+            tau, name, verdict.stable, verdict.decay_ratio, verdict.diverged, step,
             tau < ksuff, tau < kness, tau < fdm.k_bound, tau < exact_v, tau < fdm.exact,
         ])
-        # released before the next run allocates its own history buffer
-        del traj
     meta = _meta(cfg, refset)
     meta.update(horizon=_fmt(horizon), lambda_max=_fmt(spec.lambda_max))
     text = _csv(

@@ -17,6 +17,7 @@ from platoonkit import (
     build_platoon,
     classify,
     delay_margin_formation,
+    delay_margin_velocity,
     eig_sym,
     formation_system,
     ground,
@@ -26,6 +27,7 @@ from platoonkit import (
     simulate_offdiagonal,
     threshold_scan,
     velocity_system,
+    verdict,
 )
 from platoonkit import dde_sim
 from platoonkit.dde_sim import SimSystem, Trajectory, default_horizon, default_step
@@ -448,6 +450,100 @@ class TestClassify:
         assert not unstable.stable
 
 
+class TestVerdictMatchesClassify:
+    """verdict against classify(simulate(...)): the sliding buffer fills
+    every row as the whole-run buffer does, so every field agrees and the
+    decay ratio is bit-equal.  A verdict buffer holds the delay window and
+    max(batch, _CHUNK_ROWS) steps, so a run longer than that slides."""
+
+    GS = grounded(5, 2, [3])
+
+    def _system(self, kind):
+        if kind == "velocity":
+            return velocity_system(self.GS), delay_margin_velocity(eig_sym(self.GS.lg))
+        return formation_system(self.GS), delay_margin_formation(eig_sym(self.GS.lg), 2).exact
+
+    def _check(self, sysm, delay, h, nsteps, x0):
+        horizon = (nsteps + 0.3) * h
+        want = classify(simulate(sysm, delay, x0, horizon, h))
+        got = verdict(sysm, delay, x0, horizon, h)
+        assert got == want
+        assert np.float64(got.decay_ratio).tobytes() == np.float64(want.decay_ratio).tobytes()
+        return got
+
+    @pytest.mark.parametrize("mode, kind, m, nsteps", [
+        ("none", "velocity", 0, 3000),  # shorter than the window
+        # three batches of 4096; the start row 8192 = round(0.75 * 10923)
+        # ends the second, on a batch boundary
+        ("none", "formation", 0, 10923),
+        ("full", "velocity", 1, 9000),
+        ("full", "formation", 2, 9000),
+        ("full", "velocity", 3, 41000),  # slides ten times
+        ("full", "formation", 150, 2384),  # start row 1788 = 12 * 149, no slide
+        ("full", "velocity", 150, 11920),  # start row 8940 = 60 * 149, two slides
+        ("full", "velocity", 5000, 30000),  # batches of 4999 > _CHUNK_ROWS
+        ("self-undelayed", "velocity", 1, 600),
+        ("self-undelayed", "velocity", 2, 5000),
+        ("self-undelayed", "velocity", 3, 9000),
+        ("self-undelayed", "velocity", 150, 11920),
+        ("self-undelayed", "velocity", 5000, 23000),
+    ])
+    def test_every_mode_and_window(self, mode, kind, m, nsteps):
+        sysm, margin = self._system(kind)
+        # a horizon of 40, or a quarter of the margin in the fully delayed
+        # runs: the runs decay without reaching zero, and do not diverge
+        h = 40.0 / nsteps if m == 0 else min(40.0 / nsteps, 0.25 * margin / m)
+        x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
+        got = self._check(sysm, DelaySpec(m * h, mode), h, nsteps, x0)
+        assert not got.diverged and 0.0 < got.decay_ratio < math.inf
+
+    @pytest.mark.parametrize("m, nsteps", [(0, 10923), (150, 2384), (150, 11920)])
+    def test_start_row_on_a_batch_boundary(self, m, nsteps):
+        # the cases above whose start row ends a batch
+        assert dde_sim._window_start(nsteps) % dde_sim._batch_steps(m) == 0
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    def test_diverged_run_cut_after_a_slide(self, kind):
+        sysm, margin = self._system(kind)
+        m = 150
+        tau = 3.0 * margin
+        h = tau / m
+        got = self._check(sysm, DelaySpec(tau, "full"), h, 200 * m,
+                          np.random.default_rng(1).uniform(-1.0, 1.0, sysm.dim))
+        cut = round(got.horizon / h)
+        assert got.diverged and not got.stable and got.decay_ratio == math.inf
+        # the window holds m + 5 + _CHUNK_ROWS rows: the cut is past a slide
+        assert dde_sim._CHUNK_ROWS < cut < 200 * m
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_diverged_is_the_runs_marker_not_the_ratio(self, marked):
+        # a start norm of 1e-160 under an end norm of 1e150: the ratio
+        # overflows to inf, and only the marker says whether the run diverged
+        states = np.zeros((5, 4))
+        states[3, 0], states[4, 0] = 1e-160, 1e150
+        got = classify(Trajectory(times=np.arange(5.0), states=states,
+                                  meta={"diverged": marked}))
+        assert got.decay_ratio == math.inf and not got.stable
+        assert got.diverged == marked
+
+    def test_memory_does_not_grow_with_the_run(self):
+        # a run four times longer peaks where the shorter one does, below
+        # the longer run's whole history
+        sysm, margin = self._system("formation")
+        m, h = 150, 0.25 * margin / 150
+        x0 = np.random.default_rng(2).uniform(-1.0, 1.0, sysm.dim)
+        peaks = []
+        for nsteps in (40_000, 160_000):
+            tracemalloc.start()
+            try:
+                verdict(sysm, DelaySpec(m * h, "full"), x0, nsteps * h, h)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) < 8 * (m + 5 + 160_000) * sysm.dim
+
+
 class TestThresholdScan:
     def test_scalar_boundary(self):
         est = threshold_scan(
@@ -495,6 +591,7 @@ class TestThresholdScan:
             pytest.fail("threshold_scan simulated before rejecting its arguments")
 
         monkeypatch.setattr(dde_sim, "simulate", no_run)
+        monkeypatch.setattr(dde_sim, "verdict", no_run)
         args = {"tau_lo": 0.1, "tau_hi": 1.0, "tolerance": 0.01, arg: bad}
         with pytest.raises(ParameterError, match="finite"):
             threshold_scan(velocity_system(grounded(5, 2, [3])), horizon=20.0, **args)

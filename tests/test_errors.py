@@ -24,6 +24,7 @@ from platoonkit import (
     simulate,
     threshold_scan,
     velocity_system,
+    verdict,
 )
 from platoonkit.errors import check
 
@@ -70,6 +71,11 @@ def run(**kwargs):
     return simulate(velocity_system(GS), DelaySpec(0.1, "full"), **args)
 
 
+def judge(**kwargs):
+    args = {"x0": np.ones(4), "horizon": 10.0, "step": 0.01, **kwargs}
+    return verdict(velocity_system(GS), DelaySpec(0.1, "full"), **args)
+
+
 # each call takes the bad value in one numeric parameter
 CALLS = {
     "DelaySpec.tau": lambda bad: DelaySpec(tau=bad),
@@ -80,6 +86,9 @@ CALLS = {
     "simulate.step": lambda bad: run(step=bad),
     "simulate.horizon": lambda bad: run(horizon=bad),
     "simulate.x0": lambda bad: run(x0=[1.0, bad, 0.0, 0.0]),
+    "verdict.step": lambda bad: judge(step=bad),
+    "verdict.horizon": lambda bad: judge(horizon=bad),
+    "verdict.x0": lambda bad: judge(x0=[1.0, bad, 0.0, 0.0]),
     "threshold_scan.tau_lo": lambda bad: scan(tau_lo=bad),
     "threshold_scan.tau_hi": lambda bad: scan(tau_hi=bad),
     "threshold_scan.tolerance": lambda bad: scan(tolerance=bad),
@@ -107,6 +116,7 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
         pytest.fail("threshold_scan simulated before rejecting its arguments")
 
     monkeypatch.setattr("platoonkit.dde_sim.simulate", no_run)
+    monkeypatch.setattr("platoonkit.dde_sim.verdict", no_run)
     with pytest.raises(ParameterError, match="finite"):
         CALLS[name](bad)
 
@@ -119,6 +129,7 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
     lambda: md_arrangement(10, 1.5),
     lambda: NoiseDisturbance(1.0, -1),
     lambda: run(horizon=0.05),
+    lambda: judge(horizon=0.05),
     lambda: gamma_conditions(GS, 1e-320),  # 1/gamma overflows to inf
 ])
 def test_out_of_range_values_rejected(call):

@@ -1,6 +1,5 @@
 import json
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -196,26 +195,27 @@ class TestRunners:
         assert small[-5:] == ["true", "true", "true", "true", "true"]
         assert big[-5:] == ["false", "false", "false", "false", "false"]
 
-    def test_delay_grid_holds_one_trajectory_at_a_time(self, tmp_path, monkeypatch):
-        # each run's trajectory, and with it its history buffer, is released
-        # before the next run allocates its own
-        real_simulate = dde_sim.simulate
-        returned = []
+    def test_delay_grid_never_simulates(self, tmp_path, monkeypatch):
+        # each run is classified by verdict, which holds the delay window
+        # and one chunk of rows, never by a whole-run trajectory
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("run_delay_grid called simulate")
 
-        def tracked(*args, **kwargs):
-            alive = [ref for ref in returned if ref() is not None]
-            assert not alive, f"{alive} still alive when a new run starts"
-            traj = real_simulate(*args, **kwargs)
-            returned.extend((weakref.ref(traj), weakref.ref(traj.states)))
-            return traj
+        monkeypatch.setattr(dde_sim, "simulate", no_simulate)
+        real_verdict = dde_sim.verdict
+        calls = []
 
-        monkeypatch.setattr(dde_sim, "simulate", tracked)
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real_verdict(*args, **kwargs)
+
+        monkeypatch.setattr(dde_sim, "verdict", counted)
         cfg = ScenarioConfig(
             n=5, k=2, arrangement="explicit", refs=(3,),
             experiment="delay-grid", taus=(0.0, 0.1, 0.5), horizon=20.0, step=0.01,
         )
         run_delay_grid(cfg, tmp_path)
-        assert len(returned) == 2 * 6  # a trajectory and its states for each of six runs
+        assert [d.tau for d in calls] == [0.0, 0.0, 0.1, 0.1, 0.5, 0.5]
 
     def test_scaling_small(self, tmp_path):
         cfg = ScenarioConfig(n=8, k=1, experiment="scaling", ns=(8, 12, 16, 20, 24))
@@ -391,6 +391,7 @@ class TestCli:
             raise AssertionError("a run started before every run was checked")
 
         monkeypatch.setattr("platoonkit.dde_sim.simulate", no_run)
+        monkeypatch.setattr("platoonkit.dde_sim.verdict", no_run)
         argv = ["delay-grid", "--n", "5", "--k", "2", "--taus", "0.1,1e-10", "--horizon", "20",
                 "--out", str(tmp_path)]
         assert main(argv) == 2
