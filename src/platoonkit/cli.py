@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import experiments
+from . import dde_sim, experiments, robustness
 from .errors import NumericalError, ParameterError
 from .topology import scenario_from_json
 
@@ -33,10 +33,10 @@ def _add_platoon_flags(p: argparse.ArgumentParser) -> None:
                    help='JSON scenario fragment {"n":…, "k":…, "refs":[…]}')
     p.add_argument("--n", help="vehicle count")
     p.add_argument("--k", help="connectivity index")
-    p.add_argument("--arrangement",
-                   help="reference arrangement: md | explicit | single (default md)")
-    p.add_argument("--refs", help="explicit reference indices, e.g. '5,14,23,32'")
-    p.add_argument("--position", help="reference position for arrangement=single")
+    p.add_argument("--arrangement", help="reference arrangement: "
+                   f"{' | '.join(experiments.ARRANGEMENTS)} (default md)")
+    p.add_argument("--refs",
+                   help="reference indices for arrangement=explicit, e.g. '5,14,23,32'")
     p.add_argument("--seed", help="seed for initial states and noise (default 0)")
     p.add_argument("--out", dest="outdir", help="output directory (default results)")
     p.add_argument("--emit-config", action="store_true",
@@ -63,15 +63,15 @@ _COMMANDS = {
         ("--step", "integration step"),
     )),
     "scaling": ("gain growth with n: single end reference vs MD", "scaling", "run_scaling", (), (
-        ("--ns", "platoon sizes, e.g. '8,16,32,64,128' (>= 5 values)"),
+        ("--ns", "platoon sizes, e.g. '8,16,32,64,128' (>= 5 distinct values)"),
     )),
     "simulate": ("one time-domain run, exported as CSV", "simulate", "run_simulate", (), (
-        ("--dynamics", "velocity | formation (default velocity)"),
-        ("--tau", "constant communication delay (default 0)"),
-        ("--delay-mode", "none | full | self-undelayed (default full)"),
+        ("--dynamics", f"{' | '.join(robustness.DYNAMICS)} (default velocity)"),
+        ("--tau", "constant communication delay (default 0: undelayed in either mode)"),
+        ("--delay-mode", f"{' | '.join(dde_sim.DELAY_MODES)} (default full)"),
         ("--horizon", "simulation horizon"),
         ("--step", "integration step"),
-        ("--disturbance", "none | sin | noise (default none)"),
+        ("--disturbance", f"{' | '.join(experiments.DISTURBANCES)} (default none)"),
         ("--amplitude", "disturbance amplitude (default 0)"),
         ("--omega", "sinusoid frequency in rad/s (default 1)"),
     )),

@@ -37,12 +37,14 @@ per step.  The polynomial form, the filter and the chunked sums round
 differently from evaluating the four stages one by one, by a few 1e-14 of
 the trajectory's maximum.
 
-Three delay modes are supported for the linear dynamics xdot = A x:
+Two delay modes are supported for the linear dynamics xdot = A x:
 
-    none            xdot(t) = A x(t)
     full            xdot(t) = A x(t - tau)            (every term delayed)
     self-undelayed  xdot(t) = -Dg x(t) + Ag x(t-tau)  (velocity only: own
                     state instantaneous, neighbor states delayed)
+
+A delay of tau = 0, or one that rounds to zero steps, runs the undelayed
+dynamics xdot(t) = A x(t) in either mode and for either dynamics.
 
 Divergence (state norm beyond 1e12 or non-finite) truncates the run at its
 first such step and marks the trajectory rather than raising.  A batch is
@@ -70,8 +72,12 @@ import numpy as np
 
 from . import errors
 from .errors import ParameterError
+from .robustness import DYNAMICS
 from .spectral import build_formation_matrix
 from .topology import GroundedSystem
+
+#: the terms a delay applies to (see the module docstring)
+DELAY_MODES = ("full", "self-undelayed")
 
 #: state-norm cutoff beyond which a run is truncated and marked divergent
 DIVERGENCE_CUTOFF = 1e12
@@ -127,8 +133,8 @@ class SimSystem:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("velocity", "formation"):
-            raise ParameterError(f"kind must be velocity|formation, got {self.kind!r}")
+        if self.kind not in DYNAMICS:
+            raise ParameterError(f"kind must be one of {DYNAMICS}, got {self.kind!r}")
 
     @property
     def dim(self) -> int:
@@ -149,12 +155,12 @@ class DelaySpec:
     """Constant communication delay and which terms it applies to."""
 
     tau: float = 0.0
-    mode: str = "full"  # "none" | "full" | "self-undelayed"
+    mode: str = "full"  # one of DELAY_MODES; tau = 0 runs undelayed in either
 
     def __post_init__(self):
         errors.check("delay tau", self.tau, 0.0)
-        if self.mode not in ("none", "full", "self-undelayed"):
-            raise ParameterError(f"unknown delay mode {self.mode!r}")
+        if self.mode not in DELAY_MODES:
+            raise ParameterError(f"delay mode must be one of {DELAY_MODES}, got {self.mode!r}")
 
 
 class SinusoidDisturbance:
@@ -301,7 +307,7 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
     """
     h = float(errors.check("step", step, 0.0, strict=True))
     errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
-    steps, lag = horizon / h, (delay.tau / h if delay.mode != "none" else 0.0)
+    steps, lag = horizon / h, delay.tau / h
     # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
     # history rows, the times, and a disturbance's samples at the grid and
     # midpoint times, before and after the input matrix
@@ -331,7 +337,7 @@ def simulate(
 
     Args:
         sys: system to integrate.
-        delay: DelaySpec; mode "self-undelayed" is velocity-only.
+        delay: DelaySpec; mode "self-undelayed" with tau > 0 is velocity-only.
         x0: initial state, finite, length sys.dim (also the constant pre-history).
         horizon: final time, at least 10 steps; see check_run.
         step: integration step, finite and > 0.
@@ -412,13 +418,14 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
     errors.check("the norm of x0", float(np.linalg.norm(x0)))
-    if delay.mode == "self-undelayed" and sys.kind != "velocity":
+    # as finalize_config: tau = 0 runs undelayed in any mode
+    if delay.mode == "self-undelayed" and sys.kind != "velocity" and delay.tau > 0:
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
 
     lg = np.asarray(sys.lg, dtype=float)
     a = -lg if sys.kind == "velocity" else build_formation_matrix(sys)
     if m == 0:
-        # no delay, or one that rounds to zero steps: the plain dynamics
+        # tau = 0, or a delay that rounds to zero steps: the plain dynamics
         a0, atau = a, None
     elif delay.mode == "full":
         a0, atau = None, a

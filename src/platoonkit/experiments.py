@@ -21,7 +21,17 @@ from . import dde_sim, errors, robustness, spectral, topology
 from .errors import ParameterError
 
 EXPERIMENTS = ("report", "delay-grid", "hinf-sweep", "add-remove", "scaling", "simulate")
-ARRANGEMENTS = ("md", "explicit", "single")
+ARRANGEMENTS = ("md", "explicit")
+DISTURBANCES = ("none", "sin", "noise")
+
+#: every key whose value is one of a fixed list, with that list
+_CHOICES = {
+    "experiment": EXPERIMENTS,
+    "arrangement": ARRANGEMENTS,
+    "dynamics": robustness.DYNAMICS,
+    "delay_mode": dde_sim.DELAY_MODES,
+    "disturbance": DISTURBANCES,
+}
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
 
@@ -48,7 +58,6 @@ class ScenarioConfig:
     k: int
     arrangement: str = "md"
     refs: tuple = ()
-    position: int | None = None
     experiment: str = "report"
     taus: tuple = ()
     ns: tuple = ()
@@ -68,16 +77,14 @@ class ScenarioConfig:
     def reference_set(self) -> topology.ReferenceSet:
         if self.arrangement == "md":
             return topology.md_arrangement(self.n, self.k)
-        if self.arrangement == "explicit":
-            return topology.make_reference_set(self.n, self.refs)
-        return topology.make_reference_set(self.n, [self.position])
+        return topology.make_reference_set(self.n, self.refs)
 
 
 #: every numeric key, with the bounds errors.check holds each of its values to;
 #: the integer keys are parsed as int, the others as float
 _NUMERIC_KEYS = {
     **dict.fromkeys(("n", "ns"), dict(low=2, integer=True)),
-    **dict.fromkeys(("k", "position", "refs"), dict(low=1, integer=True)),
+    **dict.fromkeys(("k", "refs"), dict(low=1, integer=True)),
     "seed": dict(low=0, integer=True),
     **dict.fromkeys(("tau", "taus"), dict(low=0.0)),
     "gamma": dict(low=robustness.GAMMA_MIN, strict=True),
@@ -102,19 +109,14 @@ def _coerce(key: str, value):
                 return tuple(parse(v) for v in _parse_list(value))
             return parse(value)
         if key in _BOOL_KEYS:
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-    except ValueError as exc:
+            return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except (KeyError, ValueError) as exc:
         raise ParameterError(f"bad value for {key}: {exc}") from exc
     return value
 
 
 _SECTION_OF = {
-    "n": "platoon", "k": "platoon", "arrangement": "platoon",
-    "refs": "platoon", "position": "platoon",
+    "n": "platoon", "k": "platoon", "arrangement": "platoon", "refs": "platoon",
     "outdir": "output",
 }
 
@@ -160,29 +162,23 @@ def finalize_config(raw: dict) -> ScenarioConfig:
         for tau in cfg.taus:
             dde_sim.default_step(tau, "taus")
 
-    if cfg.experiment not in EXPERIMENTS:
-        raise ParameterError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
-    if cfg.arrangement not in ARRANGEMENTS:
-        raise ParameterError(f"arrangement must be one of {ARRANGEMENTS}, got {cfg.arrangement!r}")
+    for key, choices in _CHOICES.items():
+        if getattr(cfg, key) not in choices:
+            raise ParameterError(f"{key} must be one of {choices}, got {getattr(cfg, key)!r}")
     if cfg.arrangement == "explicit" and not cfg.refs:
         raise ParameterError("arrangement=explicit requires refs")
-    if cfg.arrangement == "single" and cfg.position is None:
-        raise ParameterError("arrangement=single requires position")
+    if cfg.refs and cfg.arrangement != "explicit":
+        raise ParameterError(f"refs require arrangement=explicit, got {cfg.arrangement!r}")
     if cfg.experiment == "delay-grid" and not cfg.taus:
         raise ParameterError("delay-grid requires a nonempty taus list")
-    if cfg.experiment == "scaling" and len(cfg.ns) < 5:
-        raise ParameterError(f"scaling requires at least 5 n values, got {len(cfg.ns)}")
-    if cfg.dynamics not in ("velocity", "formation"):
-        raise ParameterError(f"dynamics must be velocity|formation, got {cfg.dynamics!r}")
-    if cfg.delay_mode not in ("none", "full", "self-undelayed"):
-        raise ParameterError(f"bad delay mode {cfg.delay_mode!r}")
-    # run_simulate runs tau = 0 undelayed, in any mode
+    if cfg.experiment == "scaling" and len(set(cfg.ns)) < 5:
+        raise ParameterError(f"scaling requires at least 5 distinct n values, "
+                             f"got {len(set(cfg.ns))}")
+    # simulate runs tau = 0 undelayed, in any mode
     if (cfg.experiment == "simulate" and cfg.delay_mode == "self-undelayed"
             and cfg.dynamics == "formation" and cfg.tau > 0):
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
-    if cfg.disturbance not in ("none", "sin", "noise"):
-        raise ParameterError(f"disturbance must be none|sin|noise, got {cfg.disturbance!r}")
-    cfg.reference_set()  # validates refs / position against n, and n against memory
+    cfg.reference_set()  # validates refs against n, and n against memory
     return cfg
 
 
@@ -229,9 +225,10 @@ def _write(path, text: str) -> str:
     return str(path)
 
 
-def _csv(metadata: dict, header: list, rows: list) -> str:
-    meta = "# " + ", ".join(f"{key}={value}" for key, value in metadata.items())
-    lines = [meta, ",".join(header)]
+def _csv(metadata: dict | None, header: list, rows) -> str:
+    lines = [] if metadata is None else [
+        "# " + ", ".join(f"{key}={value}" for key, value in metadata.items())]
+    lines.append(",".join(header))
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -268,7 +265,9 @@ def run_report(cfg: ScenarioConfig, outdir) -> list:
         report = replace(report, swept=robustness.swept_peaks(responses))
     paths = [_write(outdir / "report.json", report.to_json())]
     paths.append(_write(outdir / "report.txt", _report_summary(report)))
-    paths += [_write(outdir / f"freq_{dyn}.csv", fr.to_csv()) for dyn, fr in responses.items()]
+    for dyn, fr in responses.items():
+        rows = zip(fr.omegas.tolist(), fr.gains.tolist())
+        paths.append(_write(outdir / f"freq_{dyn}.csv", _csv(None, ["omega", "gain"], rows)))
     return paths
 
 
@@ -315,27 +314,31 @@ def _norms_for(refs, cfg: ScenarioConfig):
     return spec.lambda1, robustness.hinf_velocity(spec), robustness.hinf_formation(spec)
 
 
-def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
-    """Recompute both disturbance gains with one reference removed from (or
-    one extra added to) the minimally dense arrangement, per position."""
+def _sweep_rows(cfg: ScenarioConfig, mode: str) -> list:
+    """[position, lambda1, hinf_velocity, hinf_formation] with the reference
+    at each position removed from (mode "remove") or added to ("add") the
+    minimally dense arrangement."""
     if cfg.arrangement != "md":
         raise ParameterError(f"{mode} sweep requires arrangement=md")
     if mode not in ("remove", "add"):
         raise ParameterError(f"mode must be remove|add, got {mode!r}")
-    refset = cfg.reference_set()
-    base = set(refset.refs)
+    base = set(cfg.reference_set().refs)
     positions = sorted(base) if mode == "remove" else [
         p for p in range(1, cfg.n + 1) if p not in base
     ]
     rows = []
     for pos in positions:
         refs = sorted(base - {pos}) if mode == "remove" else sorted(base | {pos})
-        if not refs:
-            rows.append([pos, 0.0, math.inf, math.inf])
-            continue
-        lam1, hv, hf = _norms_for(refs, cfg)
-        rows.append([pos, lam1, hv, hf])
-    meta = _meta(cfg, refset)
+        # removing the only reference leaves no grounding: unbounded gains
+        rows.append([pos, *(_norms_for(refs, cfg) if refs else (0.0, math.inf, math.inf))])
+    return rows
+
+
+def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
+    """Recompute both disturbance gains with one reference removed from (or
+    one extra added to) the minimally dense arrangement, per position."""
+    rows = _sweep_rows(cfg, mode)
+    meta = _meta(cfg, cfg.reference_set())
     meta["mode"] = mode
     text = _csv(meta, ["position", "lambda1", "hinf_velocity", "hinf_formation"], rows)
     return [_write(outdir / f"sweep_{mode}.csv", text)]
@@ -359,7 +362,7 @@ def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
     }
     x0s = {name: rng.uniform(-1.0, 1.0, sysm.dim) for name, sysm in systems.items()}
     runs = [(tau, cfg.step if cfg.step is not None else dde_sim.default_step(tau),
-             dde_sim.DelaySpec(tau=tau, mode=("none" if tau == 0.0 else "full")), name)
+             dde_sim.DelaySpec(tau), name)
             for tau in cfg.taus for name in systems]
     for tau, step, delay, name in runs:
         dde_sim.check_run(systems[name], delay, horizon, step)
@@ -399,29 +402,29 @@ def fit_loglog(ns, values) -> dict:
 def run_scaling(cfg: ScenarioConfig, outdir) -> list:
     """Gain growth with platoon size: single end reference vs minimally dense."""
     ns = tuple(sorted(cfg.ns))
-    rows, gains = [], {"single": [], "md": []}
+    # each row label's references at platoon size n
+    arrangements = dict(single=lambda n: [1], md=lambda n: topology.md_arrangement(n, cfg.k).refs)
+    rows, gains = [], {name: [] for name in arrangements}
     for n in ns:
         sub = replace(cfg, n=n)
-        for name, refs in (("single", [1]), ("md", topology.md_arrangement(n, cfg.k).refs)):
-            lam1, hv, hf = _norms_for(refs, sub)
+        for name, refs in arrangements.items():
+            lam1, hv, hf = _norms_for(refs(n), sub)
             rows.append([n, name, lam1, hv, hf])
             gains[name].append((hv, hf))
-    (single_v, single_f), (md_v, md_f) = (zip(*gains[name]) for name in ("single", "md"))
-    fit_v = fit_loglog(ns, single_v)
-    fit_f = fit_loglog(ns, single_f)
+    (single_v, single_f), (md_v, md_f) = (zip(*g) for g in gains.values())
     fit_md = fit_loglog(ns, md_v)
-    summary = {
-        "k": cfg.k,
-        "ns": list(ns),
-        "single": {"velocity": fit_v, "formation": fit_f},
-        "md": {
+    summary = dict(
+        k=cfg.k,
+        ns=list(ns),
+        single=dict(velocity=fit_loglog(ns, single_v), formation=fit_loglog(ns, single_f)),
+        md={
             "velocity_max": max(md_v),
             "formation_max": max(md_f),
             "velocity_bound_ok": max(md_v) <= 1.0 + 1e-12,
             "formation_bound_ok": max(md_f) <= TWO_OVER_SQRT3 + 1e-12,
             "velocity_slope": fit_md["slope"],
         },
-    }
+    )
     meta = {"n_list": " ".join(str(n) for n in ns), "k": cfg.k, "seed": cfg.seed}
     paths = [
         _write(outdir / "scaling.csv",
@@ -438,8 +441,7 @@ def run_simulate(cfg: ScenarioConfig, outdir) -> list:
         if cfg.dynamics == "velocity"
         else dde_sim.formation_system(gs)
     )
-    mode = cfg.delay_mode if cfg.tau > 0 else "none"
-    delay = dde_sim.DelaySpec(tau=cfg.tau, mode=mode)
+    delay = dde_sim.DelaySpec(tau=cfg.tau, mode=cfg.delay_mode)
     horizon = cfg.horizon if cfg.horizon is not None else dde_sim.default_horizon(spec.lambda1)
     step = cfg.step if cfg.step is not None else dde_sim.default_step(cfg.tau)
     x0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, sysm.dim)
@@ -476,6 +478,7 @@ def _random_instance(rng, n_max=40, k_max=5, f_max=None):
 
 def run_verify(seed: int = 0) -> tuple:
     """Fast desk-value and oracle checks.  Returns (failures, log lines)."""
+    seed = errors.check("seed", seed, 0, integer=True)
     failures = []
     lines = []
 
@@ -503,19 +506,12 @@ def run_verify(seed: int = 0) -> tuple:
     hand = np.array([1.0, 3.0 - math.sqrt(2.0), 3.0, 3.0 + math.sqrt(2.0)])
     check("P(5,2)/refs={3} hand spectrum", float(np.max(np.abs(spec5.values - hand))) <= 1e-9)
 
-    ok_remove = True
-    for r in refset.refs:
-        others = [x for x in refset.refs if x != r]
-        _, hv, hf = _norms_for(others, ScenarioConfig(n=36, k=4))
-        ok_remove &= hv > 1.0 + 1e-9 and hf > TWO_OVER_SQRT3 + 1e-9
-    check("P(36,4) removing any reference breaks both gain bounds", ok_remove)
-    ok_add = True
-    for p in range(1, 37):
-        if p in refset.refs:
-            continue
-        _, hv, _ = _norms_for(sorted(set(refset.refs) | {p}), ScenarioConfig(n=36, k=4))
-        ok_add &= hv < 1.0 - 1e-9
-    check("P(36,4) adding any reference keeps velocity gain < 1", ok_add)
+    desk = ScenarioConfig(n=36, k=4)
+    check("P(36,4) removing any reference breaks both gain bounds",
+          all(hv > 1.0 + 1e-9 and hf > TWO_OVER_SQRT3 + 1e-9
+              for _, _, hv, hf in _sweep_rows(desk, "remove")))
+    check("P(36,4) adding any reference keeps velocity gain < 1",
+          all(hv < 1.0 - 1e-9 for _, _, hv, _ in _sweep_rows(desk, "add")))
 
     rng = np.random.default_rng(seed)
     worst_cert = True

@@ -115,11 +115,6 @@ class FrequencyResponse:
     peak_omega: float
     peak_gain: float
 
-    def to_csv(self) -> str:
-        lines = ["omega,gain"]
-        lines += [f"{w:.12g},{g:.12g}" for w, g in zip(self.omegas, self.gains)]
-        return "\n".join(lines) + "\n"
-
 
 def sweep_hinf(
     gs: GroundedSystem,
@@ -155,7 +150,7 @@ def sweep_hinf(
         FrequencyResponse over the augmented, ascending grid.
     """
     if dynamics not in DYNAMICS:
-        raise ParameterError(f"dynamics must be velocity|formation, got {dynamics!r}")
+        raise ParameterError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
     if spec is None:
         spec = eig_sym(gs.lg)
     if spec.lambda1 <= GROUNDING_TOL:

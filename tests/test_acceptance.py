@@ -263,7 +263,7 @@ def test_criterion_11_integrator_validity():
         ):
             sysm = make(gs)
             x0 = rng.uniform(-1.0, 1.0, sysm.dim)
-            final = simulate(sysm, DelaySpec(0.0, "none"), x0, 1.0, 1e-2).states[-1]
+            final = simulate(sysm, DelaySpec(0.0), x0, 1.0, 1e-2).states[-1]
             exact = expm_oracle(a) @ x0
             worst = max(worst, float(np.linalg.norm(final - exact) / np.linalg.norm(exact)))
     # observed convergence order on a fresh instance
@@ -272,7 +272,7 @@ def test_criterion_11_integrator_validity():
     x0 = rng.uniform(-1.0, 1.0, sysm.dim)
     exact = expm_oracle(-np.asarray(gs.lg, dtype=float)) @ x0
     errs = [
-        float(np.linalg.norm(simulate(sysm, DelaySpec(0.0, "none"), x0, 1.0, h).states[-1] - exact))
+        float(np.linalg.norm(simulate(sysm, DelaySpec(0.0), x0, 1.0, h).states[-1] - exact))
         for h in (2e-2, 1e-2)
     ]
     order = math.log2(errs[0] / errs[1])

@@ -32,7 +32,7 @@ from platoonkit import (
 from platoonkit import dde_sim
 from platoonkit.dde_sim import SimSystem, Trajectory, default_horizon, default_step
 
-NONE = DelaySpec(0.0, "none")
+UNDELAYED = DelaySpec(0.0)  # tau = 0 runs undelayed in any mode
 
 
 def grounded(n, k, refs):
@@ -54,13 +54,13 @@ class TestSimulateBasics:
         gs = ground(build_platoon(36, 4), md_arrangement(36, 4))
         sysm = velocity_system(gs)
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 32)
-        traj = simulate(sysm, NONE, x0, 30.0, 1e-3)
+        traj = simulate(sysm, UNDELAYED, x0, 30.0, 1e-3)
         assert np.all(np.diff(traj.norms) < 0.0)
         assert traj.norms[-1] < 1e-6 * traj.norms[0]
 
     def test_equilibrium_stays_zero(self):
         sysm = velocity_system(grounded(5, 2, [3]))
-        traj = simulate(sysm, NONE, np.zeros(4), 5.0, 1e-2)
+        traj = simulate(sysm, UNDELAYED, np.zeros(4), 5.0, 1e-2)
         assert np.all(traj.states == 0.0)
         assert np.all(traj.norms == 0.0)
 
@@ -82,14 +82,21 @@ class TestSimulateBasics:
     def test_preconditions(self):
         sysm = velocity_system(grounded(5, 2, [3]))
         with pytest.raises(ParameterError):
-            simulate(sysm, NONE, np.ones(4), 1.0, 0.0)
+            simulate(sysm, UNDELAYED, np.ones(4), 1.0, 0.0)
         with pytest.raises(ParameterError):
-            simulate(sysm, NONE, np.ones(4), 0.05, 0.01)  # horizon < 10 steps
+            simulate(sysm, UNDELAYED, np.ones(4), 0.05, 0.01)  # horizon < 10 steps
         with pytest.raises(ParameterError):
-            simulate(sysm, NONE, np.ones(3), 1.0, 0.01)  # wrong dimension
+            simulate(sysm, UNDELAYED, np.ones(3), 1.0, 0.01)  # wrong dimension
         with pytest.raises(ParameterError):
             simulate(formation_system(grounded(5, 2, [3])),
                      DelaySpec(0.1, "self-undelayed"), np.ones(8), 1.0, 0.01)
+        # an undelayed run is tau = 0, in either mode; there is no mode "none"
+        with pytest.raises(ParameterError, match="delay mode must be one of"):
+            DelaySpec(0.0, "none")
+        formation = formation_system(grounded(5, 2, [3]))
+        assert np.array_equal(
+            simulate(formation, DelaySpec(0.0, "self-undelayed"), np.ones(8), 1.0, 0.01).states,
+            simulate(formation, UNDELAYED, np.ones(8), 1.0, 0.01).states)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError):
                 DelaySpec(bad, "full")
@@ -109,7 +116,7 @@ class TestSimulateBasics:
         gs = grounded(5, 2, [3])
         sysm = formation_system(gs)
         x0 = np.random.default_rng(1).uniform(-1, 1, 8)
-        traj = simulate(sysm, NONE, x0, 40.0, 1e-2)
+        traj = simulate(sysm, UNDELAYED, x0, 40.0, 1e-2)
         assert traj.states.shape[1] == 8
         assert classify(traj).stable
 
@@ -123,10 +130,10 @@ class TestSimulateBasics:
         cases = [
             (velocity, DelaySpec(0.05, "full"), 5.0, 1e-2, False),
             (formation, DelaySpec(0.3, "full"), 50.0, 2e-3, False),  # 25,000 steps
-            (velocity, NONE, 45.0, 5e-3, False),  # 9000 = 2 * 4096 + 808 steps
+            (velocity, UNDELAYED, 45.0, 5e-3, False),  # 9000 = 2 * 4096 + 808 steps
             (velocity, DelaySpec(2.0, "self-undelayed"), 60.0, 1e-2, False),
             (scalar_system(), DelaySpec(3.0, "full"), 400.0, 0.02, True),
-            (velocity, NONE, 200.0, 1.0, True),  # far beyond RK4's step bound
+            (velocity, UNDELAYED, 200.0, 1.0, True),  # far beyond RK4's step bound
         ]
         for sysm, delay, horizon, step, diverged in cases:
             x0 = rng.uniform(-1, 1, sysm.dim)
@@ -154,7 +161,7 @@ class TestZeroDelayOracle:
                 sysm = make(gs)
                 a = mat if mat is not None else build_formation_matrix(gs)
                 x0 = rng.uniform(-1, 1, sysm.dim)
-                traj = simulate(sysm, NONE, x0, 1.0, 1e-2)
+                traj = simulate(sysm, UNDELAYED, x0, 1.0, 1e-2)
                 exact = expm_oracle(a) @ x0
                 err = np.linalg.norm(traj.states[-1] - exact) / np.linalg.norm(exact)
                 assert err <= 1e-6
@@ -165,7 +172,7 @@ class TestZeroDelayOracle:
         x0 = np.random.default_rng(3).uniform(-1, 1, 4)
         finals = {}
         for h in (1e-2, 5e-3, 2.5e-3):
-            finals[h] = simulate(sysm, NONE, x0, 2.0, h).states[-1]
+            finals[h] = simulate(sysm, UNDELAYED, x0, 2.0, h).states[-1]
         d1 = np.linalg.norm(finals[1e-2] - finals[5e-3])
         d2 = np.linalg.norm(finals[5e-3] - finals[2.5e-3])
         assert 12.0 <= d1 / d2 <= 20.0
@@ -177,7 +184,7 @@ class TestZeroDelayOracle:
         exact = expm_oracle(-np.asarray(gs.lg, float) * 1.0) @ x0
         errs = []
         for h in (2e-2, 1e-2):
-            final = simulate(sysm, NONE, x0, 1.0, h).states[-1]
+            final = simulate(sysm, UNDELAYED, x0, 1.0, h).states[-1]
             errs.append(np.linalg.norm(final - exact))
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.5
@@ -187,7 +194,7 @@ class TestZeroDelayOracle:
         sysm = velocity_system(gs)
         rng = np.random.default_rng(5)
         a, b = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-        for delay in (NONE, DelaySpec(0.1, "full")):
+        for delay in (UNDELAYED, DelaySpec(0.1, "full")):
             ta = simulate(sysm, delay, a, 5.0, 1e-2).states
             tb = simulate(sysm, delay, b, 5.0, 1e-2).states
             tab = simulate(sysm, delay, a + b, 5.0, 1e-2).states
@@ -326,7 +333,11 @@ class TestFullDelayMatchesPerStepReference:
         # batches of m - 1 = 149 steps: the cut falls inside a batch
         assert m != 150 or cut % (m - 1) != 0
 
-    @pytest.mark.parametrize("mode, m", [("full", 150), ("none", 0), ("self-undelayed", 150)])
+    @pytest.mark.parametrize("mode, m", [
+        ("full", 150),
+        pytest.param("full", 0, id="none-0"),  # tau = 0: undelayed
+        ("self-undelayed", 150),
+    ])
     def test_screen_false_alarm_does_not_truncate(self, mode, m):
         # one entry above (cutoff / 2) / sqrt(dim) fails every batch's cheap
         # screen, but the state's norm stays below the cutoff: the per-row
@@ -336,10 +347,10 @@ class TestFullDelayMatchesPerStepReference:
         x0 = np.array([9e11, 0.0, 0.0, 0.0])
         assert x0[0] > 0.5 * dde_sim.DIVERGENCE_CUTOFF / math.sqrt(len(x0))
         h, nsteps = 2e-3, 1000
-        if mode == "full":
-            a0, atau = None, a
-        elif mode == "none":
+        if m == 0:
             a0, atau = a, None
+        elif mode == "full":
+            a0, atau = None, a
         else:
             lg = np.asarray(gs.lg, float)
             dg = np.diag(np.diag(lg))
@@ -362,7 +373,7 @@ class TestFullDelayMatchesPerStepReference:
         rng, gs, sysm, a, jmat = self._instance(seed, kind)
         h = float(rng.uniform(0.002, 0.005))
         # 9000 = 2 * 4096 + 808 steps: undelayed batches hold 4096 steps
-        self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 9000,
+        self._check(sysm, "full", a, None, jmat, 0.0, h, 0, 9000,
                     rng.uniform(-1, 1, sysm.dim), DISTURBANCES[dist](rng))
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
@@ -371,7 +382,7 @@ class TestFullDelayMatchesPerStepReference:
         # |h mu| = 4 for the largest eigenvalue mu of a: beyond the RK4
         # stability region, which reaches 2.79 on the negative real axis
         h = 4.0 / float(np.max(np.abs(np.linalg.eigvals(a))))
-        traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 2000,
+        traj = self._check(sysm, "full", a, None, jmat, 0.0, h, 0, 2000,
                            rng.uniform(-1, 1, sysm.dim), None)
         assert traj.diverged and len(traj.times) < 2001
 
@@ -381,7 +392,7 @@ class TestFullDelayMatchesPerStepReference:
         # |h mu| = 2.85, just beyond RK4's bound of 2.79: the norm grows
         # slowly enough to pass the cutoff after several 64-step chunks
         h = 2.85 / float(np.max(np.abs(np.linalg.eigvals(a))))
-        traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 2000,
+        traj = self._check(sysm, "full", a, None, jmat, 0.0, h, 0, 2000,
                            rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
         # steps 283 (velocity) and 295 (formation): neither a chunk start
@@ -393,7 +404,7 @@ class TestFullDelayMatchesPerStepReference:
         # |h mu| = 50: P^64 overflows, but the zero state stays zero and the
         # run does not diverge
         h = 50.0 / float(np.max(np.abs(np.linalg.eigvals(a))))
-        traj = self._check(sysm, "none", a, None, jmat, 0.0, h, 0, 300,
+        traj = self._check(sysm, "full", a, None, jmat, 0.0, h, 0, 300,
                            np.zeros(sysm.dim), None)
         assert not traj.diverged and not traj.states.any()
 
@@ -432,7 +443,7 @@ class TestFullDelayMatchesPerStepReference:
 class TestClassify:
     def test_zero_trajectory_is_stable(self):
         sysm = velocity_system(grounded(5, 2, [3]))
-        verdict = classify(simulate(sysm, NONE, np.zeros(4), 2.0, 1e-2))
+        verdict = classify(simulate(sysm, UNDELAYED, np.zeros(4), 2.0, 1e-2))
         assert verdict.stable and verdict.decay_ratio == 0.0
 
     def test_requires_enough_samples(self):
@@ -472,10 +483,11 @@ class TestVerdictMatchesClassify:
         return got
 
     @pytest.mark.parametrize("mode, kind, m, nsteps", [
-        ("none", "velocity", 0, 3000),  # shorter than the window
+        # tau = 0, undelayed; shorter than the window
+        pytest.param("full", "velocity", 0, 3000, id="none-velocity-0-3000"),
         # three batches of 4096; the start row 8192 = round(0.75 * 10923)
         # ends the second, on a batch boundary
-        ("none", "formation", 0, 10923),
+        pytest.param("full", "formation", 0, 10923, id="none-formation-0-10923"),
         ("full", "velocity", 1, 9000),
         ("full", "formation", 2, 9000),
         ("full", "velocity", 3, 41000),  # slides ten times
@@ -609,7 +621,7 @@ class TestOffDiagonalDelay:
         gs = grounded(5, 2, [3])
         sysm = velocity_system(gs)
         x0 = np.random.default_rng(2).uniform(-1, 1, 4)
-        t1 = simulate(sysm, NONE, x0, 5.0, 1e-2)
+        t1 = simulate(sysm, UNDELAYED, x0, 5.0, 1e-2)
         t2 = simulate_offdiagonal(sysm, 0.0, x0, 5.0, 1e-2)
         assert np.array_equal(t1.states, t2.states)
 
@@ -638,7 +650,7 @@ class TestSteadyStateMatchesTransferFunction:
         gs = grounded(3, 1, [1, 3])
         sysm = velocity_system(gs)
         amp, omega = 0.7, 1.3
-        traj = simulate(sysm, NONE, np.zeros(1), 40.0, 1e-3,
+        traj = simulate(sysm, UNDELAYED, np.zeros(1), 40.0, 1e-3,
                         disturbance=SinusoidDisturbance(amp, omega))
         predicted = amp / abs(1j * omega + 2.0)
         measured = self._tail_amplitude(traj.states[:, 0], 2 * math.pi / omega, 1e-3)
@@ -650,7 +662,7 @@ class TestSteadyStateMatchesTransferFunction:
         gs = grounded(3, 1, [1, 3])
         sysm = formation_system(gs)
         amp, omega = 0.7, 1.3
-        traj = simulate(sysm, NONE, np.zeros(2), 60.0, 1e-3,
+        traj = simulate(sysm, UNDELAYED, np.zeros(2), 60.0, 1e-3,
                         disturbance=SinusoidDisturbance(amp, omega))
         predicted = amp / abs(-omega ** 2 + 2.0 * (1.0 + 1j * omega))
         measured = self._tail_amplitude(traj.states[:, 0], 2 * math.pi / omega, 1e-3)
@@ -662,7 +674,7 @@ class TestDisturbances:
         gs = grounded(5, 2, [3])
         sysm = velocity_system(gs)
         dist = SinusoidDisturbance(amplitude=0.5, omega=1.3)
-        traj = simulate(sysm, NONE, np.zeros(4), 60.0, 1e-2, disturbance=dist)
+        traj = simulate(sysm, UNDELAYED, np.zeros(4), 60.0, 1e-2, disturbance=dist)
         tail = traj.norms[len(traj.norms) // 2:]
         assert 0.0 < tail.min() and tail.max() < 10.0
 
@@ -671,8 +683,8 @@ class TestDisturbances:
         sysm = velocity_system(gs)
         dist1 = NoiseDisturbance(amplitude=0.2, seed=11)
         dist2 = NoiseDisturbance(amplitude=0.2, seed=11)
-        t1 = simulate(sysm, NONE, np.zeros(4), 5.0, 1e-2, disturbance=dist1)
-        t2 = simulate(sysm, NONE, np.zeros(4), 5.0, 1e-2, disturbance=dist2)
+        t1 = simulate(sysm, UNDELAYED, np.zeros(4), 5.0, 1e-2, disturbance=dist1)
+        t2 = simulate(sysm, UNDELAYED, np.zeros(4), 5.0, 1e-2, disturbance=dist2)
         assert np.array_equal(t1.states, t2.states)
         assert t1.meta["seed"] == 11
 

@@ -57,8 +57,18 @@ class TestConfig:
             finalize_config({"n": "5", "k": "2", "experiment": "delay-grid"})
         with pytest.raises(ParameterError, match="at least 5"):
             finalize_config({"n": "5", "k": "2", "experiment": "scaling", "ns": "8 16"})
+        with pytest.raises(ParameterError, match="at least 5 distinct n values, got 1"):
+            finalize_config({"n": "5", "k": "2", "experiment": "scaling", "ns": "8 8 8 8 8"})
         with pytest.raises(ParameterError, match="requires refs"):
             finalize_config({"n": "5", "k": "2", "arrangement": "explicit"})
+        with pytest.raises(ParameterError, match="refs require arrangement=explicit"):
+            finalize_config({"n": "5", "k": "2", "refs": "3"})
+        assert finalize_config({"n": "5", "k": "2", "sweep_csv": "On"}).sweep_csv is True
+        with pytest.raises(ParameterError, match="bad value for sweep_csv: 'maybe'"):
+            finalize_config({"n": "5", "k": "2", "sweep_csv": "maybe"})
+        # the experiment is not a flag: an unknown one can only come this way
+        with pytest.raises(ParameterError, match="experiment must be one of"):
+            finalize_config({"n": "5", "k": "2", "experiment": "bogus"})
         with pytest.raises(ParameterError):
             finalize_config({"n": "5", "k": "2", "refs": "0", "arrangement": "explicit"})
 
@@ -75,8 +85,13 @@ class TestConfig:
     def test_explicit_and_single_arrangements(self):
         cfg = finalize_config({"n": "5", "k": "2", "arrangement": "explicit", "refs": "3"})
         assert cfg.reference_set().refs == (3,)
-        cfg = finalize_config({"n": "5", "k": "2", "arrangement": "single", "position": "2"})
+        # one chosen reference is an explicit set of one; "single" is no arrangement
+        cfg = finalize_config({"n": "5", "k": "2", "arrangement": "explicit", "refs": "2"})
         assert cfg.reference_set().refs == (2,)
+        with pytest.raises(ParameterError, match="arrangement must be one of"):
+            finalize_config({"n": "5", "k": "2", "arrangement": "single"})
+        with pytest.raises(ParameterError, match="unknown config keys: \\['position'\\]"):
+            finalize_config({"n": "5", "k": "2", "position": "2"})
 
 
 class TestRunners:
@@ -340,12 +355,13 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--seed", "-1"],
         ["report", "--n", "1"],
-        ["report", "--arrangement", "single", "--position", "0"],
+        ["report", "--arrangement", "explicit", "--refs", "0"],
         ["scaling", "--ns", "8,16,32,64,1"],
         ["report", "--gamma", "0"],
         ["simulate", "--tau", "-0.1"],
         ["simulate", "--step", "0"],
         ["report", "--gamma", "1e-320"],  # 1/gamma overflows to inf
+        ["verify", "--seed", "-1"],
     ])
     def test_out_of_range_config_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         # refused from the table of bounds, before any platoon is built
@@ -354,7 +370,10 @@ class TestCli:
 
         monkeypatch.setattr("platoonkit.experiments._analysis", no_work)
         monkeypatch.setattr("platoonkit.experiments._norms_for", no_work)
-        code = main(argv[:1] + ["--n", "5", "--k", "2", "--out", str(tmp_path)] + argv[1:])
+        monkeypatch.setattr("platoonkit.topology.build_platoon", no_work)
+        # verify takes no platoon flags
+        platoon = [] if argv[0] == "verify" else ["--n", "5", "--k", "2", "--out", str(tmp_path)]
+        code = main(argv[:1] + platoon + argv[1:])
         assert code == 2
         assert "must be a finite" in capsys.readouterr().err
 
@@ -377,6 +396,48 @@ class TestCli:
         monkeypatch.undo()
         assert main(["simulate", "--n", "5", "--k", "2", "--tau", "5e-324", "--step", "0.01",
                      "--horizon", "1", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv, key", [
+        (["report", "--arrangement", "bogus"], "arrangement"),
+        (["simulate", "--dynamics", "bogus"], "dynamics"),
+        (["simulate", "--delay-mode", "bogus"], "delay_mode"),
+        (["simulate", "--disturbance", "bogus"], "disturbance"),
+        # removed spellings: an undelayed run is --tau 0, one chosen
+        # reference is --arrangement explicit --refs p
+        (["simulate", "--delay-mode", "none"], "delay_mode"),
+        (["report", "--arrangement", "single"], "arrangement"),
+        (["report", "--position", "2"], "--position"),
+        # refs are read only with arrangement=explicit
+        (["report", "--refs", "1"], "refs"),
+    ])
+    def test_bad_choice_or_unread_refs_exit_2(self, tmp_path, capsys, monkeypatch, argv, key):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was rejected")
+
+        monkeypatch.setattr("platoonkit.experiments._analysis", no_work)
+        code = main(argv[:1] + ["--n", "10", "--k", "1", "--out", str(tmp_path)] + argv[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err.split("error:", 1)[1]
+        assert not list(tmp_path.iterdir())
+
+    def test_refs_without_explicit_in_config_file_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("[platoon]\nn = 10\nk = 1\nrefs = 1\n")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "error: refs require arrangement=explicit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scaling_needs_five_distinct_sizes(self, tmp_path, capsys, monkeypatch):
+        # five copies of one size would fit each log-log slope to one point
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran before the config was rejected")
+
+        monkeypatch.setattr("platoonkit.spectral.eig_sym", no_eigensolve)
+        assert main(["scaling", "--n", "8", "--k", "1", "--ns", "8,8,8,8,8",
+                     "--out", str(tmp_path)]) == 2
+        assert "distinct n values, got 1" in capsys.readouterr().err
 
     def test_self_undelayed_formation_without_delay_runs(self, tmp_path, capsys):
         # tau = 0 runs undelayed in any mode, so the mode is not refused

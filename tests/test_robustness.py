@@ -28,6 +28,7 @@ from platoonkit import (
     peak_amplitude,
     sweep_hinf,
 )
+from platoonkit.experiments import ScenarioConfig, run_report
 from platoonkit.robustness import SWEEP_OMEGAS
 from platoonkit.spectral import Spectrum
 
@@ -144,13 +145,17 @@ class TestSweep:
         assert 0.0 in fr.omegas
         assert abs(fr.peak_gain - 1.0 / spec.lambda1) <= 1e-12
 
-    def test_gains_ascending_grid_and_csv(self):
+    def test_gains_ascending_grid_and_csv(self, tmp_path):
         gs = grounded(5, 2, [3])
         fr = sweep_hinf(gs, "formation")
         assert np.all(np.diff(fr.omegas) > 0)
-        lines = fr.to_csv().splitlines()
+        # the report writes the sweep's CSV: one row per frequency, 12 digits
+        run_report(ScenarioConfig(n=5, k=2, arrangement="explicit", refs=(3,), sweep_csv=True),
+                   tmp_path)
+        lines = (tmp_path / "freq_formation.csv").read_text().splitlines()
         assert lines[0] == "omega,gain"
         assert len(lines) == len(fr.omegas) + 1
+        assert lines[1:] == [f"{w:.12g},{g:.12g}" for w, g in zip(fr.omegas, fr.gains)]
 
     def test_rejects_bad_dynamics_and_grid(self):
         gs = grounded(5, 2, [3])
