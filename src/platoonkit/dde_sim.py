@@ -51,15 +51,20 @@ first such step and marks the trajectory rather than raising.  A batch is
 screened by its sum of squares, one dot product; only a batch past
 (1e12 / 2)^2 takes per-row norms to find the first divergent row.  No norms
 are stored: Trajectory.norms takes every row's, _CHUNK_ROWS rows at a time,
-when it is read; classify takes the two rows it compares, and to_csv each
-chunk's as it formats it.  to_csv writes each chunk to its file before it
-formats the next, so it holds no more than one chunk's text at a time.
+when it is read; classify takes the two rows it compares, and the CSV writer
+each chunk's as it formats it.  The CSV writer writes each chunk to its file
+before it formats the next, so it holds no more than one chunk's text at a
+time.  A diverged run's CSV ends with its divergence marker, which is known
+only when the run ends.
 
-simulate keeps the whole run in its history buffer.  verdict, which returns
-only classify's verdict, integrates the same batches into a buffer of the
-delay window plus one batch or _CHUNK_ROWS rows: when a batch would run past
-its end, the window that the batch reads is copied to the front and the run
-goes on from there, so every row is computed as simulate computes it.
+Every run integrates in one buffer of the delay window plus one batch or
+_CHUNK_ROWS rows: when a batch would run past its end, the rows accepted
+since the last slide go to the run's sink, the window that the batch reads
+is copied to the front, and the run goes on from there, so every row is
+computed as in a buffer of the whole run.  simulate's sink copies the rows
+into the whole run's states; simulate_to_csv's writes them to the CSV file,
+and verdict's keeps only the two rows classify compares.  A disturbance is
+sampled a chunk of steps at a time, never for the whole run.
 """
 
 from __future__ import annotations
@@ -170,9 +175,13 @@ class SinusoidDisturbance:
         self.amplitude = errors.check("sinusoid amplitude", amplitude)
         self.omega = errors.check("sinusoid omega", omega)
 
-    def sample(self, times: np.ndarray, dim: int, step: float) -> np.ndarray:
-        sig = self.amplitude * np.sin(self.omega * np.asarray(times))
-        return np.repeat(sig[:, None], dim, axis=1)
+    def sampler(self, dim: int, step: float):
+        """The run's sampler: times -> the (len(times), dim) samples."""
+        def sample(times):
+            sig = self.amplitude * np.sin(self.omega * np.asarray(times))
+            return np.repeat(sig[:, None], dim, axis=1)
+
+        return sample
 
 
 class NoiseDisturbance:
@@ -183,12 +192,30 @@ class NoiseDisturbance:
         self.amplitude = errors.check("noise amplitude", amplitude)
         self.seed = errors.check("noise seed", seed, 0, integer=True)
 
-    def sample(self, times: np.ndarray, dim: int, step: float) -> np.ndarray:
+    def sampler(self, dim: int, step: float):
+        """The run's sampler: times -> the (len(times), dim) samples.  Time t
+        reads row int(t / step) of one table, whose rows one generator of
+        the seed draws in order as later times ask for them.  Rows before
+        the earliest time of the last call are dropped, so a run that reads
+        its times a chunk at a time holds a chunk of the table, and no call
+        may ask for a time before that."""
         rng = np.random.default_rng(self.seed)
-        nsteps = int(round(float(times[-1]) / step)) + 2
-        table = rng.uniform(-self.amplitude, self.amplitude, size=(nsteps, dim))
-        idx = np.minimum((np.asarray(times) / step).astype(int), nsteps - 1)
-        return table[idx]
+        table, row0 = np.empty((0, dim)), 0
+
+        def sample(times):
+            nonlocal table, row0
+            idx = (np.asarray(times) / step).astype(int)
+            lo, hi = int(idx.min()), int(idx.max())
+            if lo < row0:
+                raise ValueError(f"noise row {lo} was dropped; the table starts at row {row0}")
+            more = hi + 1 - row0 - len(table)
+            if more > 0:
+                table = np.concatenate(
+                    (table, rng.uniform(-self.amplitude, self.amplitude, size=(more, dim))))
+            table, row0 = table[lo - row0 :], lo
+            return table[idx - lo]
+
+        return sample
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +254,43 @@ class Trajectory:
 
     def to_csv(self, fh) -> None:
         """Write the run as CSV to the open text file `fh`: the metadata and
-        column lines, then each chunk of _CHUNK_ROWS rows as soon as it is
-        formatted.  Only one chunk's text is held at a time, so the run's
-        own arrays bound the memory of writing it."""
-        header = "# " + ", ".join(
-            f"{key}={'none' if self.meta[key] is None else self.meta[key]}"
-            for key in ("n", "k", "kind", "mode", "tau", "tau_effective", "step", "seed")
-            if key in self.meta
-        )
+        column lines, the rows a chunk at a time (_csv_rows), then the
+        divergence marker of a diverged run."""
+        fh.write(_csv_head(self.meta, self.states.shape[1]))
+        _csv_rows(fh, self.times, self.states)
         if self.diverged:
-            header += "\n# diverged=true (run truncated at state norm > 1e12)"
-        dim = self.states.shape[1]
-        cols = "t,norm," + ",".join(f"x_{i + 1}" for i in range(dim))
-        fh.write(f"{header}\n{cols}\n")
-        fmt = ",".join(["%.12g"] * (dim + 2)) + "\n"
-        # chunks of rows: tolist() on the whole run would hold every value
-        # as a Python float at once, and its text would be several times
-        # the size of the states
-        for lo in range(0, len(self.times), _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            states = self.states[lo:hi]
-            chunk = np.column_stack((self.times[lo:hi], _row_norms(states), states))
-            fh.write("".join(fmt % tuple(row) for row in chunk.tolist()))
+            fh.write(_DIVERGED_LINE)
+
+
+# the trajectory CSV's last line after a diverged run: the run's end is the
+# first time the marker is known
+_DIVERGED_LINE = "# diverged=true (run truncated at state norm > 1e12)\n"
+
+
+def _csv_head(meta: dict, dim: int) -> str:
+    """The trajectory CSV's metadata and column lines."""
+    header = "# " + ", ".join(
+        f"{key}={'none' if meta[key] is None else meta[key]}"
+        for key in ("n", "k", "kind", "mode", "tau", "tau_effective", "step", "seed")
+        if key in meta
+    )
+    cols = "t,norm," + ",".join(f"x_{i + 1}" for i in range(dim))
+    return f"{header}\n{cols}\n"
+
+
+def _csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:
+    """Write one CSV row per state, `t,norm,x_1,..`, each chunk of
+    _CHUNK_ROWS rows as soon as it is formatted, so only one chunk's text is
+    held at a time.  A row's text depends on that row alone, so rows written
+    in any stretches read as rows written at once."""
+    fmt = ",".join(["%.12g"] * (states.shape[1] + 2)) + "\n"
+    # chunks of rows: tolist() on the whole run would hold every value as a
+    # Python float at once, and its text would be several times the size of
+    # the states
+    for lo in range(0, len(times), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        chunk = np.column_stack((times[lo:hi], _row_norms(states[lo:hi]), states[lo:hi]))
+        fh.write("".join(fmt % tuple(row) for row in chunk.tolist()))
 
 
 @dataclass(frozen=True)
@@ -292,14 +334,17 @@ def default_horizon(lambda1: float) -> float:
 
 def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
               disturbance=None) -> tuple:
-    """Check a run of `simulate` or `verdict` before anything is allocated,
-    and return its (step h, steps, delay in whole steps m, bytes of buffers).
+    """Check a run of `simulate`, `simulate_to_csv` or `verdict` before
+    anything is allocated, and return its (step h, steps, delay in whole
+    steps m).
 
-    A run of `verdict` holds less than these buffers, but is checked the same
-    way: every run refused here is refused by both, and the guard also bounds
-    how many steps a run may take.  A delay of 1e-10 at its default step,
-    2.5e-12, takes 8e12 steps over a horizon of 20; its window would fit,
-    and the run would take days.
+    The memory checked is that of a run held whole.  simulate holds its
+    states and the sliding buffer, at most m + 5 + max(m - 1, _CHUNK_ROWS)
+    rows more; simulate_to_csv and verdict hold only the buffer.  Every run
+    refused here is refused by all three, and the guard also bounds how many
+    steps a run may take.  A delay of 1e-10 at its default step, 2.5e-12,
+    takes 8e12 steps over a horizon of 20; its window would fit, and the run
+    would take days.
 
     Raises:
         ParameterError: on a step not finite and > 0, a horizon shorter than
@@ -308,13 +353,13 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
     h = float(errors.check("step", step, 0.0, strict=True))
     errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
     steps, lag = horizon / h, delay.tau / h
-    # what is allocated before the first step, 8 bytes a value: m + 5 + nsteps
-    # history rows, the times, and a disturbance's samples at the grid and
-    # midpoint times, before and after the input matrix
+    # the whole run, 8 bytes a value: m + 5 + nsteps rows of states, the
+    # times, and a disturbance's samples at the grid and midpoint times,
+    # before and after the input matrix
     width = sys.dim + 1 + (2 * (sys.dim + sys.lg.shape[0]) if disturbance is not None else 0)
     nbytes = 8.0 * (steps + lag + 6.0) * width
     errors.check_memory(f"a run of {steps:.4g} steps", nbytes)
-    return h, int(round(steps)), int(round(lag)), nbytes
+    return h, int(round(steps)), int(round(lag))
 
 
 def simulate(
@@ -333,7 +378,8 @@ def simulate(
     Every mode goes through one propagator (see the module docstring), a
     batch of steps at a time: m-1 steps for a delay of m >= 3 steps, one
     step for m = 1 or 2, and 4096 steps when nothing is delayed.  Each
-    batch reads only history that earlier batches have accepted.
+    batch reads only history that earlier batches have accepted.  The
+    accepted rows are copied into the run's states as the buffer slides.
 
     Args:
         sys: system to integrate.
@@ -347,73 +393,77 @@ def simulate(
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
-    h, nsteps, m, nbytes, x0, a0, atau = _prepare(sys, delay, x0, horizon, step, disturbance)
-    pad = m + 4
-    try:
-        w_grid = w_mid = None
-        if disturbance is not None:
-            # jmat: the disturbance enters every velocity error, the last f rows
-            f = sys.lg.shape[0]
-            jmat = np.eye(sys.dim, f, f - sys.dim)
-            grid_times = np.arange(nsteps + 1) * h
-            w_grid = disturbance.sample(grid_times, f, h) @ jmat.T
-            w_mid = disturbance.sample(grid_times[:-1] + h / 2.0, f, h) @ jmat.T
-        hist = np.empty((pad + nsteps + 1, len(x0)))
-    except MemoryError as exc:
-        raise ParameterError(
-            f"cannot allocate the {nbytes / 2**30:.4g} GiB of buffers "
-            f"for a run of {nsteps} steps"
-        ) from exc
-    hist[: pad + 1] = x0
-    # a batch past the cutoff, or the powers of P for a step far beyond
-    # RK4's bound, may overflow before the run is cut back; the buffer holds
-    # the whole run, so it never slides
-    with np.errstate(over="ignore", invalid="ignore"):
-        base, last, diverged, _ = _advance(hist, pad, nsteps, m, a0, atau, h, w_grid, w_mid)
+    run = _prepare(sys, delay, x0, horizon, step, disturbance)
+    states = _allocate(run.nsteps + 1, sys.dim, run.nsteps)
 
-    times = np.arange(last + 1) * h
-    # a view, not a copy: the history buffer is not used after the run
-    states = hist[base : base + last + 1]
-    meta = {
-        "n": sys.n if sys.n is not None else -1,
-        "k": sys.k if sys.k is not None else -1,
-        "kind": sys.kind,
-        "mode": delay.mode,
-        "tau": delay.tau,
-        "tau_effective": m * h,
-        "step": h,
-        "seed": getattr(disturbance, "seed", None),
-        "diverged": diverged,
-    }
-    return Trajectory(times=times, states=states, meta=meta)
+    def keep(first, rows):
+        states[first : first + len(rows)] = rows
+
+    last, diverged = _advance(run, keep)
+    # a view, not a copy: the rows past a diverged run's last are not kept
+    return Trajectory(times=np.arange(last + 1) * run.h, states=states[: last + 1],
+                      meta=dict(run.meta, diverged=diverged))
+
+
+def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
+                    step: float, disturbance=None) -> tuple:
+    """Write the run of simulate(sys, delay, x0, horizon, step, disturbance)
+    to the CSV file `path`, byte for byte as its to_csv writes it, and return
+    (classify's verdict on it, its meta), without holding the run: each
+    stretch of accepted rows is written as the buffer slides, and classify's
+    two rows are copied as they pass.  The file is opened once the buffers
+    are allocated, so a run refused, or whose buffers cannot be allocated,
+    writes no file.  Inputs are checked and refused as by simulate.
+    """
+    run = _prepare(sys, delay, x0, horizon, step, disturbance)
+    ends, judge = _classify_rows(run)
+    with open(path, "w") as fh:
+        fh.write(_csv_head(run.meta, sys.dim))
+
+        def write(first, rows):
+            _csv_rows(fh, np.arange(first, first + len(rows)) * run.h, rows)
+            ends(first, rows)
+
+        last, diverged = _advance(run, write)
+        if diverged:
+            fh.write(_DIVERGED_LINE)
+    return judge(last, diverged), dict(run.meta, diverged=diverged)
 
 
 def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -> StabilityVerdict:
     """classify(simulate(sys, delay, x0, horizon, step)), field for field,
-    without holding the run: the history buffer keeps the delay window and
-    one batch (at least _CHUNK_ROWS rows, at most the run), and slides (see
-    _advance).  classify's start row is copied when the batch that fills it
-    is accepted.  Inputs are checked and refused as by simulate, check_run
-    included, which also bounds the number of steps.
+    without holding the run: classify's two rows are copied as the buffer
+    slides past them (see _advance).  Inputs are checked and refused as by
+    simulate, check_run included, which also bounds the number of steps.
     """
-    h, nsteps, m, _, x0, a0, atau = _prepare(sys, delay, x0, horizon, step, None)
-    pad = m + 4
-    hist = np.empty((pad + 1 + min(nsteps, max(_batch_steps(m), _CHUNK_ROWS)), len(x0)))
-    hist[: pad + 1] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        base, last, diverged, start = _advance(
-            hist, pad, nsteps, m, a0, atau, h, None, None, keep=_window_start(nsteps))
-    rows = None if diverged else np.stack((start, hist[base + last]))
-    # last * h is classify's horizon, the last of simulate's times
-    return _judge(rows, last * h, diverged)
+    run = _prepare(sys, delay, x0, horizon, step, None)
+    ends, judge = _classify_rows(run)
+    return judge(*_advance(run, ends))
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A checked run: xdot = a0 x(t) + atau x(t - m h) + w(t), with a0 or
+    atau None where absent, over nsteps steps of h; hist is its sliding
+    buffer with the pre-history filled, forcing its disturbance (or None),
+    and meta the trajectory metadata but the divergence flag."""
+
+    h: float
+    nsteps: int
+    m: int
+    a0: np.ndarray | None
+    atau: np.ndarray | None
+    hist: np.ndarray
+    forcing: object
+    meta: dict
 
 
 def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
-             disturbance) -> tuple:
-    """The checks and operators of a run of simulate or verdict: returns
-    (h, nsteps, m, bytes of buffers, x0, a0, atau) for xdot = a0 x(t) +
-    atau x(t - m h), with a0 or atau None where absent."""
-    h, nsteps, m, nbytes = check_run(sys, delay, horizon, step, disturbance)
+             disturbance) -> _Run:
+    """The checks, operators and buffer of a run of simulate,
+    simulate_to_csv or verdict.  The buffer holds the delay window and one
+    batch (at least _CHUNK_ROWS rows, at most the run)."""
+    h, nsteps, m = check_run(sys, delay, horizon, step, disturbance)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
@@ -433,7 +483,83 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
         # lg = Dg - Ag: own state instantaneous, neighbor states delayed
         dg = np.diag(np.diag(lg))
         a0, atau = -dg, dg - lg
-    return h, nsteps, m, nbytes, x0, a0, atau
+    hist = _allocate(m + 5 + min(nsteps, max(_batch_steps(m), _CHUNK_ROWS)), sys.dim, nsteps)
+    hist[: m + 5] = x0
+    meta = {
+        "n": sys.n if sys.n is not None else -1,
+        "k": sys.k if sys.k is not None else -1,
+        "kind": sys.kind,
+        "mode": delay.mode,
+        "tau": delay.tau,
+        "tau_effective": m * h,
+        "step": h,
+        "seed": getattr(disturbance, "seed", None),
+    }
+    return _Run(h, nsteps, m, a0, atau, hist, _forcing(sys, disturbance, h, nsteps), meta)
+
+
+def _allocate(rows: int, dim: int, nsteps: int) -> np.ndarray:
+    """An empty (rows, dim) buffer of a run of nsteps steps.
+
+    Raises:
+        ParameterError: when it fits physical memory (check_run) but not
+            the process's limits.
+    """
+    try:
+        return np.empty((rows, dim))
+    except MemoryError as exc:
+        raise ParameterError(
+            f"cannot allocate the {8.0 * rows * dim / 2**30:.4g} GiB of buffers "
+            f"for a run of {nsteps} steps"
+        ) from exc
+
+
+def _forcing(sys: SimSystem, disturbance, h: float, nsteps: int):
+    """None without a disturbance; else take(i, b) -> the disturbance through
+    the input matrix at the grid times of steps i .. i+b-1, at their
+    midpoints, and at the grid times of steps i+1 .. i+b.  The samples are
+    taken for max(b, _CHUNK_ROWS) steps at a time, at the times
+    np.arange(nsteps + 1) * h and their midpoints would give."""
+    if disturbance is None:
+        return None
+    # jmat: the disturbance enters every velocity error, the last f rows
+    f = sys.lg.shape[0]
+    jmat = np.eye(sys.dim, f, f - sys.dim)
+    sample = disturbance.sampler(f, h)
+    lo = hi = 0
+    grid = mid = None
+
+    def take(i, b):
+        nonlocal lo, hi, grid, mid
+        if i + b > hi:
+            lo, hi = i, min(nsteps, i + max(b, _CHUNK_ROWS))
+            times = np.arange(lo, hi + 1) * h
+            grid = sample(times) @ jmat.T
+            mid = sample(times[:-1] + h / 2.0) @ jmat.T
+        j = i - lo
+        return grid[j : j + b], mid[j : j + b], grid[j + 1 : j + b + 1]
+
+    return take
+
+
+def _classify_rows(run: _Run) -> tuple:
+    """(sink, judge): the sink copies the two rows classify compares as they
+    pass, and judge(last, diverged) returns classify's verdict on the run
+    that _advance returned (last, diverged) for."""
+    steps = (_window_start(run.nsteps), run.nsteps)
+    kept = {}
+
+    def sink(first, rows):
+        for i in steps:
+            if first <= i < first + len(rows):
+                kept[i] = rows[i - first].copy()
+
+    def judge(last, diverged):
+        # last * h is classify's horizon, the last of simulate's times
+        rows = None if diverged else np.stack([kept[i] for i in steps])
+        return _judge(rows, last * run.h, diverged)
+
+    return sink, judge
 
 
 def _batch_steps(m: int) -> int:
@@ -441,7 +567,10 @@ def _batch_steps(m: int) -> int:
     return _CHUNK_ROWS if m == 0 else max(m - 1, 1)
 
 
-def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tuple:
+# a batch past the cutoff, or the powers of P for a step far beyond RK4's
+# bound, may overflow before the run is cut back
+@np.errstate(over="ignore", invalid="ignore")
+def _advance(run: _Run, sink) -> tuple:
     """RK4 for xdot = a0 x(t) + atau x(t - m h) + w(t) (see the module
     docstring), a batch of steps at a time: step i's state goes to row
     base + i of hist, whose rows base - m - 4 .. base hold the pre-history.
@@ -453,13 +582,15 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tupl
     the recurrence runs over them in place (_recur, or a cumulative sum in
     mode "full").
 
-    When a batch would run past the end of hist, the accepted state and the
+    When a batch would run past the end of hist, the accepted rows not yet
+    handed on go to sink(first step, rows); then the accepted state and the
     m + 4 rows before it, which hold every row the batch reads, are copied
     to the front, and base moves back so that the state is row base + i
-    again; hist must then hold m + 5 rows and one batch.  Batches and
-    products are the same wherever the rows lie, so a run that slides fills
-    its rows bit for bit as one that does not.  A buffer of m + 5 + nsteps
-    rows, the whole run, never slides.
+    again.  hist holds m + 5 rows and one batch.  Batches and products are
+    the same wherever the rows lie, so a run that slides fills its rows bit
+    for bit as one that does not.  The run's last rows go to the sink when
+    it ends, so the sink sees every row from step 0 to the last, once and
+    in order.  The rows it gets are a view of hist, valid until it returns.
 
     In mode "full" the b + 3 delayed samples of a batch of b steps take one
     product y = xd (h/24) atau^T, and step j's forcing is the four-tap
@@ -479,11 +610,11 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tupl
     one is filled from a finite start.  No other norm is taken here: the
     Trajectory computes them where they are read.
 
-    Returns (base, last, diverged, kept): the final base, the number of
-    steps kept, whether the run stopped at such a row, and a copy of step
-    keep's state, taken when the batch that fills it is accepted (None if
-    no accepted batch filled it).
+    Returns (last, diverged): the number of steps kept, and whether the run
+    stopped at such a row.
     """
+    hist, nsteps, m, a0, atau, h, forcing = (
+        run.hist, run.nsteps, run.m, run.a0, run.atau, run.h, run.forcing)
     batch = _batch_steps(m)
     screen = (0.5 * DIVERGENCE_CUTOFF) ** 2
     (w0, w1, w2, w3), taps, s0 = (
@@ -510,20 +641,22 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tupl
             # a zero state with inf * 0 = NaN; such runs keep the plain loop
             if np.all(np.isfinite(powers[-1])):
                 pc, fill = powers[-1], np.hstack([q.T for q in powers[:-1]])
-        forced = atau is not None or w_grid is not None
-    last, diverged, kept = nsteps, False, None
-    pad = m + 4
-    i = 0  # steps taken
+        forced = atau is not None or forcing is not None
+    last, diverged = nsteps, False
+    pad = base = m + 4
+    i = sent = 0  # steps taken, rows handed to the sink
     while i < nsteps:
         b = min(batch, nsteps - i)
         if base + i + b + 1 > len(hist):
+            sink(sent, hist[base + sent : base + i + 1])
+            sent = i + 1
             hist[: pad + 1] = hist[base + i - pad : base + i + 1]
             base = pad - i
         # rows[0] is the accepted state, g the batch's rows
         rows = hist[base + i : base + i + b + 1]
         g = rows[1:]
-        if w_grid is not None:
-            wg0, wgh, wg1 = w_grid[i : i + b], w_mid[i : i + b], w_grid[i + 1 : i + b + 1]
+        if forcing is not None:
+            wg0, wgh, wg1 = forcing(i, b)
         if a0 is None:
             lo = base + i - m + s0
             y = hist[lo : lo + b + 3] @ kt
@@ -534,7 +667,7 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tupl
                 g *= 13.0
                 g -= y[:-3]
                 g -= y[3:]
-            if w_grid is not None:
+            if forcing is not None:
                 g += (h / 6.0) * (wg0 + 4.0 * wgh + wg1)
             np.add.accumulate(rows, axis=0, out=rows)
         else:
@@ -545,7 +678,7 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tupl
                 xd = hist[lo + s0 : lo + s0 + b + 3]
                 xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
                 g[:] = hist[lo : lo + b] @ c1a.T + xdh @ cha.T + hist[lo + 1 : lo + b + 1] @ c4a.T
-            if w_grid is not None:
+            if forcing is not None:
                 g += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
             _recur(rows, p, pc, fill, forced)
         # NaN if any entry is NaN, inf if one overflows; neither passes
@@ -555,10 +688,9 @@ def _advance(hist, base, nsteps, m, a0, atau, h, w_grid, w_mid, keep=-1) -> tupl
             if bad.any():
                 last, diverged = i + 1 + int(np.argmax(bad)), True
                 break
-        if i < keep <= i + b:
-            kept = hist[base + keep].copy()
         i += b
-    return base, last, diverged, kept
+    sink(sent, hist[base + sent : base + last + 1])
+    return last, diverged
 
 
 def _recur(rows, p, pc, fill, forced) -> None:

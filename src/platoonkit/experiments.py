@@ -445,18 +445,14 @@ def run_simulate(cfg: ScenarioConfig, outdir) -> list:
     horizon = cfg.horizon if cfg.horizon is not None else dde_sim.default_horizon(spec.lambda1)
     step = cfg.step if cfg.step is not None else dde_sim.default_step(cfg.tau)
     x0 = np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, sysm.dim)
-    traj = dde_sim.simulate(sysm, delay, x0, horizon, step, disturbance=_make_disturbance(cfg))
-    verdict = dde_sim.classify(traj)
     path = outdir / "trajectory.csv"
-    with open(path, "w") as fh:
-        traj.to_csv(fh)
-    paths = [str(path)]
+    verdict, meta = dde_sim.simulate_to_csv(path, sysm, delay, x0, horizon, step,
+                                            disturbance=_make_disturbance(cfg))
     verdict_text = (
         f"stable={_fmt(verdict.stable)}, decay_ratio={_fmt(verdict.decay_ratio)}, "
-        f"horizon={_fmt(verdict.horizon)}, tau_effective={_fmt(traj.meta['tau_effective'])}\n"
+        f"horizon={_fmt(verdict.horizon)}, tau_effective={_fmt(meta['tau_effective'])}\n"
     )
-    paths.append(_write(outdir / "verdict.txt", verdict_text))
-    return paths
+    return [str(path), _write(outdir / "verdict.txt", verdict_text)]
 
 
 # ---------------------------------------------------------------------------

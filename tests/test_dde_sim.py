@@ -105,6 +105,24 @@ class TestSimulateBasics:
             with pytest.raises(ParameterError):
                 simulate(sysm, DelaySpec(0.1, "full"), np.ones(4), bad, 0.01)  # horizon
 
+    @pytest.mark.parametrize("run, limit", [
+        (simulate, 20_001),  # the whole run's states; the sliding buffer fits
+        (simulate, dde_sim._CHUNK_ROWS),  # the sliding buffer
+        (verdict, dde_sim._CHUNK_ROWS),
+    ])
+    def test_failed_allocation_is_a_parameter_error(self, monkeypatch, run, limit):
+        # buffers that fit physical memory but not the process's limits
+        real_empty = np.empty
+
+        def refuse(shape, *args, **kwargs):
+            if np.atleast_1d(shape)[0] >= limit:
+                raise MemoryError
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr("platoonkit.dde_sim.np.empty", refuse)
+        with pytest.raises(ParameterError, match="cannot allocate"):
+            run(scalar_system(), DelaySpec(0.1, "full"), np.ones(1), 20.0, 1e-3)
+
     def test_divergence_truncates_with_marker(self):
         traj = simulate(scalar_system(), DelaySpec(3.0, "full"), np.ones(1), 400.0, 0.02)
         assert traj.diverged
@@ -145,7 +163,9 @@ class TestSimulateBasics:
             if not diverged:
                 w0 = round(0.75 * (len(norms) - 1))
                 assert classify(traj).decay_ratio == norms[-1] / norms[w0]
-            rows = csv_text(traj).splitlines()[-len(norms):]
+            # the rows follow the two header lines; a diverged run's marker
+            # follows them
+            rows = csv_text(traj).splitlines()[2 : 2 + len(norms)]
             assert [row.split(",")[1] for row in rows] == [f"{v:.12g}" for v in norms]
 
 
@@ -222,8 +242,9 @@ def reference_rk4(a0, atau, jmat, x0, m, h, nsteps, disturbance=None):
         w_grid, w_mid = np.zeros((nsteps + 1, dim)), np.zeros((nsteps, dim))
     else:
         grid = np.arange(nsteps + 1) * h
-        w_grid = disturbance.sample(grid, jmat.shape[1], h) @ jmat.T
-        w_mid = disturbance.sample(grid[:-1] + h / 2.0, jmat.shape[1], h) @ jmat.T
+        sample = disturbance.sampler(jmat.shape[1], h)
+        w_grid = sample(grid) @ jmat.T
+        w_mid = sample(grid[:-1] + h / 2.0) @ jmat.T
     first = -2 if m == 1 else -1
     weights = _cubic_midpoint_weights(range(first, first + 4))
     xs = [np.asarray(x0, dtype=float)]
@@ -732,17 +753,14 @@ class TestTrajectoryCsv:
         traj = Trajectory(times=times, states=states,
                           meta={"n": 5, "k": 2, "tau": 0.1, "diverged": True})
         lines = csv_text(traj).split("\n")
-        assert lines[:3] == [
-            "# n=5, k=2, tau=0.1",
-            "# diverged=true (run truncated at state norm > 1e12)",
-            "t,norm,x_1,x_2,x_3",
-        ]
-        assert lines[-1] == ""
-        assert lines[3:-1] == [
+        assert lines[:2] == ["# n=5, k=2, tau=0.1", "t,norm,x_1,x_2,x_3"]
+        # the marker is known when the run ends: the file's last line
+        assert lines[-2:] == ["# diverged=true (run truncated at state norm > 1e12)", ""]
+        assert lines[2:-2] == [
             f"{t:.12g},{nrm:.12g}," + ",".join(f"{v:.12g}" for v in row)
             for t, nrm, row in zip(times, norms, states)
         ]
-        assert "-0" in lines[3].split(",") and "inf" in lines[-2] and "nan" in lines[-3]
+        assert "-0" in lines[2].split(",") and "inf" in lines[-3] and "nan" in lines[-4]
 
     def test_memory_does_not_grow_with_the_run(self, monkeypatch):
         # the text is written a chunk at a time: writing 32 chunks of rows

@@ -1,15 +1,27 @@
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonkit import NumericalError, ParameterError, dde_sim, robustness
+from platoonkit import (
+    NumericalError,
+    ParameterError,
+    build_platoon,
+    dde_sim,
+    eig_sym,
+    ground,
+    make_reference_set,
+    robustness,
+)
 from platoonkit.cli import main
 from platoonkit.experiments import (
     _NUMERIC_KEYS,
     ScenarioConfig,
+    _fmt,
     emit_config,
     finalize_config,
     fit_loglog,
@@ -18,6 +30,7 @@ from platoonkit.experiments import (
     run_remove_add_sweep,
     run_report,
     run_scaling,
+    run_simulate,
     run_verify,
 )
 
@@ -471,20 +484,26 @@ class TestCli:
         assert not (tmp_path / "verdict.txt").exists()
 
     def test_failed_allocation_exit_2(self, tmp_path, capsys, monkeypatch):
-        # buffers that fit physical memory but not the process's limits: the
-        # run's 20,000 steps are refused, small arrays are not
+        # a buffer that fits physical memory but not the process's limits:
+        # the streamed run's sliding buffer, its delay window of m + 5 = 105
+        # rows plus one chunk of rows, is refused; smaller arrays are not
         real_empty = np.empty
+        refused = []
 
-        def refuse_large(shape, *args, **kwargs):
-            if np.prod(shape) >= 20_000:
+        def refuse_window(shape, *args, **kwargs):
+            rows = int(np.atleast_1d(shape)[0])
+            if rows >= dde_sim._CHUNK_ROWS:
+                refused.append(rows)
                 raise MemoryError
             return real_empty(shape, *args, **kwargs)
 
-        monkeypatch.setattr("platoonkit.dde_sim.np.empty", refuse_large)
+        monkeypatch.setattr("platoonkit.dde_sim.np.empty", refuse_window)
         argv = ["simulate", "--n", "5", "--k", "2", "--tau", "0.1", "--horizon", "20",
                 "--out", str(tmp_path)]
         assert main(argv) == 2
         assert "cannot allocate" in capsys.readouterr().err
+        assert refused == [105 + dde_sim._CHUNK_ROWS]
+        assert not (tmp_path / "trajectory.csv").exists()
         assert not (tmp_path / "verdict.txt").exists()
 
     def test_platoon_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -609,3 +628,137 @@ class TestVerifyBattery:
         failures, lines = run_verify(seed=0)
         assert failures == []
         assert all(line.startswith("verify ok:") for line in lines)
+
+
+class TestSimulateStreamsTheWholeRun:
+    """`simulate` writes trajectory.csv as the run slides, never holding it:
+    its files must equal simulate(...) formatted whole and classify on it,
+    byte for byte.  The sliding buffer holds the delay window and
+    max(batch, _CHUNK_ROWS) steps, so a run longer than that slides."""
+
+    GS = ground(build_platoon(5, 2), make_reference_set(5, [3]))
+    BASE = ["--n", "5", "--k", "2", "--arrangement", "explicit", "--refs", "3", "--seed", "4"]
+
+    def _system(self, kind):
+        spec = eig_sym(self.GS.lg)
+        if kind == "velocity":
+            return dde_sim.velocity_system(self.GS), robustness.delay_margin_velocity(spec)
+        return dde_sim.formation_system(self.GS), robustness.delay_margin_formation(spec, 2).exact
+
+    def _check(self, tmp_path, mode, kind, tau, h, nsteps, diverged):
+        sysm, _ = self._system(kind)
+        horizon = (nsteps + 0.3) * h
+        assert main(["simulate", *self.BASE, "--dynamics", kind, "--delay-mode", mode,
+                     "--tau", repr(tau), "--step", repr(h), "--horizon", repr(horizon),
+                     "--out", str(tmp_path)]) == 0
+        x0 = np.random.default_rng(4).uniform(-1.0, 1.0, sysm.dim)
+        traj = dde_sim.simulate(sysm, dde_sim.DelaySpec(tau, mode), x0, horizon, h)
+        assert traj.diverged == diverged
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert (tmp_path / "trajectory.csv").read_text() == buf.getvalue()
+        want = dde_sim.classify(traj)
+        assert (tmp_path / "verdict.txt").read_text() == (
+            f"stable={_fmt(want.stable)}, decay_ratio={_fmt(want.decay_ratio)}, "
+            f"horizon={_fmt(want.horizon)}, tau_effective={_fmt(traj.meta['tau_effective'])}\n")
+
+    @pytest.mark.parametrize("mode, kind, m, nsteps", [
+        ("full", "velocity", 0, 3000),  # tau = 0, shorter than the window
+        ("full", "formation", 0, 10923),  # three batches of 4096
+        ("full", "velocity", 1, 9000),
+        ("full", "formation", 2, 9000),
+        ("full", "velocity", 3, 41000),  # slides ten times
+        ("full", "formation", 150, 2384),  # no slide
+        ("full", "velocity", 150, 11920),  # two slides
+        ("self-undelayed", "velocity", 2, 5000),
+        ("self-undelayed", "velocity", 150, 11920),
+    ])
+    def test_every_mode_and_window(self, tmp_path, mode, kind, m, nsteps):
+        _, margin = self._system(kind)
+        # a horizon of 40, or a quarter of the margin in the fully delayed
+        # runs: the runs decay without diverging
+        h = 40.0 / nsteps if m == 0 else min(40.0 / nsteps, 0.25 * margin / m)
+        self._check(tmp_path, mode, kind, m * h, h, nsteps, False)
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    def test_diverged_run_cut_after_a_slide(self, tmp_path, kind):
+        # the divergence marker is the file's last line
+        _, margin = self._system(kind)
+        tau = 3.0 * margin
+        self._check(tmp_path, "full", kind, tau, tau / 150, 200 * 150, True)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert lines[-1] == "# diverged=true (run truncated at state norm > 1e12)"
+        assert dde_sim._CHUNK_ROWS < len(lines) - 3 < 200 * 150
+
+    @staticmethod
+    def _whole_run_sampler(dist, dim, h, nsteps):
+        """The samples of a run drawn whole, as each of its grid and
+        midpoint calls once drew them: a sinusoid at every time, or noise
+        from a fresh generator's table for the whole run.  The sampler
+        returns them for any of those times, and refuses any other."""
+        grid = np.arange(nsteps + 1) * h
+        times = np.concatenate((grid, grid[:-1] + h / 2.0))
+        values = []
+        for t in (grid, grid[:-1] + h / 2.0):
+            if isinstance(dist, dde_sim.SinusoidDisturbance):
+                values.append(np.repeat((dist.amplitude * np.sin(dist.omega * t))[:, None],
+                                        dim, axis=1))
+            else:
+                rows = int(round(float(t[-1]) / h)) + 2
+                table = np.random.default_rng(dist.seed).uniform(
+                    -dist.amplitude, dist.amplitude, size=(rows, dim))
+                values.append(table[np.minimum((t / h).astype(int), rows - 1)])
+        order = np.argsort(times)
+        times, values = times[order], np.concatenate(values)[order]
+
+        def sample(t):
+            pos = np.searchsorted(times, t)
+            assert np.array_equal(times[pos], t)
+            return values[pos]
+
+        return sample
+
+    @pytest.mark.parametrize("disturbance", ["sin", "noise"])
+    @pytest.mark.parametrize("delay", [
+        pytest.param(["--tau", "0"], id="undelayed"),  # batches of a chunk
+        # batches of 99 steps, across chunk ends
+        pytest.param(["--tau", "0.1"], id="full"),
+        pytest.param(["--tau", "0.1", "--delay-mode", "self-undelayed"], id="self-undelayed"),
+    ])
+    def test_disturbance_sampled_per_chunk_equals_whole_run(self, tmp_path, monkeypatch,
+                                                            disturbance, delay):
+        # 20,000 steps, five chunks of samples
+        argv = ["simulate", *self.BASE, *delay, "--horizon", "20", "--step", "0.001",
+                "--disturbance", disturbance, "--amplitude", "0.3", "--omega", "1.7"]
+        assert main(argv + ["--out", str(tmp_path / "chunked")]) == 0
+        whole = self._whole_run_sampler
+        for cls in (dde_sim.SinusoidDisturbance, dde_sim.NoiseDisturbance):
+            monkeypatch.setattr(cls, "sampler",
+                                lambda dist, dim, step: whole(dist, dim, step, 20_000))
+        assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+        for name in ("trajectory.csv", "verdict.txt"):
+            assert ((tmp_path / "chunked" / name).read_bytes()
+                    == (tmp_path / "whole" / name).read_bytes())
+
+    def test_memory_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
+        # run_simulate over four times the horizon peaks where the shorter
+        # run does, below the longer run's own states.  Smaller chunks keep
+        # the traced runs short; the bound holds per row.
+        monkeypatch.setattr(dde_sim, "_CHUNK_ROWS", 1024)
+
+        def run(horizon):
+            run_simulate(ScenarioConfig(n=5, k=2, arrangement="explicit", refs=(3,),
+                                        experiment="simulate", tau=0.1, horizon=horizon,
+                                        step=5e-3), tmp_path)
+
+        run(40.0)  # untraced: a first run also loads what later runs reuse
+        peaks = []
+        for horizon in (40.0, 160.0):
+            tracemalloc.start()
+            try:
+                run(horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) < 8 * (160.0 / 5e-3 + 1) * len(self.GS.lg)
