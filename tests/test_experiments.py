@@ -630,6 +630,15 @@ class TestVerifyBattery:
         assert all(line.startswith("verify ok:") for line in lines)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts, else the first line that differs: pytest's own diff of
+    two texts of many thousand rows takes minutes."""
+    got, want = got.splitlines(True), want.splitlines(True)
+    same = [a == b for a, b in zip(got, want)]
+    first = same.index(False) if False in same else len(same)
+    assert (first, len(got)) == (len(want), len(want)), (got[first:first + 1], want[first:first + 1])
+
+
 class TestSimulateStreamsTheWholeRun:
     """`simulate` writes trajectory.csv as the run slides, never holding it:
     its files must equal simulate(...) formatted whole and classify on it,
@@ -656,7 +665,7 @@ class TestSimulateStreamsTheWholeRun:
         assert traj.diverged == diverged
         buf = io.StringIO()
         traj.to_csv(buf)
-        assert (tmp_path / "trajectory.csv").read_text() == buf.getvalue()
+        assert_same_text((tmp_path / "trajectory.csv").read_text(), buf.getvalue())
         want = dde_sim.classify(traj)
         assert (tmp_path / "verdict.txt").read_text() == (
             f"stable={_fmt(want.stable)}, decay_ratio={_fmt(want.decay_ratio)}, "
@@ -737,8 +746,8 @@ class TestSimulateStreamsTheWholeRun:
                                 lambda dist, dim, step: whole(dist, dim, step, 20_000))
         assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
         for name in ("trajectory.csv", "verdict.txt"):
-            assert ((tmp_path / "chunked" / name).read_bytes()
-                    == (tmp_path / "whole" / name).read_bytes())
+            assert_same_text((tmp_path / "chunked" / name).read_text(),
+                             (tmp_path / "whole" / name).read_text())
 
     def test_memory_does_not_grow_with_the_run(self, tmp_path, monkeypatch):
         # run_simulate over four times the horizon peaks where the shorter
