@@ -32,8 +32,9 @@ their applications", 1990): pass 1 sums each chunk's forcings from a zero
 start, all chunks at once (c-1 products); pass 2 carries the chunk starts
 x_{k+1} = P^c x_k + (chunk k's last sum), one small product per chunk; pass
 3 adds P^j x_k to every row with one product against the stacked powers of
-P.  Left-over steps, and batches of fewer than two chunks, take one product
-per step.  The polynomial form, the filter and the chunked sums round
+P, each written into its place as the product of the one before with P.
+Left-over steps, and batches of fewer than two chunks, take one product per
+step.  The polynomial form, the filter and the chunked sums round
 differently from evaluating the four stages one by one, by a few 1e-14 of
 the trajectory's maximum.
 
@@ -52,10 +53,10 @@ screened by its sum of squares, one dot product; only a batch past
 (1e12 / 2)^2 takes per-row norms to find the first divergent row.  No norms
 are stored: Trajectory.norms takes every row's, _CHUNK_ROWS rows at a time,
 when it is read; classify takes the two rows it compares, and the CSV writer
-each chunk's as it formats it.  The CSV writer writes each chunk to its file
-before it formats the next, so it holds no more than one chunk's text at a
-time.  A diverged run's CSV ends with its divergence marker, which is known
-only when the run ends.
+each piece's as it formats it.  The CSV writer formats _CSV_ROWS rows at a
+time and writes each piece to its file before it formats the next, so it
+holds no more than one piece's values and text at a time.  A diverged run's
+CSV ends with its divergence marker, which is known only when the run ends.
 
 Every run integrates in one buffer of the delay window plus one batch or
 _CHUNK_ROWS rows: when a batch would run past its end, the rows accepted
@@ -64,7 +65,10 @@ is copied to the front, and the run goes on from there, so every row is
 computed as in a buffer of the whole run.  simulate's sink copies the rows
 into the whole run's states; simulate_to_csv's writes them to the CSV file,
 and verdict's keeps only the two rows classify compares.  A disturbance is
-sampled a chunk of steps at a time, never for the whole run.
+sampled a chunk of steps at a time, never for the whole run.  Beside the
+buffer a run holds its operators, the stacked powers of P, one batch's
+temporaries and one piece of CSV text: nothing else grows with _CHUNK_ROWS
+or with the number of powers.
 """
 
 from __future__ import annotations
@@ -94,8 +98,13 @@ STABILITY_THRESHOLD = 0.2
 TRAILING_WINDOW = 0.25
 
 # rows handled at a time where whole-run temporaries would double a run's
-# memory: undelayed integration batches, the norms and CSV formatting
+# memory: undelayed integration batches, the sliding buffer and the norms
 _CHUNK_ROWS = 4096
+
+# rows formatted and written at a time by the CSV writer: a piece's Python
+# floats and text take several times its states, and formatting costs the
+# same per row in pieces of this size as in whole chunks
+_CSV_ROWS = 256
 
 # steps per delay in each run of threshold_scan
 _SCAN_STEPS_PER_TAU = 150
@@ -194,17 +203,19 @@ class NoiseDisturbance:
 
     def sampler(self, dim: int, step: float):
         """The run's sampler: times -> the (len(times), dim) samples.  Time t
-        reads row int(t / step) of one table, whose rows one generator of
-        the seed draws in order as later times ask for them.  Rows before
-        the earliest time of the last call are dropped, so a run that reads
-        its times a chunk at a time holds a chunk of the table, and no call
-        may ask for a time before that."""
+        reads row rint(2 t / step) // 2 of one table, whose rows one
+        generator of the seed draws in order as later times ask for them:
+        step i's grid time i * step and its midpoint read row i, although
+        i * step / step falls just below i at some i.  Rows before the
+        earliest time of the last call are dropped, so a run that reads its
+        times a chunk at a time holds a chunk of the table, and no call may
+        ask for a time before that."""
         rng = np.random.default_rng(self.seed)
         table, row0 = np.empty((0, dim)), 0
 
         def sample(times):
             nonlocal table, row0
-            idx = (np.asarray(times) / step).astype(int)
+            idx = np.rint(2.0 * np.asarray(times) / step).astype(int) // 2
             lo, hi = int(idx.min()), int(idx.max())
             if lo < row0:
                 raise ValueError(f"noise row {lo} was dropped; the table starts at row {row0}")
@@ -254,7 +265,7 @@ class Trajectory:
 
     def to_csv(self, fh) -> None:
         """Write the run as CSV to the open text file `fh`: the metadata and
-        column lines, the rows a chunk at a time (_csv_rows), then the
+        column lines, the rows a piece at a time (_csv_rows), then the
         divergence marker of a diverged run."""
         fh.write(_csv_head(self.meta, self.states.shape[1]))
         _csv_rows(fh, self.times, self.states)
@@ -279,18 +290,15 @@ def _csv_head(meta: dict, dim: int) -> str:
 
 
 def _csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:
-    """Write one CSV row per state, `t,norm,x_1,..`, each chunk of
-    _CHUNK_ROWS rows as soon as it is formatted, so only one chunk's text is
+    """Write one CSV row per state, `t,norm,x_1,..`, each piece of _CSV_ROWS
+    rows as soon as it is formatted, so only one piece's values and text are
     held at a time.  A row's text depends on that row alone, so rows written
-    in any stretches read as rows written at once."""
+    in any pieces read as rows written at once."""
     fmt = ",".join(["%.12g"] * (states.shape[1] + 2)) + "\n"
-    # chunks of rows: tolist() on the whole run would hold every value as a
-    # Python float at once, and its text would be several times the size of
-    # the states
-    for lo in range(0, len(times), _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        chunk = np.column_stack((times[lo:hi], _row_norms(states[lo:hi]), states[lo:hi]))
-        fh.write("".join(fmt % tuple(row) for row in chunk.tolist()))
+    for lo in range(0, len(times), _CSV_ROWS):
+        hi = lo + _CSV_ROWS
+        piece = np.column_stack((times[lo:hi], _row_norms(states[lo:hi]), states[lo:hi]))
+        fh.write("".join(fmt % tuple(row) for row in piece.tolist()))
 
 
 @dataclass(frozen=True)
@@ -522,20 +530,24 @@ def _forcing(sys: SimSystem, disturbance, h: float, nsteps: int):
     np.arange(nsteps + 1) * h and their midpoints would give."""
     if disturbance is None:
         return None
-    # jmat: the disturbance enters every velocity error, the last f rows
     f = sys.lg.shape[0]
-    jmat = np.eye(sys.dim, f, f - sys.dim)
     sample = disturbance.sampler(f, h)
     lo = hi = 0
     grid = mid = None
+
+    def enter(times):
+        # the disturbance enters every velocity error, the last f states
+        out = np.zeros((len(times), sys.dim))
+        out[:, sys.dim - f :] = sample(times)
+        return out
 
     def take(i, b):
         nonlocal lo, hi, grid, mid
         if i + b > hi:
             lo, hi = i, min(nsteps, i + max(b, _CHUNK_ROWS))
             times = np.arange(lo, hi + 1) * h
-            grid = sample(times) @ jmat.T
-            mid = sample(times[:-1] + h / 2.0) @ jmat.T
+            grid = enter(times)
+            mid = enter(times[:-1] + h / 2.0)
         j = i - lo
         return grid[j : j + b], mid[j : j + b], grid[j + 1 : j + b + 1]
 
@@ -634,13 +646,18 @@ def _advance(run: _Run, sink) -> tuple:
             c1a, cha, c4a = (c @ atau for c in (c1, ch, c4))
         pc = fill = None
         if min(batch, nsteps) >= 2 * _SCAN_CHUNK:
-            powers = [p]
-            for _ in range(_SCAN_CHUNK - 1):
-                powers.append(powers[-1] @ p)
+            # P^1 .. P^(c-1) go straight into their blocks of fill, each the
+            # product of the one before with P; only the last power is kept
+            fill = np.empty((len(p), (_SCAN_CHUNK - 1) * len(p)))
+            blocks = fill.reshape(len(p), _SCAN_CHUNK - 1, len(p))
+            pc = p
+            for j in range(_SCAN_CHUNK - 1):
+                blocks[:, j] = pc.T
+                pc = pc @ p
             # a step so far beyond RK4's bound that P^c overflows would fill
             # a zero state with inf * 0 = NaN; such runs keep the plain loop
-            if np.all(np.isfinite(powers[-1])):
-                pc, fill = powers[-1], np.hstack([q.T for q in powers[:-1]])
+            if not np.all(np.isfinite(pc)):
+                pc = fill = None
         forced = atau is not None or forcing is not None
     last, diverged = nsteps, False
     pad = base = m + 4

@@ -717,6 +717,17 @@ class TestDisturbances:
                         disturbance=dist)
         assert traj.norms[-1] > 0.0 and not traj.diverged
 
+    @pytest.mark.parametrize("h", [1e-3, 5e-3, 0.1])
+    def test_noise_step_times_read_their_own_row(self, h):
+        # i * h / h falls just below i at some i; step i's grid time and
+        # its midpoint must still read row i, as one run samples them
+        nsteps, dim = 200_000, 2
+        table = np.random.default_rng(4).uniform(-0.2, 0.2, (nsteps + 1, dim))
+        grid = np.arange(nsteps + 1) * h
+        sample = NoiseDisturbance(amplitude=0.2, seed=4).sampler(dim, h)
+        assert np.array_equal(sample(grid), table)
+        assert np.array_equal(sample(grid[:-1] + h / 2.0), table[:-1])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):
         for kwargs in ({"amplitude": bad, "omega": 1.0}, {"amplitude": 1.0, "omega": bad}):
@@ -762,15 +773,12 @@ class TestTrajectoryCsv:
         ]
         assert "-0" in lines[2].split(",") and "inf" in lines[-3] and "nan" in lines[-4]
 
-    def test_memory_does_not_grow_with_the_run(self, monkeypatch):
-        # the text is written a chunk at a time: writing 32 chunks of rows
-        # peaks where writing 8 does, below the longer run's own states.
-        # Smaller chunks keep the traced runs short; the bound holds per row.
-        monkeypatch.setattr(dde_sim, "_CHUNK_ROWS", 1024)
+    def test_memory_does_not_grow_with_the_run(self):
+        # the text is written a piece at a time: writing 32,768 rows peaks
+        # where writing 8,192 does, below the longer run's own states
         rng = np.random.default_rng(3)
         peaks = []
-        for chunks in (8, 32):
-            rows = chunks * dde_sim._CHUNK_ROWS
+        for rows in (8192, 32768):
             traj = Trajectory(times=np.arange(rows) * 1e-3,
                               states=rng.standard_normal((rows, 4)), meta={"n": 5})
             with open(os.devnull, "w") as fh:
@@ -782,6 +790,57 @@ class TestTrajectoryCsv:
                     tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
         assert max(peaks) < traj.states.nbytes
+
+
+class TestWorkingSetIsTheRunsBuffers:
+    """A run holds its sliding buffer, its operators, a batch's temporaries
+    and one piece of CSV text, and nothing else that grows with
+    _CHUNK_ROWS or with the blocked recurrence's _SCAN_CHUNK powers.  Each
+    bound is summed from those sizes for the run's own dim, m and batch."""
+
+    GS = ground(build_platoon(36, 4), md_arrangement(36, 4))
+
+    @staticmethod
+    def _traced_peak(run):
+        run()  # untraced: a first run also loads what later runs reuse
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _held(dim, m):
+        """Bytes of the sliding buffer and of fill, the stacked powers
+        P^1 .. P^(c-1) of a run with an undelayed term."""
+        rows = m + 5 + max(dde_sim._batch_steps(m), dde_sim._CHUNK_ROWS)
+        return 8 * dim * (rows + (dde_sim._SCAN_CHUNK - 1) * dim)
+
+    def test_simulate_to_csv_self_undelayed(self):
+        # the battery's off-diagonal run over a tenth of its horizon, which
+        # slides twice
+        sysm = velocity_system(self.GS)
+        dim, m, h = sysm.dim, 1000, 0.005
+        peak = self._traced_peak(lambda: dde_sim.simulate_to_csv(
+            os.devnull, sysm, DelaySpec(m * h, "self-undelayed"), np.ones(dim), 50.0, h))
+        batch = 8 * dim * dde_sim._batch_steps(m)
+        # six rows of temporaries per batch step (the forcing's products and
+        # pass 3's), and 64 bytes a CSV value: a Python float, its pointer
+        # and its text
+        piece = 64 * (dim + 2) * dde_sim._CSV_ROWS
+        assert peak < self._held(dim, m) + 6 * batch + piece
+
+    def test_verdict_undelayed_formation(self):
+        sysm = formation_system(self.GS)
+        dim = sysm.dim
+        peak = self._traced_peak(lambda: verdict(
+            sysm, DelaySpec(0.0, "full"), np.ones(dim), 20.0, 1e-3))
+        # pass 3's product of the chunk starts with fill, and 32 dim x dim
+        # operators and their temporaries
+        s = dde_sim._batch_steps(0) // dde_sim._SCAN_CHUNK
+        pass3 = 8 * s * (dde_sim._SCAN_CHUNK - 1) * dim
+        assert peak < self._held(dim, 0) + pass3 + 32 * 8 * dim * dim
 
 
 class TestSimSystemValidation:

@@ -703,8 +703,9 @@ class TestSimulateStreamsTheWholeRun:
     def _whole_run_sampler(dist, dim, h, nsteps):
         """The samples of a run drawn whole, as each of its grid and
         midpoint calls once drew them: a sinusoid at every time, or noise
-        from a fresh generator's table for the whole run.  The sampler
-        returns them for any of those times, and refuses any other."""
+        from a fresh generator's table for the whole run, whose row i step
+        i's grid time and midpoint read.  The sampler returns them for any
+        of those times, and refuses any other."""
         grid = np.arange(nsteps + 1) * h
         times = np.concatenate((grid, grid[:-1] + h / 2.0))
         values = []
@@ -713,10 +714,9 @@ class TestSimulateStreamsTheWholeRun:
                 values.append(np.repeat((dist.amplitude * np.sin(dist.omega * t))[:, None],
                                         dim, axis=1))
             else:
-                rows = int(round(float(t[-1]) / h)) + 2
                 table = np.random.default_rng(dist.seed).uniform(
-                    -dist.amplitude, dist.amplitude, size=(rows, dim))
-                values.append(table[np.minimum((t / h).astype(int), rows - 1)])
+                    -dist.amplitude, dist.amplitude, size=(nsteps + 1, dim))
+                values.append(table[: len(t)])
         order = np.argsort(times)
         times, values = times[order], np.concatenate(values)[order]
 
