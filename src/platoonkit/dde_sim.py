@@ -24,7 +24,8 @@ delayed samples, so a batch's forcings take one product with A over its
 window of b + 3 samples, y = xd (h/24) A^T, and a four-tap filter: with the
 cubic's weights folded in, (h/6)(f0 + 4 fh + f1) of step j is
 sum_q c_q y[j + q] with c = (-1, 13, 13, -1) (centered) or (1, -5, 19, 9)
-(backward, m = 1).
+(backward, m = 1).  The cumulative sum takes an even dim's columns as
+complex pairs, two per add and bit for bit; an odd dim's one at a time.
 
 Where A0 is present, a batch of at least two chunks of c = 64 steps is
 solved as a chunked scan (Kogge & Stone 1973; Blelloch, "Prefix sums and
@@ -609,7 +610,10 @@ def _advance(run: _Run, sink) -> tuple:
     filter sum_q c_q y[j + q], with c = _TAPS_CENTERED or, when m = 1,
     _TAPS_BACKWARD.  Batches of one step (m <= 2, or the last step of a run)
     take the taps as one dot product; longer ones use the centered taps'
-    symmetry, 13 (y1 + y2) - (y0 + y3).
+    symmetry, 13 (y1 + y2) - (y0 + y3).  The cumulative sum is a chain of
+    adds down each column; an even dim's rows are viewed as complex pairs,
+    whose add is the float adds of both parts in the same order, so each
+    add advances two chains bit for bit.  An odd dim sums the floats.
 
     A batch is cut back to its first row whose norm is non-finite or beyond
     DIVERGENCE_CUTOFF.  A batch whose sum of squares (one dot product) is at
@@ -634,6 +638,7 @@ def _advance(run: _Run, sink) -> tuple:
     if a0 is None:
         # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
         kt = (h / 24.0) * atau.T
+        paired = hist.shape[1] % 2 == 0
     else:
         z = h * a0
         z2 = z @ z
@@ -686,7 +691,8 @@ def _advance(run: _Run, sink) -> tuple:
                 g -= y[3:]
             if forcing is not None:
                 g += (h / 6.0) * (wg0 + 4.0 * wgh + wg1)
-            np.add.accumulate(rows, axis=0, out=rows)
+            acc = rows.view(np.complex128) if paired else rows
+            np.add.accumulate(acc, axis=0, out=acc)
         else:
             if atau is None:
                 g[:] = 0.0

@@ -124,7 +124,9 @@ def sweep_hinf(
     """Sweep the largest singular value of the disturbance transfer matrix
     over SWEEP_OMEGAS, augmented with the analytic stationary frequencies so
     the sampled peak touches the true peak: omega = 0 for the velocity
-    dynamics, omega^2 = lam(1 - lam/2) for every formation eigenvalue lam <= 2.
+    dynamics, omega^2 = lam(1 - lam/2) for every formation eigenvalue lam <= 2,
+    and omega = 0 for the formation dynamics when lambda_1 > 2 (the peak
+    1/lambda_1 of peak_amplitude's DC branch).
 
     Because lg is symmetric, both transfer matrices diagonalize in its
     eigenbasis, so the largest singular value at each frequency reduces to a
@@ -139,7 +141,10 @@ def sweep_hinf(
     |lam(1 + j*omega) - omega^2|^2 = (1 + omega^2) lam^2 - 2 omega^2 lam + omega^4
     is convex in lam with its minimum at lam* = omega^2 / (1 + omega^2), so
     the smallest formation denominator sits on one of the two eigenvalues
-    that bracket lam*.
+    that bracket lam*.  Each denominator is a 1-D array over the grid, so
+    numpy's loops run along the grid rather than over rows of one or two
+    modes, and the gain is 1 / min of the two: 1/x is correctly rounded and
+    monotone, so 1/min(a, b) == max(1/a, 1/b) bit for bit.
 
     Args:
         gs: grounded system (lambda_1 must be > 0).
@@ -156,22 +161,19 @@ def sweep_hinf(
     if spec.lambda1 <= GROUNDING_TOL:
         raise ParameterError("sweep needs a grounded system (lambda_1 > 0)")
     lams = np.asarray(spec.values, dtype=float)
-    if dynamics == "velocity":
-        extra = [0.0]
-    else:
-        low = lams[lams <= 2.0]
-        extra = list(np.sqrt(low * (1.0 - low / 2.0)))
-    omegas = np.unique(np.concatenate([SWEEP_OMEGAS, np.asarray(extra, dtype=float)]))
+    # omega = 0 holds the velocity peak, and the formation one if lambda_1 > 2
+    low = lams[lams <= 2.0] if dynamics == "formation" else lams[:0]
+    extra = np.sqrt(low * (1.0 - low / 2.0)) if len(low) else np.zeros(1)
+    omegas = np.unique(np.concatenate([SWEEP_OMEGAS, extra]))
 
-    w = omegas[:, None]
     if dynamics == "velocity":
-        denom = np.abs(1j * w + lams[:1])
+        denom = np.abs(1j * omegas + lams[0])
     else:
         # the eigenvalues just below and at or above each lam*
         above = np.searchsorted(lams, omegas ** 2 / (1.0 + omegas ** 2))
-        pair = np.clip(np.column_stack((above - 1, above)), 0, len(lams) - 1)
-        denom = np.abs(-(w ** 2) + lams[pair] * (1.0 + 1j * w))
-    gains = (1.0 / denom).max(axis=1)
+        pair = lams[np.maximum(above - 1, 0)], lams[np.minimum(above, len(lams) - 1)]
+        denom = np.minimum(*(np.abs(-(omegas ** 2) + lam * (1.0 + 1j * omegas)) for lam in pair))
+    gains = 1.0 / denom
     ipeak = int(np.argmax(gains))
     return FrequencyResponse(
         omegas=omegas,

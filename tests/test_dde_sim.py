@@ -577,6 +577,37 @@ class TestVerdictMatchesClassify:
         assert max(peaks) < 8 * (m + 5 + 160_000) * sysm.dim
 
 
+class TestPairedPrefixSum:
+    """Mode "full" sums an even number of columns as complex pairs: a complex
+    add is the two float adds of its parts, in the same order, so the sums
+    are those of np.add.accumulate over the floats, bit for bit."""
+
+    @pytest.mark.parametrize("width", [2, 4, 8, 34, 64])
+    def test_pairs_sum_as_the_floats_do(self, width):
+        rng = np.random.default_rng(width)
+        for b in (1, 2, 3, 64, 99, 149):
+            x = rng.standard_normal((b + 1, width)) * 10.0 ** rng.integers(-300, 300, (b + 1, width))
+            special = rng.choice([np.inf, -np.inf, np.nan, -np.nan, -0.0], size=x.shape)
+            x = np.where(rng.random(x.shape) < 0.15, special, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.accumulate(x, axis=0)
+                pairs = x.view(np.complex128)
+                np.add.accumulate(pairs, axis=0, out=pairs)
+            assert np.array_equal(x.view(np.uint64), want.view(np.uint64)), b
+
+    @pytest.mark.parametrize("m, nsteps", [(1, 9000), (2, 9000), (150, 11920)])
+    def test_odd_dimension_keeps_the_float_sum(self, m, nsteps):
+        # three followers: the velocity run's three columns cannot pair
+        sysm = velocity_system(grounded(4, 1, [1]))
+        assert sysm.dim == 3
+        h = min(40.0 / nsteps, 0.25 * delay_margin_velocity(eig_sym(sysm.lg)) / m)
+        x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
+        delay, horizon = DelaySpec(m * h, "full"), (nsteps + 0.3) * h
+        want = classify(simulate(sysm, delay, x0, horizon, h))
+        got = verdict(sysm, delay, x0, horizon, h)
+        assert got == want and not got.diverged and 0.0 < got.decay_ratio < math.inf
+
+
 class TestThresholdScan:
     def test_scalar_boundary(self):
         est = threshold_scan(

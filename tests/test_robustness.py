@@ -145,6 +145,16 @@ class TestSweep:
         assert 0.0 in fr.omegas
         assert abs(fr.peak_gain - 1.0 / spec.lambda1) <= 1e-12
 
+    def test_formation_peak_at_dc_above_two(self):
+        # lambda_1 = 2.938 > 2: no eigenvalue has a stationary frequency, and
+        # the peak 1/lambda_1 sits at omega = 0, which the grid must hold
+        gs = grounded(10, 4, [1, 3, 5, 7, 9])
+        spec = eig_sym(gs.lg)
+        assert spec.lambda1 > 2.0
+        fr = sweep_hinf(gs, "formation", spec=spec)
+        assert fr.peak_omega == 0.0
+        assert fr.peak_gain == hinf_formation(spec)
+
     def test_gains_ascending_grid_and_csv(self, tmp_path):
         gs = grounded(5, 2, [3])
         fr = sweep_hinf(gs, "formation")
@@ -188,10 +198,12 @@ def all_mode_gains(omegas, values, dynamics):
 
 def assert_matches_all_modes(values, gs=None):
     """The sweep, which reads at most two modes per omega, equals the all-mode
-    maximum to 1e-15 relative at every frequency of its grid."""
+    maximum to 1e-15 relative at every frequency of its strictly increasing
+    grid."""
     spec = spec_of(values)
     for dyn in ("velocity", "formation"):
         fr = sweep_hinf(gs or grounded(5, 2, [3]), dyn, spec=spec)
+        assert np.all(np.diff(fr.omegas) > 0), (dyn, values)
         ref = all_mode_gains(fr.omegas, values, dyn)
         assert np.max(np.abs(fr.gains - ref) / ref) <= 1e-15, (dyn, values)
         assert fr.peak_gain == fr.gains.max()
@@ -224,14 +236,55 @@ class TestSweepOracle:
         [2.5, 3.0, 7.0, 40.0],
         [0.3, 1.9, 2.0, 2.1, 5.0],
         [1e-6, 1e-3, 0.999, 1.0, 1.001],
+        # every lam* lies below lambda_1: the bracketing index is 0 throughout
+        [1e3],
+        # lam* lies above it from omega = 1e-3 on: the index is len(values) there
+        [1e-6],
+        # three equal stationary frequencies, all omega = 0
+        [2.0, 2.0, 2.0],
     ], ids=["repeated", "single", "at-lam-star", "lam-star-repeated", "around-lam-star",
-            "all-above-two", "both-sides-of-two", "crowded-below-one"])
+            "all-above-two", "both-sides-of-two", "crowded-below-one", "above-every-lam-star",
+            "below-most-lam-stars", "three-at-two"])
     def test_adversarial_spectra(self, values):
         assert_matches_all_modes(values)
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=40))
     def test_random_ascending_spectra(self, values):
         assert_matches_all_modes(sorted(values))
+
+
+def svd_gain(lg, omega, dynamics):
+    """The largest singular value of the disturbance transfer matrix at
+    omega, 1 / sigma_min of its inverse, from an SVD of the dense matrix:
+    no eigensolver and no modal formula."""
+    eye = np.eye(len(lg))
+    if dynamics == "velocity":
+        m = 1j * omega * eye + lg
+    else:
+        m = -(omega ** 2) * eye + (1.0 + 1j * omega) * lg
+    return 1.0 / np.linalg.svd(m, compute_uv=False).min()
+
+
+class TestSweepSvdOracle:
+    """The sweep's gains against singular values of the transfer matrices
+    themselves, at 16 grid frequencies and at the sweep's peak."""
+
+    @pytest.mark.parametrize("n, k, refs", [
+        (36, 4, None),  # MD
+        (8, 1, [1]),
+        (2, 1, [1]),
+        (10, 4, [1, 3, 5, 7, 9]),  # lambda_1 > 2: the formation peak at omega = 0
+    ])
+    @pytest.mark.parametrize("dynamics", ["velocity", "formation"])
+    def test_gains_match_singular_values(self, n, k, refs, dynamics):
+        gs = grounded(n, k, list(md_arrangement(n, k).refs) if refs is None else refs)
+        fr = sweep_hinf(gs, dynamics)
+        picks = list(np.linspace(0, len(fr.omegas) - 1, 16).astype(int))
+        picks.append(int(np.argmax(fr.gains)))
+        for i in picks:
+            want = svd_gain(gs.lg, fr.omegas[i], dynamics)
+            assert abs(fr.gains[i] - want) <= 1e-10 * want, (fr.omegas[i], fr.gains[i], want)
+        assert fr.peak_gain == fr.gains[picks[-1]]
 
 
 class TestGammaConditions:
