@@ -552,6 +552,6 @@ def run_verify(seed: int = 0) -> tuple:
         ):
             peak = robustness.sweep_hinf(g, dyn, spec=s).peak_gain
             worst = max(worst, abs(peak - analytic) / analytic)
-    check("swept peaks match analytic gains to 0.5%", worst <= 5e-3, f"worst={worst:.2e}")
+    check("swept peaks match analytic gains to 1e-12", worst <= 1e-12, f"worst={worst:.2e}")
 
     return failures, lines

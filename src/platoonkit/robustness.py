@@ -6,7 +6,7 @@ formation dynamics, stability margins, exact delay margins for both (one
 modal formula, delay_margin_exact) and bounds on the formation one, the
 reference-count threshold for a non-expansive velocity gain, and the
 gamma-threshold predicates on the beta statistics.  Every formation metric
-reads the modes of lambda_1 and lambda_max only (see _extreme_modes).
+reads the modes of lambda_1 and lambda_max only, mapped once per report.
 
 Unbounded gains are represented as ``math.inf`` in memory and serialized as
 the explicit string marker ``"unbounded"`` in JSON reports.
@@ -29,7 +29,7 @@ from .spectral import (
     certify_lambda_max,
     certify_lambda_min,
     eig_sym,
-    map_formation_spectrum,
+    formation_modes,
 )
 from .topology import GroundedSystem, PlatoonTopology, ReferenceSet, ground
 
@@ -88,7 +88,7 @@ def _extreme_modes(spec: Spectrum) -> np.ndarray:
     margin pi/(2|mu_-|) and the smaller |Re mu| = |mu_+| fall.  So both are
     least at lambda_1 or lambda_max, and rho(B) = |mu|max, which increases
     in lam, is reached at lambda_max."""
-    return map_formation_spectrum(Spectrum(values=np.array([spec.lambda1, spec.lambda_max])))
+    return formation_modes([spec.lambda1, spec.lambda_max])
 
 
 def margin_formation(spec: Spectrum) -> float:
@@ -104,6 +104,10 @@ def margin_formation(spec: Spectrum) -> float:
 
 #: base frequency grid of every sweep, rad/s: 4000 log-spaced points over [1e-4, 1e3]
 SWEEP_OMEGAS = np.logspace(math.log10(1e-4), math.log10(1e3), 4000)
+#: the velocity sweep's fixed grid, omega = 0 then SWEEP_OMEGAS, and j*omega on it
+_VELOCITY_OMEGAS = np.concatenate([[0.0], SWEEP_OMEGAS])
+_VELOCITY_JW = 1j * _VELOCITY_OMEGAS
+_VELOCITY_OMEGAS.flags.writeable = _VELOCITY_JW.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -137,14 +141,16 @@ def sweep_hinf(
 
     Each max is taken over at most two modes of the ascending spectrum, which
     is exact: |lam + j*omega|^2 = lam^2 + omega^2 increases for lam >= 0, so
-    lambda_1 holds every velocity maximum; and
+    lambda_1 holds every velocity maximum, on a grid built once (read-only);
     |lam(1 + j*omega) - omega^2|^2 = (1 + omega^2) lam^2 - 2 omega^2 lam + omega^4
     is convex in lam with its minimum at lam* = omega^2 / (1 + omega^2), so
     the smallest formation denominator sits on one of the two eigenvalues
-    that bracket lam*.  Each denominator is a 1-D array over the grid, so
-    numpy's loops run along the grid rather than over rows of one or two
-    modes, and the gain is 1 / min of the two: 1/x is correctly rounded and
-    monotone, so 1/min(a, b) == max(1/a, 1/b) bit for bit.
+    that bracket lam*.  While lam* ascends along the grid, lams[i] < lam*[j]
+    exactly when j >= q[i] = searchsorted(lam*, lams[i], "right"): a summed
+    bincount of q counts the eigenvalues below every lam*.  Before q[0] and
+    from q[-1] on the pair is one eigenvalue, so its second denominator is
+    skipped (a grid rounding leaves out of order takes a search per omega).
+    1/x is correctly rounded and monotone: 1/min(a, b) == max(1/a, 1/b).
 
     Args:
         gs: grounded system (lambda_1 must be > 0).
@@ -156,23 +162,29 @@ def sweep_hinf(
     """
     if dynamics not in DYNAMICS:
         raise ParameterError(f"dynamics must be one of {DYNAMICS}, got {dynamics!r}")
-    if spec is None:
-        spec = eig_sym(gs.lg)
+    spec = eig_sym(gs.lg) if spec is None else spec
     if spec.lambda1 <= GROUNDING_TOL:
         raise ParameterError("sweep needs a grounded system (lambda_1 > 0)")
+    if len(spec) != gs.n_followers:
+        raise ParameterError(f"spectrum of {len(spec)} eigenvalues for {gs.n_followers} followers")
     lams = np.asarray(spec.values, dtype=float)
-    # omega = 0 holds the velocity peak, and the formation one if lambda_1 > 2
-    low = lams[lams <= 2.0] if dynamics == "formation" else lams[:0]
-    extra = np.sqrt(low * (1.0 - low / 2.0)) if len(low) else np.zeros(1)
-    omegas = np.unique(np.concatenate([SWEEP_OMEGAS, extra]))
-
-    if dynamics == "velocity":
-        denom = np.abs(1j * omegas + lams[0])
+    if dynamics == "velocity":  # omega = 0 holds the velocity peak
+        omegas, denom = _VELOCITY_OMEGAS, np.abs(_VELOCITY_JW + lams[0])
     else:
-        # the eigenvalues just below and at or above each lam*
-        above = np.searchsorted(lams, omegas ** 2 / (1.0 + omegas ** 2))
-        pair = lams[np.maximum(above - 1, 0)], lams[np.minimum(above, len(lams) - 1)]
-        denom = np.minimum(*(np.abs(-(omegas ** 2) + lam * (1.0 + 1j * omegas)) for lam in pair))
+        # omega = 0 holds the formation peak if lambda_1 > 2
+        low = lams[lams <= 2.0]
+        extra = np.sqrt(low * (1.0 - low / 2.0)) if len(low) else np.zeros(1)
+        omegas = np.unique(np.concatenate([SWEEP_OMEGAS, extra]))
+        w2, jw = omegas ** 2, 1.0 + 1j * omegas
+        star = w2 / (1.0 + w2)
+        if (star[1:] >= star[:-1]).all():
+            q = np.searchsorted(star, lams, side="right")
+            above, two = np.cumsum(np.bincount(q, minlength=len(star) + 1)[:-1]), slice(q[0], q[-1])
+        else:
+            above, two = np.searchsorted(lams, star), slice(None)
+        denom = np.abs(-w2 + lams.take(above, mode="clip") * jw)
+        lo = lams.take(above[two] - 1, mode="clip")
+        np.minimum(denom[two], np.abs(-w2[two] + lo * jw[two]), out=denom[two])
     gains = 1.0 / denom
     ipeak = int(np.argmax(gains))
     return FrequencyResponse(
@@ -373,13 +385,16 @@ def build_report(
     """Compute every robustness quantity for one platoon + reference set."""
     if gs is None:
         gs = ground(topology, refset)
-    if spec is None:
-        spec = eig_sym(gs.lg)
+    elif (have := (gs.n, gs.k, gs.refs)) != (want := (topology.n, topology.k, refset.refs)):
+        raise ParameterError(f"grounded system has (n, k, refs) = {have}, the platoon {want}")
+    spec = eig_sym(gs.lg) if spec is None else spec
     lam1, lam_max = spec.lambda1, spec.lambda_max
+    if len(spec) != gs.n_followers:
+        raise ParameterError(f"spectrum of {len(spec)} eigenvalues for {gs.n_followers} followers")
     beta_min = int(gs.betas.min())
     beta_max = int(gs.betas.max())
-    fdm = delay_margin_formation(spec, topology.k)
     ksuff, kness = delay_bounds_k(topology.k)
+    modes = _extreme_modes(spec)
     sweeps = {dyn: sweep_hinf(gs, dyn, spec=spec) for dyn in DYNAMICS} if with_sweep else {}
     return RobustnessReport(
         n=topology.n,
@@ -391,10 +406,10 @@ def build_report(
         hinf_formation=hinf_formation(spec),
         margin_velocity=lam1,
         margin_formation_lb=lam1 / 2.0,
-        margin_formation=margin_formation(spec),
+        margin_formation=float(np.min(np.abs(modes.real))),
         delay_velocity_max=delay_margin_velocity(spec),
-        delay_formation_exact=fdm.exact,
-        delay_formation_k_sufficient=fdm.k_bound,
+        delay_formation_exact=delay_margin_exact(modes),
+        delay_formation_k_sufficient=1.0 / (4.0 * topology.k),
         delay_k_sufficient=ksuff,
         delay_k_necessary=kness,
         min_refs_nonexpansive=min_refs_nonexpansive(topology.n, topology.k),

@@ -287,7 +287,12 @@ def map_formation_spectrum(spec: Spectrum) -> np.ndarray:
     Raises:
         ParameterError: if any eigenvalue is <= 0 (grounding assumption violated).
     """
-    lam = np.asarray(spec.values, dtype=float)
+    return formation_modes(spec.values)
+
+
+def formation_modes(values) -> np.ndarray:
+    """map_formation_spectrum of a plain array of eigenvalues."""
+    lam = np.asarray(values, dtype=float)
     if lam.size == 0:
         raise ParameterError("empty spectrum")
     if lam.min() <= 0.0:

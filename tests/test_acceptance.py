@@ -98,7 +98,7 @@ def test_criterion_03_hinf_sweep_oracle():
         ):
             peak = sweep_hinf(gs, dyn, spec=spec).peak_gain
             worst = max(worst, abs(peak - analytic) / analytic)
-    ok = worst <= 5e-3
+    ok = worst <= 1e-12
     assert report(3, "swept peaks vs analytic gains (200 instances)", ok,
                   f"worst rel dev={worst:.2e}")
 

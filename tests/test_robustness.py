@@ -29,7 +29,7 @@ from platoonkit import (
     sweep_hinf,
 )
 from platoonkit.experiments import ScenarioConfig, run_report
-from platoonkit.robustness import SWEEP_OMEGAS
+from platoonkit.robustness import DYNAMICS, SWEEP_OMEGAS, _extreme_modes
 from platoonkit.spectral import Spectrum
 
 SQRT2 = math.sqrt(2.0)
@@ -182,7 +182,7 @@ class TestSweep:
                 ("formation", hinf_formation(spec)),
             ):
                 peak = sweep_hinf(gs, dyn, spec=spec).peak_gain
-                assert abs(peak - analytic) <= 5e-3 * analytic
+                assert abs(peak - analytic) <= 1e-12 * analytic
 
 
 def all_mode_gains(omegas, values, dynamics):
@@ -196,23 +196,91 @@ def all_mode_gains(omegas, values, dynamics):
     return (1.0 / denom).max(axis=1)
 
 
+def sized(m):
+    """A grounded system of m followers, P(m + 1, 1) with reference {1}, for
+    a sweep of a given spectrum of that size: the sweep reads only its size."""
+    return grounded(m + 1, 1, [1])
+
+
+def reference_sweep(values, dynamics):
+    """A direct form of the sweep, kept as its bit-for-bit reference: the
+    grid from np.unique, a search into the spectrum at every frequency, and
+    both bracketing denominators at every frequency."""
+    lams = np.asarray(values, dtype=float)
+    low = lams[lams <= 2.0] if dynamics == "formation" else lams[:0]
+    extra = np.sqrt(low * (1.0 - low / 2.0)) if len(low) else np.zeros(1)
+    omegas = np.unique(np.concatenate([SWEEP_OMEGAS, extra]))
+    if dynamics == "velocity":
+        denom = np.abs(1j * omegas + lams[0])
+    else:
+        above = np.searchsorted(lams, omegas ** 2 / (1.0 + omegas ** 2))
+        pair = lams[np.maximum(above - 1, 0)], lams[np.minimum(above, len(lams) - 1)]
+        denom = np.minimum(*(np.abs(-(omegas ** 2) + lam * (1.0 + 1j * omegas)) for lam in pair))
+    return omegas, 1.0 / denom
+
+
 def assert_matches_all_modes(values, gs=None):
     """The sweep, which reads at most two modes per omega, equals the all-mode
     maximum to 1e-15 relative at every frequency of its strictly increasing
-    grid."""
+    grid, and reference_sweep bit for bit: the same grid, gains and peak."""
     spec = spec_of(values)
-    for dyn in ("velocity", "formation"):
-        fr = sweep_hinf(gs or grounded(5, 2, [3]), dyn, spec=spec)
+    for dyn in DYNAMICS:
+        fr = sweep_hinf(gs or sized(len(values)), dyn, spec=spec)
         assert np.all(np.diff(fr.omegas) > 0), (dyn, values)
         ref = all_mode_gains(fr.omegas, values, dyn)
         assert np.max(np.abs(fr.gains - ref) / ref) <= 1e-15, (dyn, values)
         assert fr.peak_gain == fr.gains.max()
+        omegas, gains = reference_sweep(spec.values, dyn)
+        assert np.array_equal(fr.omegas.view(np.uint64), omegas.view(np.uint64)), (dyn, values)
+        assert np.array_equal(fr.gains.view(np.uint64), gains.view(np.uint64)), (dyn, values)
+        ipeak = int(np.argmax(gains))
+        assert (fr.peak_omega, fr.peak_gain) == (omegas[ipeak], gains[ipeak]), (dyn, values)
 
 
 # lam*(omega) = omega^2 / (1 + omega^2) at a grid frequency, where the formation
 # denominator is least: the bracketing pair then holds that eigenvalue itself
 OMEGA_GRID = float(SWEEP_OMEGAS[2800])
 LAM_STAR = OMEGA_GRID ** 2 / (1.0 + OMEGA_GRID ** 2)
+
+# four eigenvalues an ulp apart near 0.2766, whose stationary frequencies are
+# so close that rounding puts their lam* out of order along the grid; five
+# more lie within ulps of those lam*, near 0.1925, where the order matters
+OUT_OF_ORDER = [0.1924634033090109, 0.19246340330901093, 0.19246340330901096,
+                0.192463403309011, 0.19246340330901102, 0.27658306678749345,
+                0.2765830667874935, 0.27658306678749356, 0.2765830667874936, 1.7824585190346847]
+
+ADVERSARIAL = [
+    [4.0, 4.0],
+    [0.7],
+    [LAM_STAR],
+    [0.5 * LAM_STAR, LAM_STAR, LAM_STAR, 1.5],
+    [np.nextafter(LAM_STAR, 0.0), np.nextafter(LAM_STAR, 1.0)],
+    [2.5, 3.0, 7.0, 40.0],
+    [0.3, 1.9, 2.0, 2.1, 5.0],
+    [1e-6, 1e-3, 0.999, 1.0, 1.001],
+    # every lam* lies below lambda_1: the bracketing index is 0 throughout
+    [1e3],
+    # lam* lies above it from omega = 1e-3 on: the index is len(values) there
+    [1e-6],
+    # three equal stationary frequencies, all omega = 0
+    [2.0, 2.0, 2.0],
+    # lambda_max < 1: on the top of the grid the pair is lambda_max twice
+    [0.05, 0.3, 0.6, 0.9],
+    # lambda_1 >= 1, above every lam*: the pair is lambda_1 twice on the whole grid
+    [1.0, 2.5, 7.0],
+    [1.0],
+    # lambda_1 < 1 < lambda_max: two eigenvalues from the bottom of the grid up
+    [0.2, 0.5, 3.0, 11.0],
+    # repeated eigenvalues on both sides of a lam*
+    [0.5 * LAM_STAR] + [np.nextafter(LAM_STAR, 0.0)] * 2 + [np.nextafter(LAM_STAR, 1.0)] * 2
+    + [1.5],
+    OUT_OF_ORDER,
+]
+ADVERSARIAL_IDS = ["repeated", "single", "at-lam-star", "lam-star-repeated", "around-lam-star",
+                   "all-above-two", "both-sides-of-two", "crowded-below-one",
+                   "above-every-lam-star", "below-most-lam-stars", "three-at-two",
+                   "top-collapses", "all-collapses", "one-at-one", "split", "repeated-straddle",
+                   "out-of-order"]
 
 
 class TestSweepOracle:
@@ -227,24 +295,21 @@ class TestSweepOracle:
         assert gs.n_followers == 219
         assert_matches_all_modes(eig_sym(gs.lg).values, gs)
 
-    @pytest.mark.parametrize("values", [
-        [4.0, 4.0],
-        [0.7],
-        [LAM_STAR],
-        [0.5 * LAM_STAR, LAM_STAR, LAM_STAR, 1.5],
-        [np.nextafter(LAM_STAR, 0.0), np.nextafter(LAM_STAR, 1.0)],
-        [2.5, 3.0, 7.0, 40.0],
-        [0.3, 1.9, 2.0, 2.1, 5.0],
-        [1e-6, 1e-3, 0.999, 1.0, 1.001],
-        # every lam* lies below lambda_1: the bracketing index is 0 throughout
-        [1e3],
-        # lam* lies above it from omega = 1e-3 on: the index is len(values) there
-        [1e-6],
-        # three equal stationary frequencies, all omega = 0
-        [2.0, 2.0, 2.0],
-    ], ids=["repeated", "single", "at-lam-star", "lam-star-repeated", "around-lam-star",
-            "all-above-two", "both-sides-of-two", "crowded-below-one", "above-every-lam-star",
-            "below-most-lam-stars", "three-at-two"])
+    def test_p36_md(self):
+        gs = ground(build_platoon(36, 4), md_arrangement(36, 4))
+        assert_matches_all_modes(eig_sym(gs.lg).values, gs)
+
+    def test_out_of_order_grid_is_what_it_says(self):
+        omegas, _ = reference_sweep(OUT_OF_ORDER, "formation")
+        star = omegas ** 2 / (1.0 + omegas ** 2)
+        assert (np.diff(star) < 0).any()
+
+    def test_velocity_grid_is_read_only(self):
+        fr = sweep_hinf(grounded(5, 2, [3]), "velocity")
+        with pytest.raises(ValueError):
+            fr.omegas[0] = 1.0
+
+    @pytest.mark.parametrize("values", ADVERSARIAL, ids=ADVERSARIAL_IDS)
     def test_adversarial_spectra(self, values):
         assert_matches_all_modes(values)
 
@@ -418,6 +483,59 @@ class TestFormationClosedForms:
         fdm = delay_margin_formation(spec, 1)
         assert abs(fdm.exact - 0.500915022789) < 1e-12
         assert fdm.rho_bound > 0.511 > fdm.exact
+
+
+class TestReportModesOnce:
+    """A report maps lambda_1 and lambda_max once and reads its formation
+    stability and delay margins from those four modes."""
+
+    def test_extreme_modes_equal_two_eigenvalue_map(self):
+        for _, lg in closed_form_cases():
+            spec = eig_sym(lg)
+            two = map_formation_spectrum(spec_of([spec.lambda1, spec.lambda_max]))
+            assert np.array_equal(_extreme_modes(spec).view(np.uint64), two.view(np.uint64)), lg
+
+    def test_report_margins_equal_public_functions(self):
+        rng = np.random.default_rng(404)
+        cases = [random_grounded(rng, n_hi=60, k_hi=6) for _ in range(60)]
+        for n, k, refs in [(36, 4, None), (12, 3, None), (10, 4, [1, 3, 5, 7, 9]), (8, 1, [1]),
+                           (2, 1, [1])]:
+            refset = md_arrangement(n, k) if refs is None else make_reference_set(n, refs)
+            cases.append((build_platoon(n, k), refset, ground(build_platoon(n, k), refset)))
+        for top, refset, gs in cases:
+            spec = eig_sym(gs.lg)
+            report = build_report(top, refset, gs=gs, spec=spec)
+            fdm = delay_margin_formation(spec, top.k)
+            assert report.margin_formation == margin_formation(spec)
+            assert report.delay_formation_exact == fdm.exact
+            assert report.delay_formation_k_sufficient == fdm.k_bound
+
+
+class TestMismatchRefused:
+    """A grounded system or a spectrum of another platoon is refused, not
+    mixed into the report of this one."""
+
+    TOP, REFSET = build_platoon(36, 4), md_arrangement(36, 4)
+    SPEC12 = eig_sym(ground(build_platoon(12, 3), md_arrangement(12, 3)).lg)
+
+    @pytest.mark.parametrize("other", [
+        ground(build_platoon(12, 3), md_arrangement(12, 3)),
+        ground(build_platoon(36, 3), md_arrangement(36, 4)),
+        ground(build_platoon(36, 4), make_reference_set(36, [5, 14, 23, 33])),
+    ], ids=["n", "k", "refs"])
+    def test_report_refuses_grounded_system_of_another_platoon(self, other):
+        with pytest.raises(ParameterError, match=r"grounded system has \(n, k, refs\)"):
+            build_report(self.TOP, self.REFSET, gs=other)
+
+    def test_report_refuses_spectrum_of_another_size(self):
+        with pytest.raises(ParameterError, match="10 eigenvalues for 32 followers"):
+            build_report(self.TOP, self.REFSET, spec=self.SPEC12)
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_sweep_refuses_spectrum_of_another_size(self, dynamics):
+        gs = ground(self.TOP, self.REFSET)
+        with pytest.raises(ParameterError, match="10 eigenvalues for 32 followers"):
+            sweep_hinf(gs, dynamics, spec=self.SPEC12)
 
 
 class TestGainBoundsChain:
