@@ -7,20 +7,27 @@ other tokens must match exactly, and each pair of numbers a, b must satisfy
 
     |a - b| <= 1e-11 * max(|a|, |b|, 1)
 
-which is about one unit in the 12th significant digit.  Each file's largest
-scaled deviation |a - b| / max(|a|, |b|, 1) is printed; the exit code is 1
-if any file fails, else 0.  Standard library only.
+which is about one unit in the 12th significant digit.  The numbers are
+read as the decimals they are written as and the bound is evaluated in
+exact decimal arithmetic, so no float rounding moves a pair across it.
+Each file's largest scaled deviation |a - b| / max(|a|, |b|, 1) is printed;
+the exit code is 1 if any file fails, else 0.  Standard library only.
 
 Usage: python scripts/compare_outputs.py A B
 """
 
 import argparse
-import math
+import decimal
 import re
 import sys
+from decimal import Decimal
 from pathlib import Path
 
-RTOL = 1e-11
+RTOL = Decimal("1e-11")
+# a context in which subtraction, abs and multiplication never round and no
+# exponent overflows; the printed deviation is divided to 28 digits instead
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+ROUNDED = decimal.Context(Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 # a number: optional sign, digits with an optional fraction (or a bare
 # fraction), optional exponent; inf and nan stay words and match exactly
@@ -41,15 +48,18 @@ def compare_text(a: str, b: str) -> tuple:
     for wa, wb in zip(words_a, words_b):
         if wa != wb:
             return False, None, f"text differs: {wa[:40]!r} vs {wb[:40]!r}"
-    worst, where = 0.0, ""
-    for sa, sb in zip(nums_a, nums_b):
-        x, y = float(sa), float(sb)
-        dev = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y), 1.0)
-        if math.isnan(dev):  # an overflowed number against a finite one
-            dev = math.inf
-        if dev > worst:
-            worst, where = dev, f"{sa} vs {sb}"
-    return worst <= RTOL, worst, where
+    ok, worst, where = True, Decimal(0), ""
+    with decimal.localcontext(EXACT):
+        for sa, sb in zip(nums_a, nums_b):
+            if sa == sb:
+                continue
+            x, y = Decimal(sa), Decimal(sb)
+            diff, scale = abs(x - y), max(abs(x), abs(y), Decimal(1))
+            ok &= diff <= RTOL * scale
+            dev = ROUNDED.divide(diff, scale)
+            if dev > worst:
+                worst, where = dev, f"{sa} vs {sb}"
+    return ok, worst, where
 
 
 def files(root: Path) -> set:
@@ -75,7 +85,7 @@ def main(argv=None) -> int:
             ok, worst, where = compare_text(ba.decode(), bb.decode())
         except UnicodeDecodeError:
             ok, worst, where = False, None, "not text"
-        dev = "n/a" if worst is None else f"{worst:.3g}"
+        dev = "n/a" if worst is None else f"{float(worst):.3g}"
         print(f"{'ok  ' if ok else 'FAIL'} {name}: largest deviation {dev} ({where})")
         failed += not ok
     print(f"{failed} file(s) failed" if failed else "all files pass")

@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Subcommands: report, sweep-remove, sweep-add, delay-grid, scaling, simulate,
-verify.  Scenario parameters come from an optional sections-style config file
-(--config) with CLI flags taking precedence; --emit-config prints the merged
-effective configuration and exits without running.
+verify.  Each platoon subcommand reads the keys its row of
+experiments.COMMANDS names, and each key is described once, in
+experiments.KEYS: its flag, its config-file section and spelling, its parse,
+its bounds and its help.  The keys come from an optional sections-style
+config file (--config), with flags taking precedence; --emit-config prints
+the merged effective configuration and exits without running.  A key that
+the subcommand does not read exits 2, as an unrecognized flag or as a config
+key, and the error line names the key and the subcommand.
 
 Exit codes: 0 success (and --help), 2 malformed command line, config or
 parameter error, or out of memory, 3 numerical failure, 4 verification
@@ -14,12 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from . import dde_sim, experiments, robustness
+from . import experiments
 from .errors import NumericalError, ParameterError
-from .topology import scenario_from_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,55 +30,15 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 
-def _add_platoon_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="sections-style config file; flags override its keys")
-    p.add_argument("--scenario",
-                   help='JSON scenario fragment {"n":…, "k":…, "refs":[…]}')
-    p.add_argument("--n", help="vehicle count")
-    p.add_argument("--k", help="connectivity index")
-    p.add_argument("--arrangement", help="reference arrangement: "
-                   f"{' | '.join(experiments.ARRANGEMENTS)} (default md)")
-    p.add_argument("--refs",
-                   help="reference indices for arrangement=explicit, e.g. '5,14,23,32'")
-    p.add_argument("--seed", help="seed for initial states and noise (default 0)")
-    p.add_argument("--out", dest="outdir", help="output directory (default results)")
-    p.add_argument("--emit-config", action="store_true",
-                   help="print the effective merged config and exit")
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser refuses the arguments it does not read itself,
+    so that the error line names the subcommand."""
 
-
-# subcommand: (help, the experiment it pins, its runner in experiments, the
-# runner's arguments between the config and outdir, and its own flags).
-# Flags pass their values on as strings: finalize_config parses them, as it
-# does a config file's.
-_COMMANDS = {
-    "report": ("robustness report (JSON + text summary)", "report", "run_report", (), (
-        ("--gamma", "also evaluate the gain-threshold predicates"),
-        ("--sweep-csv", "also write the frequency-response CSVs"),
-    )),
-    "sweep-remove": ("drop each minimally-dense reference in turn", "add-remove",
-                     "run_remove_add_sweep", ("remove",), ()),
-    "sweep-add": ("promote each non-reference position in turn", "add-remove",
-                  "run_remove_add_sweep", ("add",), ()),
-    "delay-grid": ("simulate both dynamics over a list of delays", "delay-grid",
-                   "run_delay_grid", (), (
-        ("--taus", "delay list, e.g. '0.05,0.09,0.1,0.4'"),
-        ("--horizon", "simulation horizon"),
-        ("--step", "integration step"),
-    )),
-    "scaling": ("gain growth with n: single end reference vs MD", "scaling", "run_scaling", (), (
-        ("--ns", "platoon sizes, e.g. '8,16,32,64,128' (>= 5 distinct values)"),
-    )),
-    "simulate": ("one time-domain run, exported as CSV", "simulate", "run_simulate", (), (
-        ("--dynamics", f"{' | '.join(robustness.DYNAMICS)} (default velocity)"),
-        ("--tau", "constant communication delay (default 0: undelayed in either mode)"),
-        ("--delay-mode", f"{' | '.join(dde_sim.DELAY_MODES)} (default full)"),
-        ("--horizon", "simulation horizon"),
-        ("--step", "integration step"),
-        ("--disturbance", f"{' | '.join(experiments.DISTURBANCES)} (default none)"),
-        ("--amplitude", "disturbance amplitude (default 0)"),
-        ("--omega", "sinusoid frequency in rad/s (default 1)"),
-    )),
-}
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,44 +46,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="platoonkit",
         description="Robustness analysis and delay simulation of k-nearest-neighbor platoons",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (title, _, _, _, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=title)
-        _add_platoon_flags(p)
-        for flag, text in flags:
-            p.add_argument(flag, help=text,
-                           action="store_true" if flag == "--sweep-csv" else None)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, cmd in experiments.COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        p.add_argument("--config", help="sections-style config file; flags override its keys")
+        # a flag's dest is its key; its value goes on as a string, which
+        # finalize_config parses as it does a config file's
+        for key in cmd.keys:
+            row = experiments.KEYS[key]
+            if row.help is None:  # a config file is its only way in
+                continue
+            choices = f"{' | '.join(row.parse)}: " if isinstance(row.parse, tuple) else ""
+            p.add_argument(row.flag or "--" + key.replace("_", "-"), dest=key,
+                           help=choices + row.help,
+                           action="store_true" if row.parse is bool else None)
+        p.add_argument("--emit-config", action="store_true",
+                       help="print the effective merged config and exit")
     p = sub.add_parser("verify", help="fast correctness battery (exit 4 on violation)")
     p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> experiments.ScenarioConfig:
-    raw = {}
-    if getattr(args, "config", None):
-        raw.update(experiments.load_config_file(args.config))
-    if getattr(args, "scenario", None):
-        try:
-            with open(args.scenario) as fh:
-                doc = fh.read()
-        except OSError as exc:
-            raise ParameterError(f"cannot read scenario file {args.scenario}: {exc}")
-        top, refset = scenario_from_json(doc)
-        raw.update(n=str(top.n), k=str(top.k), arrangement="explicit",
-                   refs=" ".join(str(r) for r in refset.refs))
-    # every flag's dest is the ScenarioConfig field it sets; the experiment
-    # is not a flag and is decided below
-    for f in fields(experiments.ScenarioConfig):
-        value = getattr(args, f.name, None)
-        if f.name != "experiment" and value is not None and value is not False:
-            raw[f.name] = value if not isinstance(value, bool) else "true"
-    # the report subcommand honors a hinf-sweep experiment from the config
-    # file; every other subcommand pins its own experiment
-    if not (args.command == "report" and raw.get("experiment") == "hinf-sweep"):
-        raw["experiment"] = _COMMANDS[args.command][1]
-    if args.command == "report" and raw.get("sweep_csv") == "true":
-        raw["experiment"] = "hinf-sweep"
-    return experiments.finalize_config(raw)
+    raw = experiments.load_config_file(args.config) if args.config else {}
+    for key in experiments.COMMANDS[args.command].keys:
+        # an unset flag is None, or False for a store_true one
+        value = getattr(args, key, None)
+        if value is not None and value is not False:
+            raw[key] = "true" if value is True else value
+    return experiments.finalize_config(raw, args.command)
 
 
 def main(argv=None) -> int:
@@ -145,9 +99,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        _, _, runner, extra, _ = _COMMANDS[args.command]
+        cmd = experiments.COMMANDS[args.command]
         # looked up at the call: a runner replaced on experiments is the one run
-        for path in getattr(experiments, runner)(cfg, *extra, outdir):
+        for path in getattr(experiments, cmd.runner)(cfg, *cmd.args, outdir):
             print(f"wrote {path}")
         return EXIT_OK
     except (ParameterError, MemoryError) as exc:

@@ -13,25 +13,16 @@ import configparser
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dde_sim, errors, robustness, spectral, topology
 from .errors import ParameterError
 
-EXPERIMENTS = ("report", "delay-grid", "hinf-sweep", "add-remove", "scaling", "simulate")
 ARRANGEMENTS = ("md", "explicit")
 DISTURBANCES = ("none", "sin", "noise")
-
-#: every key whose value is one of a fixed list, with that list
-_CHOICES = {
-    "experiment": EXPERIMENTS,
-    "arrangement": ARRANGEMENTS,
-    "dynamics": robustness.DYNAMICS,
-    "delay_mode": dde_sim.DELAY_MODES,
-    "disturbance": DISTURBANCES,
-}
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
 
@@ -80,49 +71,105 @@ class ScenarioConfig:
         return topology.make_reference_set(self.n, self.refs)
 
 
-#: every numeric key, with the bounds errors.check holds each of its values to;
-#: the integer keys are parsed as int, the others as float
-_NUMERIC_KEYS = {
-    **dict.fromkeys(("n", "ns"), dict(low=2, integer=True)),
-    **dict.fromkeys(("k", "refs"), dict(low=1, integer=True)),
-    "seed": dict(low=0, integer=True),
-    **dict.fromkeys(("tau", "taus"), dict(low=0.0)),
-    "gamma": dict(low=robustness.GAMMA_MIN, strict=True),
-    **dict.fromkeys(("horizon", "step"), dict(low=0.0, strict=True)),
-    **dict.fromkeys(("amplitude", "omega"), {}),
+class Key(NamedTuple):
+    """How a config file and the command line spell one ScenarioConfig key,
+    how its text parses, and what each of its values is held to."""
+
+    section: str        # the config-file section emit_config writes it in
+    parse: object       # int, float, str, bool, or the tuple of its choices
+    help: str | None    # its flag's help; None: a config file is the only way in
+    bounds: dict = {}   # errors.check's bounds, for an int (held whole) or float key
+    many: bool = False  # a list, its values split at commas and spaces
+    name: str = ""      # its config-file spelling, when not the key itself
+    flag: str = ""      # its flag, when not --key with "-" for "_"
+
+
+#: one row per ScenarioConfig field, in field order
+KEYS = {
+    "n": Key("platoon", int, "vehicle count", dict(low=2)),
+    "k": Key("platoon", int, "connectivity index", dict(low=1)),
+    "arrangement": Key("platoon", ARRANGEMENTS, "reference arrangement (default md)"),
+    "refs": Key("platoon", int, "reference indices for arrangement=explicit, e.g. '5,14,23,32'",
+                dict(low=1), many=True),
+    "experiment": Key("experiment", str, None, name="name"),
+    "taus": Key("experiment", float, "delay list, e.g. '0.05,0.09,0.1,0.4'",
+                dict(low=0.0), many=True),
+    "ns": Key("experiment", int, "platoon sizes, e.g. '8,16,32,64,128' (>= 5 distinct values)",
+              dict(low=2), many=True),
+    "gamma": Key("experiment", float, "also evaluate the gain-threshold predicates",
+                 dict(low=robustness.GAMMA_MIN, strict=True)),
+    "horizon": Key("experiment", float, "simulation horizon", dict(low=0.0, strict=True)),
+    "step": Key("experiment", float, "integration step", dict(low=0.0, strict=True)),
+    "seed": Key("experiment", int, "seed for initial states and noise (default 0)", dict(low=0)),
+    "dynamics": Key("experiment", robustness.DYNAMICS, "dynamics (default velocity)"),
+    "tau": Key("experiment", float,
+               "constant communication delay (default 0: undelayed in either mode)",
+               dict(low=0.0)),
+    "delay_mode": Key("experiment", dde_sim.DELAY_MODES, "delayed terms (default full)"),
+    "disturbance": Key("experiment", DISTURBANCES, "disturbance (default none)"),
+    "amplitude": Key("experiment", float, "disturbance amplitude (default 0)"),
+    "omega": Key("experiment", float, "sinusoid frequency in rad/s (default 1)"),
+    "sweep_csv": Key("experiment", bool, "also write the frequency-response CSVs"),
+    "outdir": Key("output", str, "output directory (default results)", name="dir", flag="--out"),
 }
-_LIST_KEYS = {"refs", "ns", "taus"}
-_BOOL_KEYS = {"sweep_csv"}
+
+#: the key that each config-file spelling sets
+_SPELLED = {row.name or key: key for key, row in KEYS.items()}
 
 
-def _parse_list(text: str):
-    return [tok for tok in text.replace(",", " ").split() if tok]
+class Command(NamedTuple):
+    """One platoon subcommand: its help, the experiments a config file may
+    name for it (its own first), the runner in this module that it calls
+    as runner(cfg, *args, outdir), and every key it reads."""
+
+    help: str
+    experiments: tuple
+    runner: str
+    args: tuple
+    keys: tuple
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
+# every subcommand takes these (report draws nothing from the seed); all but
+# scaling, which compares a single end reference with MD, also take _PLACED
+_SHARED = ("n", "k", "seed", "outdir", "experiment")
+_PLACED = ("arrangement", "refs")
+
+COMMANDS = {
+    "report": Command("robustness report (JSON + text summary)", ("report", "hinf-sweep"),
+                      "run_report", (), (*_SHARED, *_PLACED, "gamma", "sweep_csv")),
+    "sweep-remove": Command("drop each minimally-dense reference in turn", ("add-remove",),
+                            "run_remove_add_sweep", ("remove",), (*_SHARED, *_PLACED)),
+    "sweep-add": Command("promote each non-reference position in turn", ("add-remove",),
+                         "run_remove_add_sweep", ("add",), (*_SHARED, *_PLACED)),
+    "delay-grid": Command("simulate both dynamics over a list of delays", ("delay-grid",),
+                          "run_delay_grid", (), (*_SHARED, *_PLACED, "taus", "horizon", "step")),
+    "scaling": Command("gain growth with n: single end reference vs MD", ("scaling",),
+                       "run_scaling", (), (*_SHARED, "ns")),
+    "simulate": Command("one time-domain run, exported as CSV", ("simulate",), "run_simulate", (),
+                        (*_SHARED, *_PLACED, "dynamics", "tau", "delay_mode", "horizon",
+                         "step", "disturbance", "amplitude", "omega")),
+}
+
+
+def _parse(key: str, value):
+    """A raw value of `key` parsed as its row says, when it is a number's,
+    a list's or a bool's text; any other value as given."""
+    row = KEYS[key]
+    if not isinstance(value, str) or row.parse not in (int, float, bool):
         return value
     try:
-        if key in _NUMERIC_KEYS:
-            parse = int if _NUMERIC_KEYS[key].get("integer") else float
-            if key in _LIST_KEYS:
-                return tuple(parse(v) for v in _parse_list(value))
-            return parse(value)
-        if key in _BOOL_KEYS:
+        if row.parse is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+        if row.many:
+            return tuple(row.parse(v) for v in value.replace(",", " ").split())
+        return row.parse(value)
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"bad value for {key}: {exc}") from exc
-    return value
-
-
-_SECTION_OF = {
-    "n": "platoon", "k": "platoon", "arrangement": "platoon", "refs": "platoon",
-    "outdir": "output",
-}
 
 
 def load_config_file(path: str) -> dict:
-    """Read a key = value sections file into a flat {key: raw string} dict."""
+    """Read a key = value sections file into a flat {key: raw string} dict.
+    A key may sit in any section; one the table does not spell is refused."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
@@ -131,52 +178,53 @@ def load_config_file(path: str) -> dict:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     raw = {}
     for section in parser.sections():
-        for key, value in parser.items(section):
-            key = key.replace("-", "_")
-            if key == "name" and section == "experiment":
-                key = "experiment"
-            if key == "dir" and section == "output":
-                key = "outdir"
-            raw[key] = value
+        for spelling, value in parser.items(section):
+            spelling = spelling.replace("-", "_")
+            if spelling not in _SPELLED:
+                raise ParameterError(f"config file {path}: unknown key {spelling!r}")
+            raw[_SPELLED[spelling]] = value
     return raw
 
 
-def finalize_config(raw: dict) -> ScenarioConfig:
-    """Coerce, default, and validate a raw key/value mapping."""
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    coerced = {key: _coerce(key, value) for key, value in raw.items() if value is not None}
-    if "n" not in coerced or "k" not in coerced:
+def finalize_config(raw: dict, command: str) -> ScenarioConfig:
+    """Parse, default and validate a raw key/value mapping for `command`,
+    refusing any key that the command does not read."""
+    cmd = COMMANDS[command]
+    unread = [key for key in raw if key not in cmd.keys]
+    if unread:
+        raise ParameterError(f"the {command} subcommand does not read {', '.join(unread)}")
+    parsed = {key: _parse(key, value) for key, value in raw.items() if value is not None}
+    if "n" not in parsed or "k" not in parsed:
         raise ParameterError("config must supply n and k")
-    cfg = ScenarioConfig(**coerced)
-    for key, bounds in _NUMERIC_KEYS.items():
-        value = getattr(cfg, key)
-        for v in value if key in _LIST_KEYS else (value,):
-            if v is not None:
-                errors.check(key, v, **bounds)
+    experiment = parsed.setdefault("experiment", cmd.experiments[0])
+    if experiment not in cmd.experiments:
+        raise ParameterError(f"the {command} subcommand runs name = "
+                             f"{' | '.join(cmd.experiments)}, not {experiment!r}")
+    for key, value in parsed.items():
+        row = KEYS[key]
+        if isinstance(row.parse, tuple) and value not in row.parse:
+            raise ParameterError(f"{key} must be one of {row.parse}, got {value!r}")
+        if row.parse in (int, float):
+            for v in value if row.many else (value,):
+                errors.check(key, v, integer=row.parse is int, **row.bounds)
+    cfg = ScenarioConfig(**parsed)
     if cfg.step is None:
         # before any run: a delay whose default step underflows fails its run
         dde_sim.default_step(cfg.tau, "tau")
         for tau in cfg.taus:
             dde_sim.default_step(tau, "taus")
 
-    for key, choices in _CHOICES.items():
-        if getattr(cfg, key) not in choices:
-            raise ParameterError(f"{key} must be one of {choices}, got {getattr(cfg, key)!r}")
     if cfg.arrangement == "explicit" and not cfg.refs:
         raise ParameterError("arrangement=explicit requires refs")
     if cfg.refs and cfg.arrangement != "explicit":
         raise ParameterError(f"refs require arrangement=explicit, got {cfg.arrangement!r}")
-    if cfg.experiment == "delay-grid" and not cfg.taus:
+    if command == "delay-grid" and not cfg.taus:
         raise ParameterError("delay-grid requires a nonempty taus list")
-    if cfg.experiment == "scaling" and len(set(cfg.ns)) < 5:
+    if command == "scaling" and len(set(cfg.ns)) < 5:
         raise ParameterError(f"scaling requires at least 5 distinct n values, "
                              f"got {len(set(cfg.ns))}")
-    # simulate runs tau = 0 undelayed, in any mode
-    if (cfg.experiment == "simulate" and cfg.delay_mode == "self-undelayed"
-            and cfg.dynamics == "formation" and cfg.tau > 0):
+    # only simulate reads these keys; tau = 0 runs undelayed, in any mode
+    if cfg.delay_mode == "self-undelayed" and cfg.dynamics == "formation" and cfg.tau > 0:
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")
     cfg.reference_set()  # validates refs against n, and n against memory
     return cfg
@@ -185,23 +233,15 @@ def finalize_config(raw: dict) -> ScenarioConfig:
 def emit_config(cfg: ScenarioConfig) -> str:
     """Render the effective merged config as a sections file."""
     parser = configparser.ConfigParser()
-    parser.add_section("platoon")
-    parser.add_section("experiment")
-    parser.add_section("output")
+    for section in dict.fromkeys(row.section for row in KEYS.values()):
+        parser.add_section(section)
     defaults = ScenarioConfig(n=cfg.n, k=cfg.k)
-    for f in fields(ScenarioConfig):
-        value = getattr(cfg, f.name)
-        if value is None or (f.name not in ("n", "k") and value == getattr(defaults, f.name)):
+    for key, row in KEYS.items():
+        value = getattr(cfg, key)
+        if value is None or (key not in ("n", "k") and value == getattr(defaults, key)):
             continue
-        if isinstance(value, tuple):
-            rendered = " ".join(_fmt(v) for v in value)
-            if not rendered:
-                continue
-        else:
-            rendered = _fmt(value)
-        section = _SECTION_OF.get(f.name, "experiment")
-        key = "name" if f.name == "experiment" else ("dir" if f.name == "outdir" else f.name)
-        parser.set(section, key, rendered)
+        rendered = " ".join(_fmt(v) for v in value) if row.many else _fmt(value)
+        parser.set(row.section, row.name or key, rendered)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -3,7 +3,7 @@
 Two genuinely independent eigenvalue paths are provided on purpose:
 
 * ``eig_sym`` — the primary solver, LAPACK's symmetric eigensolver through
-  ``numpy.linalg.eigvalsh`` / ``eigh``.
+  ``numpy.linalg.eigvalsh``.
 * ``eig_sym_bisection`` — the oracle, Householder tridiagonalization followed
   by Sturm-sequence bisection, written here from numpy array arithmetic and
   matrix products.  It calls no LAPACK routine and is used to cross-check
@@ -31,17 +31,15 @@ CERT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (finite and ascending) and optional orthonormal eigenvectors.
+    """Eigenvalues, finite and ascending.
 
-    When vectors are present, column i pairs with values[i].  Every metric
-    reads the extremes through lambda1 and lambda_max, which refuse an empty
-    spectrum with ParameterError; non-finite or unsorted values are refused
-    at construction, since those extremes and the frequency sweep rely on
-    the order.
+    Every metric reads the extremes through lambda1 and lambda_max, which
+    refuse an empty spectrum with ParameterError; non-finite or unsorted
+    values are refused at construction, since those extremes and the
+    frequency sweep rely on the order.
     """
 
     values: np.ndarray
-    vectors: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -83,16 +81,15 @@ def _check_symmetric(a: np.ndarray) -> None:
         )
 
 
-def eig_sym(m, want_vectors: bool = False) -> Spectrum:
-    """Full spectrum of a symmetric real matrix via LAPACK (``numpy.linalg``
-    ``eigvalsh``, or ``eigh`` when vectors are wanted).
+def eig_sym(m) -> Spectrum:
+    """Full spectrum of a symmetric real matrix via LAPACK
+    (``numpy.linalg.eigvalsh``).
 
     Args:
         m: symmetric real matrix (to 1e-12 relative tolerance), finite.
-        want_vectors: also return the orthonormal eigenvector matrix.
 
     Returns:
-        Spectrum with ascending values (and vectors when requested).
+        Spectrum with ascending values.
 
     Raises:
         ParameterError: on a non-square, non-finite or non-symmetric matrix.
@@ -101,9 +98,6 @@ def eig_sym(m, want_vectors: bool = False) -> Spectrum:
     a = np.array(m, dtype=float)
     _check_symmetric(a)
     try:
-        if want_vectors:
-            values, vectors = np.linalg.eigh(a)
-            return Spectrum(values=values, vectors=vectors)
         return Spectrum(values=np.linalg.eigvalsh(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigensolver did not converge: {exc}") from exc

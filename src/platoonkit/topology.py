@@ -13,7 +13,6 @@ only at the spectral boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,25 +195,3 @@ def ground(topology: PlatoonTopology, refset: ReferenceSet) -> GroundedSystem:
         refs=refset.refs,
         followers=refset.followers,
     )
-
-
-# ---------------------------------------------------------------------------
-# Scenario JSON fragment: the canonical input consumed by the CLI
-# ---------------------------------------------------------------------------
-
-def scenario_to_json(topology: PlatoonTopology, refset: ReferenceSet) -> str:
-    return json.dumps(
-        {"n": topology.n, "k": topology.k, "refs": list(refset.refs)},
-        sort_keys=True,
-    )
-
-
-def scenario_from_json(doc: str):
-    """Parse a {"n":…, "k":…, "refs":[…]} document into topology + references."""
-    try:
-        raw = json.loads(doc)
-        n, k, refs = raw["n"], raw["k"], list(raw["refs"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed scenario document: {exc}") from exc
-    topology = build_platoon(n, k)
-    return topology, make_reference_set(n, refs)

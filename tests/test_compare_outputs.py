@@ -41,7 +41,20 @@ def test_last_bit_change_passes_and_is_reported(base, tmp_path, capsys):
     moved = REPORT.replace("0.9999999999999997", "1.0000000000000097")
     code, out = run(base, tmp_path, {"report/report.json": moved, "grid/delay_grid.csv": CSV}, capsys)
     assert code == 0
-    assert "ok   report/report.json: largest deviation 1.01e-14" in out
+    assert "ok   report/report.json: largest deviation 1e-14" in out
+
+
+@pytest.mark.parametrize("a, b, code", [
+    # one unit in the 12th digit just above 1: a float difference of
+    # 1.0000000827e-11 would fail it
+    ("1.00000000504", "1.00000000505", 0),
+    ("1.00000000504", "1.0000000050500000001", 1),  # 4.95e-20 above the bound
+    ("0.5", "0.50000000001", 0),                    # on the bound
+    ("0.5", "0.500000000010000001", 1),             # 1e-18 above it
+])
+def test_bound_is_evaluated_exactly(tmp_path, capsys, a, b, code):
+    base = tree(tmp_path / "a", {"report/x.csv": a + "\n"})
+    assert run(base, tmp_path, {"report/x.csv": b + "\n"}, capsys)[0] == code
 
 
 @pytest.mark.parametrize("report, csv", [

@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from platoonkit import (
 )
 from platoonkit.cli import main
 from platoonkit.experiments import (
-    _NUMERIC_KEYS,
+    COMMANDS,
+    KEYS,
     ScenarioConfig,
     _fmt,
     emit_config,
@@ -55,7 +58,7 @@ class TestConfig:
             "dir = out\n"
         )
         raw = load_config_file(str(cfg_file))
-        cfg = finalize_config(raw)
+        cfg = finalize_config(raw, "delay-grid")
         assert cfg.n == 36 and cfg.k == 4
         assert cfg.experiment == "delay-grid"
         assert cfg.taus == (0.05, 0.09, 0.1, 0.4)
@@ -63,48 +66,73 @@ class TestConfig:
 
     def test_validations(self):
         with pytest.raises(ParameterError, match="must supply n and k"):
-            finalize_config({"n": "5"})
-        with pytest.raises(ParameterError, match="unknown config keys"):
-            finalize_config({"n": "5", "k": "2", "bogus": "1"})
+            finalize_config({"n": "5"}, "report")
+        with pytest.raises(ParameterError, match="the report subcommand does not read bogus"):
+            finalize_config({"n": "5", "k": "2", "bogus": "1"}, "report")
         with pytest.raises(ParameterError, match="nonempty taus"):
-            finalize_config({"n": "5", "k": "2", "experiment": "delay-grid"})
+            finalize_config({"n": "5", "k": "2"}, "delay-grid")
         with pytest.raises(ParameterError, match="at least 5"):
-            finalize_config({"n": "5", "k": "2", "experiment": "scaling", "ns": "8 16"})
+            finalize_config({"n": "5", "k": "2", "ns": "8 16"}, "scaling")
         with pytest.raises(ParameterError, match="at least 5 distinct n values, got 1"):
-            finalize_config({"n": "5", "k": "2", "experiment": "scaling", "ns": "8 8 8 8 8"})
+            finalize_config({"n": "5", "k": "2", "ns": "8 8 8 8 8"}, "scaling")
         with pytest.raises(ParameterError, match="requires refs"):
-            finalize_config({"n": "5", "k": "2", "arrangement": "explicit"})
+            finalize_config({"n": "5", "k": "2", "arrangement": "explicit"}, "report")
         with pytest.raises(ParameterError, match="refs require arrangement=explicit"):
-            finalize_config({"n": "5", "k": "2", "refs": "3"})
-        assert finalize_config({"n": "5", "k": "2", "sweep_csv": "On"}).sweep_csv is True
+            finalize_config({"n": "5", "k": "2", "refs": "3"}, "report")
+        assert finalize_config({"n": "5", "k": "2", "sweep_csv": "On"}, "report").sweep_csv is True
         with pytest.raises(ParameterError, match="bad value for sweep_csv: 'maybe'"):
-            finalize_config({"n": "5", "k": "2", "sweep_csv": "maybe"})
-        # the experiment is not a flag: an unknown one can only come this way
-        with pytest.raises(ParameterError, match="experiment must be one of"):
-            finalize_config({"n": "5", "k": "2", "experiment": "bogus"})
+            finalize_config({"n": "5", "k": "2", "sweep_csv": "maybe"}, "report")
+        # the experiment is not a flag: a foreign one can only come this way
+        with pytest.raises(ParameterError, match=re.escape(
+                "the report subcommand runs name = report | hinf-sweep, not 'bogus'")):
+            finalize_config({"n": "5", "k": "2", "experiment": "bogus"}, "report")
+        with pytest.raises(ParameterError, match="the scaling subcommand runs name = scaling, "
+                           "not 'delay-grid'"):
+            finalize_config({"n": "5", "k": "2", "experiment": "delay-grid",
+                             "ns": "8 16 32 64 128"}, "scaling")
         with pytest.raises(ParameterError):
-            finalize_config({"n": "5", "k": "2", "refs": "0", "arrangement": "explicit"})
+            finalize_config({"n": "5", "k": "2", "refs": "0", "arrangement": "explicit"}, "report")
+        with pytest.raises(ParameterError, match="self-undelayed mode applies to the velocity"):
+            finalize_config({"n": "5", "k": "2", "dynamics": "formation", "tau": "0.1",
+                             "delay_mode": "self-undelayed"}, "simulate")
 
-    def test_emit_config_round_trips(self, tmp_path):
-        cfg = finalize_config(
-            {"n": "10", "k": "2", "experiment": "delay-grid", "taus": "0 0.1", "seed": "3"}
-        )
-        text = emit_config(cfg)
+    def test_one_row_per_config_field(self):
+        assert tuple(KEYS) == tuple(f.name for f in fields(ScenarioConfig))
+        for cmd in COMMANDS.values():
+            assert set(cmd.keys) <= set(KEYS)
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--n", "36", "--k", "4", "--arrangement", "md", "--seed", "0",
+         "--gamma", "1.0", "--sweep-csv", "--out", "battery/report"],
+        ["sweep-remove", "--n", "36", "--k", "4", "--seed", "3", "--out", "o"],
+        ["sweep-add", "--n", "5", "--k", "2", "--arrangement", "explicit", "--refs", "2,4"],
+        ["delay-grid", "--n", "10", "--k", "2", "--taus", "0,0.1", "--horizon", "40",
+         "--step", "0.002"],
+        ["scaling", "--n", "8", "--k", "1", "--ns", "8,16,32,64,128", "--seed", "2"],
+        ["simulate", "--n", "36", "--k", "4", "--dynamics", "velocity", "--tau", "5",
+         "--delay-mode", "self-undelayed", "--horizon", "500", "--step", "0.005",
+         "--disturbance", "sin", "--amplitude", "0.3", "--omega", "1.7"],
+    ], ids=lambda argv: argv[0])
+    def test_emit_config_round_trips(self, tmp_path, capsys, argv):
+        assert main([*argv, "--emit-config"]) == 0
+        text = capsys.readouterr().out
         cfg_file = tmp_path / "emitted.cfg"
         cfg_file.write_text(text)
-        again = finalize_config(load_config_file(str(cfg_file)))
-        assert again == cfg
+        assert main([argv[0], "--config", str(cfg_file), "--emit-config"]) == 0
+        assert capsys.readouterr().out == text
 
     def test_explicit_and_single_arrangements(self):
-        cfg = finalize_config({"n": "5", "k": "2", "arrangement": "explicit", "refs": "3"})
+        cfg = finalize_config({"n": "5", "k": "2", "arrangement": "explicit", "refs": "3"},
+                              "report")
         assert cfg.reference_set().refs == (3,)
         # one chosen reference is an explicit set of one; "single" is no arrangement
-        cfg = finalize_config({"n": "5", "k": "2", "arrangement": "explicit", "refs": "2"})
+        cfg = finalize_config({"n": "5", "k": "2", "arrangement": "explicit", "refs": "2"},
+                              "report")
         assert cfg.reference_set().refs == (2,)
         with pytest.raises(ParameterError, match="arrangement must be one of"):
-            finalize_config({"n": "5", "k": "2", "arrangement": "single"})
-        with pytest.raises(ParameterError, match="unknown config keys: \\['position'\\]"):
-            finalize_config({"n": "5", "k": "2", "position": "2"})
+            finalize_config({"n": "5", "k": "2", "arrangement": "single"}, "report")
+        with pytest.raises(ParameterError, match="the report subcommand does not read position"):
+            finalize_config({"n": "5", "k": "2", "position": "2"}, "report")
 
 
 class TestRunners:
@@ -561,17 +589,51 @@ class TestCli:
         assert out.startswith("usage: platoonkit")
         assert "--help" in out
 
-    def test_scenario_json_input(self, tmp_path, capsys):
+    def test_scenario_json_flag_is_gone(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text('{"n": 5, "k": 2, "refs": [3]}')
-        code = main(["report", "--scenario", str(scenario), "--emit-config"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "n = 5" in out and "refs = 3" in out and "arrangement = explicit" in out
+        assert main(["report", "--scenario", str(scenario), "--emit-config"]) == 2
+        assert "unrecognized arguments: --scenario" in capsys.readouterr().err
+        # the flags say what the JSON fragment said, to the emitted byte
+        assert main(["report", "--n", "5", "--k", "2", "--arrangement", "explicit",
+                     "--refs", "3", "--emit-config"]) == 0
+        assert capsys.readouterr().out == (
+            "[platoon]\nn = 5\nk = 2\narrangement = explicit\nrefs = 3\n\n"
+            "[experiment]\n\n[output]\n\n")
 
-    def test_scenario_json_missing_file_exit_2(self, tmp_path, capsys):
-        code = main(["report", "--scenario", str(tmp_path / "nope.json")])
-        assert code == 2
+    @pytest.mark.parametrize("argv, config, error", [
+        (["sweep-add"], "[platoon]\nn = 10\nk = 1\n[experiment]\ntau = 5\n"
+         "dynamics = formation\nns = 8 16\nhorizon = 3\ngamma = 0.5\n",
+         "error: the sweep-add subcommand does not read tau, dynamics, ns, horizon, gamma"),
+        (["scaling", "--n", "8", "--k", "1", "--ns", "8,16,32,64,128", "--arrangement",
+          "explicit", "--refs", "3"], None,
+         "platoonkit scaling: error: unrecognized arguments: --arrangement explicit --refs 3"),
+        (["scaling", "--ns", "8,16,32,64,128"], "[platoon]\nn = 8\nk = 1\n"
+         "arrangement = explicit\nrefs = 3\n",
+         "error: the scaling subcommand does not read arrangement, refs"),
+        (["scaling", "--n", "8", "--k", "1", "--ns", "8,16,32,64,128", "--arrangement", "md"],
+         None, "platoonkit scaling: error: unrecognized arguments: --arrangement md"),
+        (["delay-grid", "--taus", "0.1"], "[platoon]\nn = 5\nk = 2\n[experiment]\n"
+         "name = scaling\n",
+         "error: the delay-grid subcommand runs name = delay-grid, not 'scaling'"),
+    ], ids=["sweep-add-config", "scaling-flags", "scaling-config", "scaling-md-flag",
+            "delay-grid-name"])
+    def test_unread_key_exit_2(self, tmp_path, capsys, argv, config, error):
+        # a key the subcommand does not read is refused, as a flag or in a
+        # config file, and the error line names the key and the subcommand
+        out = tmp_path / "out"
+        if config is not None:
+            (tmp_path / "s.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "s.cfg")]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert error in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
+    def test_config_key_spelled_only_as_the_table_spells_it(self, tmp_path, capsys):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("[platoon]\nn = 8\nk = 2\n[output]\noutdir = elsewhere\n")
+        assert main(["report", "--config", str(cfg_file)]) == 2
+        assert "unknown key 'outdir'" in capsys.readouterr().err
 
     def test_config_file_can_request_hinf_sweep(self, tmp_path):
         cfg_file = tmp_path / "s.cfg"
@@ -587,19 +649,20 @@ NUMBERS = st.one_of(st.floats(), st.integers(-10**30, 10**30))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(
-    command=st.sampled_from(["report", "delay-grid", "scaling", "simulate"]),
-    values=st.dictionaries(
-        st.sampled_from(sorted(_NUMERIC_KEYS)),
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
+def test_any_numeric_config_value_exits_0_or_2(tmp_path_factory, command, data):
+    # every numeric key the command reads, one value or a list, through the
+    # config file (the path that takes any string); NaN, infinities,
+    # subnormals and integers far beyond memory must end as success or a
+    # parameter error
+    numeric = sorted(key for key in COMMANDS[command].keys if KEYS[key].parse in (int, float))
+    values = data.draw(st.dictionaries(
+        st.sampled_from(numeric),
         st.one_of(NUMBERS, st.lists(NUMBERS, min_size=1, max_size=3)),
         min_size=1,
-    ),
-)
-def test_any_numeric_config_value_exits_0_or_2(tmp_path_factory, command, values):
-    # every numeric key, one value or a list, through the config file (the
-    # path that takes any string); NaN, infinities, subnormals and integers
-    # far beyond memory must end as success or a parameter error
-    config = {"n": 5, "k": 2, "taus": [0.1], "ns": [8, 16, 32, 64, 128], **values}
+    ))
+    needed = {"delay-grid": {"taus": [0.1]}, "scaling": {"ns": [8, 16, 32, 64, 128]}}
+    config = {"n": 5, "k": 2, **needed.get(command, {}), **values}
     lines = ["[experiment]"] + [
         f"{key} = {' '.join(map(repr, v)) if isinstance(v, list) else repr(v)}"
         for key, v in config.items()

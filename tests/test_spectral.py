@@ -67,8 +67,6 @@ class TestEigSym:
         # symmetric in the NaN sense too: both off-diagonal entries are bad
         with pytest.raises(ParameterError, match="non-finite"):
             eig_sym(np.array([[1.0, bad], [bad, 2.0]]))
-        with pytest.raises(ParameterError, match="non-finite"):
-            eig_sym(np.array([[bad, 0.0], [0.0, 2.0]]), want_vectors=True)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_oracle_rejects_non_finite(self, bad):
@@ -90,25 +88,13 @@ class TestEigSym:
         assert len(eig_sym(np.zeros((0, 0)))) == 0
         assert len(eig_sym_bisection(np.zeros((0, 0)))) == 0
 
-    @pytest.mark.parametrize("want_vectors", [False, True])
-    def test_lapack_failure_is_numerical_error(self, monkeypatch, want_vectors):
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         with pytest.raises(NumericalError, match="did not converge"):
-            eig_sym(np.array([[2.0, -1.0], [-1.0, 1.0]]), want_vectors=want_vectors)
-
-    def test_eigenvector_invariants(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = sym(rng, int(rng.integers(2, 25)))
-            spec = eig_sym(a, want_vectors=True)
-            v = spec.vectors
-            assert np.max(np.abs(v.T @ v - np.eye(len(a)))) <= 1e-10
-            resid = np.abs(a @ v - v * spec.values).max(axis=0)
-            assert np.all(resid <= 1e-8 * np.maximum(1.0, np.abs(spec.values)))
+            eig_sym(np.array([[2.0, -1.0], [-1.0, 1.0]]))
 
     def test_values_sorted_ascending(self):
         rng = np.random.default_rng(6)

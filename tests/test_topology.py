@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +9,6 @@ from platoonkit import (
     ground,
     make_reference_set,
     md_arrangement,
-    scenario_from_json,
-    scenario_to_json,
 )
 
 
@@ -206,22 +202,3 @@ class TestGround:
         for _ in range(50):
             _, _, gs = random_grounded(rng, n_hi=30)
             assert np.array_equal(gs.lg, gs.lg.T)
-
-
-class TestScenarioJson:
-    def test_round_trip(self):
-        top = build_platoon(36, 4)
-        refset = md_arrangement(36, 4)
-        doc = scenario_to_json(top, refset)
-        assert json.loads(doc) == {"n": 36, "k": 4, "refs": [5, 14, 23, 32]}
-        top2, refs2 = scenario_from_json(doc)
-        assert top2 == top
-        assert refs2 == refset
-
-    def test_malformed_document(self):
-        with pytest.raises(ParameterError):
-            scenario_from_json("{\"n\": 5}")
-        with pytest.raises(ParameterError):
-            scenario_from_json("not json")
-        with pytest.raises(ParameterError):
-            scenario_from_json('{"n": 5, "k": 2, "refs": 5}')
