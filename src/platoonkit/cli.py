@@ -12,7 +12,8 @@ key, and the error line names the key and the subcommand.
 
 Exit codes: 0 success (and --help), 2 malformed command line, config or
 parameter error, or out of memory, 3 numerical failure, 4 verification
-violation.  main() returns the code; it does not raise SystemExit.
+violation.  main() returns the code; it does not raise SystemExit.  A
+refused run leaves behind no empty --out directory that its call made.
 """
 
 from __future__ import annotations
@@ -98,11 +99,17 @@ def main(argv=None) -> int:
             print(experiments.emit_config(cfg), end="")
             return EXIT_OK
         outdir = Path(cfg.outdir)
+        made = not outdir.exists()
         outdir.mkdir(parents=True, exist_ok=True)
         cmd = experiments.COMMANDS[args.command]
-        # looked up at the call: a runner replaced on experiments is the one run
-        for path in getattr(experiments, cmd.runner)(cfg, *cmd.args, outdir):
-            print(f"wrote {path}")
+        try:
+            # looked up at the call: a runner replaced on experiments is the one run
+            for path in getattr(experiments, cmd.runner)(cfg, *cmd.args, outdir):
+                print(f"wrote {path}")
+        finally:
+            # a refused run leaves behind no empty directory that this call made
+            if made and not any(outdir.iterdir()):
+                outdir.rmdir()
         return EXIT_OK
     except (ParameterError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,7 +69,9 @@ and verdict's keeps only the two rows classify compares.  A disturbance is
 sampled a chunk of steps at a time, never for the whole run.  Beside the
 buffer a run holds its operators, the stacked powers of P, one batch's
 temporaries and one piece of CSV text: nothing else grows with _CHUNK_ROWS
-or with the number of powers.
+or with the number of powers.  Before anything is allocated, check_run bounds
+a run's steps and delay together by MAX_STEPS and charges it for its buffer;
+simulate is charged for its states besides.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ STABILITY_THRESHOLD = 0.2
 
 #: fraction of the horizon used as the trailing classification window
 TRAILING_WINDOW = 0.25
+
+#: the most steps, horizon and delay together, of one run: 37 times the
+#: longest run of the tests, the battery and the benchmark (270,150)
+MAX_STEPS = 10_000_000
 
 # rows handled at a time where whole-run temporaries would double a run's
 # memory: undelayed integration batches, the sliding buffer and the norms
@@ -264,31 +270,6 @@ class Trajectory:
             out[lo : lo + _CHUNK_ROWS] = _row_norms(self.states[lo : lo + _CHUNK_ROWS])
         return out
 
-    def to_csv(self, fh) -> None:
-        """Write the run as CSV to the open text file `fh`: the metadata and
-        column lines, the rows a piece at a time (_csv_rows), then the
-        divergence marker of a diverged run."""
-        fh.write(_csv_head(self.meta, self.states.shape[1]))
-        _csv_rows(fh, self.times, self.states)
-        if self.diverged:
-            fh.write(_DIVERGED_LINE)
-
-
-# the trajectory CSV's last line after a diverged run: the run's end is the
-# first time the marker is known
-_DIVERGED_LINE = "# diverged=true (run truncated at state norm > 1e12)\n"
-
-
-def _csv_head(meta: dict, dim: int) -> str:
-    """The trajectory CSV's metadata and column lines."""
-    header = "# " + ", ".join(
-        f"{key}={'none' if meta[key] is None else meta[key]}"
-        for key in ("n", "k", "kind", "mode", "tau", "tau_effective", "step", "seed")
-        if key in meta
-    )
-    cols = "t,norm," + ",".join(f"x_{i + 1}" for i in range(dim))
-    return f"{header}\n{cols}\n"
-
 
 def _csv_rows(fh, times: np.ndarray, states: np.ndarray) -> None:
     """Write one CSV row per state, `t,norm,x_1,..`, each piece of _CSV_ROWS
@@ -341,34 +322,34 @@ def default_horizon(lambda1: float) -> float:
 # Integration
 # ---------------------------------------------------------------------------
 
-def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
-              disturbance=None) -> tuple:
+def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> tuple:
     """Check a run of `simulate`, `simulate_to_csv` or `verdict` before
     anything is allocated, and return its (step h, steps, delay in whole
     steps m).
 
-    The memory checked is that of a run held whole.  simulate holds its
-    states and the sliding buffer, at most m + 5 + max(m - 1, _CHUNK_ROWS)
-    rows more; simulate_to_csv and verdict hold only the buffer.  Every run
-    refused here is refused by all three, and the guard also bounds how many
-    steps a run may take.  A delay of 1e-10 at its default step, 2.5e-12,
-    takes 8e12 steps over a horizon of 20; its window would fit, and the run
-    would take days.
+    A run's steps and its delay window together may number at most
+    MAX_STEPS, whatever it holds: a delay of 1e-10 at its default step,
+    2.5e-12, takes 8e12 steps over a horizon of 20, whose buffer would fit
+    and which would take days.  The memory charged is the run's sliding
+    buffer, _window_rows(m, nsteps) rows; simulate is charged for its states
+    besides.
 
     Raises:
         ParameterError: on a step not finite and > 0, a horizon shorter than
-            10 steps, or buffers larger than physical memory.
+            10 steps, more than MAX_STEPS steps, or a buffer larger than
+            physical memory.
     """
     h = float(errors.check("step", step, 0.0, strict=True))
     errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
     steps, lag = horizon / h, delay.tau / h
-    # the whole run, 8 bytes a value: m + 5 + nsteps rows of states, the
-    # times, and a disturbance's samples at the grid and midpoint times,
-    # before and after the input matrix
-    width = sys.dim + 1 + (2 * (sys.dim + sys.lg.shape[0]) if disturbance is not None else 0)
-    nbytes = 8.0 * (steps + lag + 6.0) * width
-    errors.check_memory(f"a run of {steps:.4g} steps", nbytes)
-    return h, int(round(steps)), int(round(lag))
+    # compared as floats: a horizon of 1e300 in steps of 1e-10 is inf steps
+    if not steps + lag <= MAX_STEPS:
+        raise ParameterError(
+            f"a run of {steps:.4g} steps, with {lag:.4g} more for its delay, is "
+            f"longer than the {MAX_STEPS:,} steps one run may take")
+    nsteps, m = int(round(steps)), int(round(lag))
+    errors.check_memory(f"a run of {nsteps} steps", 8.0 * _window_rows(m, nsteps) * sys.dim)
+    return h, nsteps, m
 
 
 def simulate(
@@ -402,8 +383,12 @@ def simulate(
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
+    _, nsteps, m = check_run(sys, delay, horizon, step)
+    # the states beside the buffer, before either is allocated
+    errors.check_memory(f"a run of {nsteps} steps held whole",
+                        8.0 * (nsteps + 1 + _window_rows(m, nsteps)) * sys.dim)
     run = _prepare(sys, delay, x0, horizon, step, disturbance)
-    states = _allocate(run.nsteps + 1, sys.dim, run.nsteps)
+    states = _allocate(nsteps + 1, sys.dim, nsteps)
 
     def keep(first, rows):
         states[first : first + len(rows)] = rows
@@ -417,33 +402,35 @@ def simulate(
 def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
                     step: float, disturbance=None) -> tuple:
     """Write the run of simulate(sys, delay, x0, horizon, step, disturbance)
-    to the CSV file `path`, byte for byte as its to_csv writes it, and return
-    (classify's verdict on it, its meta), without holding the run: each
-    stretch of accepted rows is written as the buffer slides, and classify's
-    two rows are copied as they pass.  The file is opened once the buffers
-    are allocated, so a run refused, or whose buffers cannot be allocated,
-    writes no file.  Inputs are checked and refused as by simulate.
+    to the CSV file `path`, and return (classify's verdict on it, its meta),
+    without holding the run: each stretch of accepted rows is written as the
+    buffer slides, and classify's two rows are copied as they pass.  The
+    file is opened once the buffer is allocated, so a run refused, or whose
+    buffer cannot be allocated, writes no file.  Inputs are checked as by
+    simulate; the run is charged for its buffer alone (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, disturbance)
     ends, judge = _classify_rows(run)
     with open(path, "w") as fh:
-        fh.write(_csv_head(run.meta, sys.dim))
+        fh.write("# " + ", ".join(f"{key}={'none' if value is None else value}"
+                                  for key, value in run.meta.items()) + "\n")
+        fh.write("t,norm," + ",".join(f"x_{i + 1}" for i in range(sys.dim)) + "\n")
 
         def write(first, rows):
             _csv_rows(fh, np.arange(first, first + len(rows)) * run.h, rows)
             ends(first, rows)
 
         last, diverged = _advance(run, write)
-        if diverged:
-            fh.write(_DIVERGED_LINE)
+        if diverged:  # known only once the run ends
+            fh.write("# diverged=true (run truncated at state norm > 1e12)\n")
     return judge(last, diverged), dict(run.meta, diverged=diverged)
 
 
 def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -> StabilityVerdict:
     """classify(simulate(sys, delay, x0, horizon, step)), field for field,
     without holding the run: classify's two rows are copied as the buffer
-    slides past them (see _advance).  Inputs are checked and refused as by
-    simulate, check_run included, which also bounds the number of steps.
+    slides past them (see _advance).  Inputs are checked as by simulate,
+    and the run is charged for its buffer alone (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, None)
     ends, judge = _classify_rows(run)
@@ -470,9 +457,9 @@ class _Run:
 def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
              disturbance) -> _Run:
     """The checks, operators and buffer of a run of simulate,
-    simulate_to_csv or verdict.  The buffer holds the delay window and one
-    batch (at least _CHUNK_ROWS rows, at most the run)."""
-    h, nsteps, m = check_run(sys, delay, horizon, step, disturbance)
+    simulate_to_csv or verdict, whose buffer is _window_rows(m, nsteps)
+    rows."""
+    h, nsteps, m = check_run(sys, delay, horizon, step)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
@@ -492,7 +479,7 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
         # lg = Dg - Ag: own state instantaneous, neighbor states delayed
         dg = np.diag(np.diag(lg))
         a0, atau = -dg, dg - lg
-    hist = _allocate(m + 5 + min(nsteps, max(_batch_steps(m), _CHUNK_ROWS)), sys.dim, nsteps)
+    hist = _allocate(_window_rows(m, nsteps), sys.dim, nsteps)
     hist[: m + 5] = x0
     meta = {
         "n": sys.n if sys.n is not None else -1,
@@ -578,6 +565,11 @@ def _classify_rows(run: _Run) -> tuple:
 def _batch_steps(m: int) -> int:
     """Steps per batch for a delay of m steps (see _advance)."""
     return _CHUNK_ROWS if m == 0 else max(m - 1, 1)
+
+
+def _window_rows(m: int, nsteps: int) -> int:
+    """Rows of the sliding buffer (see _advance) of a run of nsteps steps."""
+    return m + 5 + min(nsteps, max(_batch_steps(m), _CHUNK_ROWS))
 
 
 # a batch past the cutoff, or the powers of P for a step far beyond RK4's

@@ -60,3 +60,21 @@ def formation_modal_delay_margin(lg_values) -> float:
     """
     mus = np.concatenate([np.roots([1.0, lam, lam]) for lam in lg_values])
     return float(np.min((np.abs(np.angle(mus)) - math.pi / 2.0) / np.abs(mus)))
+
+
+def trajectory_csv(traj) -> str:
+    """The trajectory CSV that dde_sim.simulate_to_csv must write for the run
+    `traj`, formatted here one value at a time with `%.12g`: the metadata
+    and column lines, one `t,norm,x_1,..` row per state, then a diverged
+    run's marker."""
+    keys = ("n", "k", "kind", "mode", "tau", "tau_effective", "step", "seed")
+    meta = traj.meta
+    head = "# " + ", ".join(
+        f"{key}={'none' if meta[key] is None else meta[key]}" for key in keys if key in meta)
+    cols = "t,norm," + ",".join(f"x_{i + 1}" for i in range(traj.states.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(traj.states, axis=1)
+    rows = ["%.12g,%.12g," % (t, nrm) + ",".join("%.12g" % v for v in row)
+            for t, nrm, row in zip(traj.times.tolist(), norms.tolist(), traj.states.tolist())]
+    marker = ["# diverged=true (run truncated at state norm > 1e12)"] if traj.diverged else []
+    return "\n".join([head, cols, *rows, *marker]) + "\n"

@@ -1,13 +1,14 @@
 import io
 import math
 import os
+import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import expm_oracle, random_grounded
+from conftest import expm_oracle, random_grounded, trajectory_csv
 from platoonkit import (
     DelaySpec,
     NoiseDisturbance,
@@ -41,12 +42,6 @@ def grounded(n, k, refs):
 
 def scalar_system():
     return velocity_system(grounded(2, 1, [1]))  # lg = [1]
-
-
-def csv_text(traj):
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    return buf.getvalue()
 
 
 class TestSimulateBasics:
@@ -123,6 +118,31 @@ class TestSimulateBasics:
         with pytest.raises(ParameterError, match="cannot allocate"):
             run(scalar_system(), DelaySpec(0.1, "full"), np.ones(1), 20.0, 1e-3)
 
+    def test_only_simulate_is_charged_for_the_whole_run(self, monkeypatch, tmp_path):
+        # 100,000 steps of 4 states: 3.2 MB of states, and a buffer of
+        # m + 5 + _CHUNK_ROWS rows (0.13 MB)
+        sysm = velocity_system(grounded(5, 2, [3]))
+        delay, x0, horizon, h = DelaySpec(0.05, "full"), np.ones(4), 100.0, 1e-3
+        want = classify(simulate(sysm, delay, x0, horizon, h))
+        monkeypatch.setattr("platoonkit.errors._physical_memory", lambda: 2.0**20)
+        with pytest.raises(ParameterError, match="a run of 100000 steps held whole needs"):
+            simulate(sysm, delay, x0, horizon, h)
+        assert verdict(sysm, delay, x0, horizon, h) == want
+        got, _ = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0, horizon, h)
+        assert got == want
+
+    def test_steps_and_delay_window_bounded_together(self):
+        sysm = scalar_system()
+        h = 0.5  # exact in binary, as is MAX_STEPS * h
+        horizon = dde_sim.MAX_STEPS * h
+        assert dde_sim.check_run(sysm, UNDELAYED, horizon, h) == (h, dde_sim.MAX_STEPS, 0)
+        for delay, horizon, step, steps in [
+            (DelaySpec(h, "full"), horizon, h, "1e+07 steps, with 1 more"),
+            (UNDELAYED, 1e300, 1e-10, "inf steps, with 0 more"),  # beyond a float
+        ]:
+            with pytest.raises(ParameterError, match=re.escape(f"a run of {steps} for its delay")):
+                simulate(sysm, delay, np.ones(1), horizon, step)
+
     def test_divergence_truncates_with_marker(self):
         traj = simulate(scalar_system(), DelaySpec(3.0, "full"), np.ones(1), 400.0, 0.02)
         assert traj.diverged
@@ -138,10 +158,10 @@ class TestSimulateBasics:
         assert traj.states.shape[1] == 8
         assert classify(traj).stable
 
-    def test_norms_match_states(self):
+    def test_norms_match_states(self, tmp_path):
         # the norms are computed on read, in chunks of 4096 rows; each must
         # equal the norm of its row, bit for bit, and so must the two rows
-        # classify compares and the CSV's norm column
+        # classify compares and the streamed CSV's norm column
         gs = grounded(5, 2, [3])
         velocity, formation = velocity_system(gs), formation_system(gs)
         rng = np.random.default_rng(6)
@@ -165,8 +185,14 @@ class TestSimulateBasics:
                 assert classify(traj).decay_ratio == norms[-1] / norms[w0]
             # the rows follow the two header lines; a diverged run's marker
             # follows them
-            rows = csv_text(traj).splitlines()[2 : 2 + len(norms)]
+            path = tmp_path / "trajectory.csv"
+            got, meta = dde_sim.simulate_to_csv(path, sysm, delay, x0, horizon, step)
+            assert got == classify(traj) and meta == traj.meta
+            text = path.read_text()
+            assert text == trajectory_csv(traj)
+            rows = text.splitlines()[2 : 2 + len(norms)]
             assert [row.split(",")[1] for row in rows] == [f"{v:.12g}" for v in norms]
+            assert text.endswith("(run truncated at state norm > 1e12)\n") == diverged
 
 
 class TestZeroDelayOracle:
@@ -769,11 +795,13 @@ class TestDisturbances:
 
 
 class TestTrajectoryCsv:
-    def test_metadata_and_columns(self):
+    def test_metadata_and_columns(self, tmp_path):
         gs = grounded(5, 2, [3])
         sysm = velocity_system(gs)
+        path = tmp_path / "trajectory.csv"
+        dde_sim.simulate_to_csv(path, sysm, DelaySpec(0.1, "full"), np.ones(4), 1.0, 1e-2)
         traj = simulate(sysm, DelaySpec(0.1, "full"), np.ones(4), 1.0, 1e-2)
-        lines = csv_text(traj).splitlines()
+        lines = path.read_text().splitlines()
         assert lines[0].startswith("# n=5, k=2, kind=velocity, mode=full, tau=0.1")
         assert "step=0.01" in lines[0]
         assert lines[1] == "t,norm,x_1,x_2,x_3,x_4"
@@ -781,7 +809,7 @@ class TestTrajectoryCsv:
 
     def test_rows_match_per_value_format(self):
         # more rows than one formatting chunk, with negative zeros, values
-        # across the exponent switch of %g, and a diverged tail
+        # across the exponent switch of %g, and a tail past the cutoff
         rng = np.random.default_rng(12)
         rows = 9000
         states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
@@ -789,20 +817,13 @@ class TestTrajectoryCsv:
         states[::5, 1] = 0.0
         states[-3:] = [[1e13, -math.inf, 2.5], [math.inf, math.nan, -0.0],
                        [-math.inf, 1e300, 1e-300]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(states, axis=1)
         times = np.arange(rows) * 1e-3
-        traj = Trajectory(times=times, states=states,
-                          meta={"n": 5, "k": 2, "tau": 0.1, "diverged": True})
-        lines = csv_text(traj).split("\n")
-        assert lines[:2] == ["# n=5, k=2, tau=0.1", "t,norm,x_1,x_2,x_3"]
-        # the marker is known when the run ends: the file's last line
-        assert lines[-2:] == ["# diverged=true (run truncated at state norm > 1e12)", ""]
-        assert lines[2:-2] == [
-            f"{t:.12g},{nrm:.12g}," + ",".join(f"{v:.12g}" for v in row)
-            for t, nrm, row in zip(times, norms, states)
-        ]
-        assert "-0" in lines[2].split(",") and "inf" in lines[-3] and "nan" in lines[-4]
+        buf = io.StringIO()
+        dde_sim._csv_rows(buf, times, states)
+        want = trajectory_csv(Trajectory(times=times, states=states))
+        assert buf.getvalue() == want.split("\n", 2)[2]  # below the two header lines
+        lines = buf.getvalue().split("\n")
+        assert "-0" in lines[0].split(",") and "inf" in lines[-2] and "nan" in lines[-3]
 
     def test_memory_does_not_grow_with_the_run(self):
         # the text is written a piece at a time: writing 32,768 rows peaks
@@ -810,17 +831,16 @@ class TestTrajectoryCsv:
         rng = np.random.default_rng(3)
         peaks = []
         for rows in (8192, 32768):
-            traj = Trajectory(times=np.arange(rows) * 1e-3,
-                              states=rng.standard_normal((rows, 4)), meta={"n": 5})
+            times, states = np.arange(rows) * 1e-3, rng.standard_normal((rows, 4))
             with open(os.devnull, "w") as fh:
                 tracemalloc.start()
                 try:
-                    traj.to_csv(fh)
+                    dde_sim._csv_rows(fh, times, states)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
-        assert max(peaks) < traj.states.nbytes
+        assert max(peaks) < states.nbytes
 
 
 class TestWorkingSetIsTheRunsBuffers:

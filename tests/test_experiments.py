@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import trajectory_csv
 from platoonkit import (
     NumericalError,
     ParameterError,
@@ -38,6 +39,8 @@ from platoonkit.experiments import (
 )
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
+# the refusal of a run of more than dde_sim.MAX_STEPS steps
+TOO_LONG = f"longer than the {dde_sim.MAX_STEPS:,} steps one run may take"
 
 
 class TestConfig:
@@ -470,6 +473,19 @@ class TestCli:
         assert "error: refs require arrangement=explicit" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-add", "--n", "8", "--k", "1", "--arrangement", "explicit", "--refs", "3"],
+        ["delay-grid", "--n", "5", "--k", "2", "--taus", "0.1,1e-10", "--horizon", "20"],
+    ])
+    def test_refused_run_leaves_no_directory_it_made(self, tmp_path, capsys, argv):
+        # each runner refuses after cli.main has made --out
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        # a directory that was there before stays
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert tmp_path.is_dir()
+
     def test_scaling_needs_five_distinct_sizes(self, tmp_path, capsys, monkeypatch):
         # five copies of one size would fit each log-log slope to one point
         def no_eigensolve(*args, **kwargs):
@@ -497,8 +513,25 @@ class TestCli:
         argv = ["delay-grid", "--n", "5", "--k", "2", "--taus", "0.1,1e-10", "--horizon", "20",
                 "--out", str(tmp_path)]
         assert main(argv) == 2
-        assert "GiB of buffers" in capsys.readouterr().err
+        assert TOO_LONG in capsys.readouterr().err
         assert not (tmp_path / "delay_grid.csv").exists()
+
+    def test_delay_grid_too_many_steps_is_refused_by_length(self, tmp_path, capsys, monkeypatch):
+        # 1e10 steps: the verdict's buffer of 2m + 4 = 20,004 rows would fit,
+        # so the refusal names the steps and their bound, not memory
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("platoonkit.dde_sim.verdict", no_run)
+        out = tmp_path / "grid"
+        argv = ["delay-grid", "--n", "36", "--k", "4", "--taus", "0.1", "--horizon", "100000",
+                "--step", "0.00001", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "a run of 1e+10 steps, with 1e+04 more for its delay," in err
+        assert TOO_LONG in err
+        assert "GiB" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--disturbance", "sin", "--amplitude", "0.1"]])
     @pytest.mark.parametrize("horizon", ["1e14", "1e300"])
@@ -508,7 +541,7 @@ class TestCli:
         argv = ["simulate", "--n", "5", "--k", "2", "--tau", "0.1", "--horizon", horizon,
                 "--step", "0.1", "--out", str(tmp_path)]
         assert main(argv + extra) == 2
-        assert "GiB of buffers" in capsys.readouterr().err
+        assert TOO_LONG in capsys.readouterr().err
         assert not (tmp_path / "verdict.txt").exists()
 
     def test_failed_allocation_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -726,9 +759,7 @@ class TestSimulateStreamsTheWholeRun:
         x0 = np.random.default_rng(4).uniform(-1.0, 1.0, sysm.dim)
         traj = dde_sim.simulate(sysm, dde_sim.DelaySpec(tau, mode), x0, horizon, h)
         assert traj.diverged == diverged
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        assert_same_text((tmp_path / "trajectory.csv").read_text(), buf.getvalue())
+        assert_same_text((tmp_path / "trajectory.csv").read_text(), trajectory_csv(traj))
         want = dde_sim.classify(traj)
         assert (tmp_path / "verdict.txt").read_text() == (
             f"stable={_fmt(want.stable)}, decay_ratio={_fmt(want.decay_ratio)}, "
