@@ -13,13 +13,15 @@ key, and the error line names the key and the subcommand.
 Exit codes: 0 success (and --help), 2 malformed command line, config or
 parameter error, or out of memory, 3 numerical failure, 4 verification
 violation.  main() returns the code; it does not raise SystemExit.  A
-refused run leaves behind no empty --out directory that its call made.
+refused run leaves behind no empty directory that its call made: neither
+--out nor a parent made for it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from . import experiments
@@ -99,7 +101,8 @@ def main(argv=None) -> int:
             print(experiments.emit_config(cfg), end="")
             return EXIT_OK
         outdir = Path(cfg.outdir)
-        made = not outdir.exists()
+        # the directories that mkdir makes here, deepest first
+        made = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
         outdir.mkdir(parents=True, exist_ok=True)
         cmd = experiments.COMMANDS[args.command]
         try:
@@ -108,8 +111,10 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
         finally:
             # a refused run leaves behind no empty directory that this call made
-            if made and not any(outdir.iterdir()):
-                outdir.rmdir()
+            for d in made:
+                if any(d.iterdir()):
+                    break
+                d.rmdir()
         return EXIT_OK
     except (ParameterError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,12 +66,13 @@ is copied to the front, and the run goes on from there, so every row is
 computed as in a buffer of the whole run.  simulate's sink copies the rows
 into the whole run's states; simulate_to_csv's writes them to the CSV file,
 and verdict's keeps only the two rows classify compares.  A disturbance is
-sampled a chunk of steps at a time, never for the whole run.  Beside the
-buffer a run holds its operators, the stacked powers of P, one batch's
+sampled by step index, a chunk at a time: sample(lo, hi) gives its values at
+the grid times of steps lo .. hi and the midpoints of steps lo .. hi - 1.
+Beside the buffer a run holds its operators, the powers of P, one batch's
 temporaries and one piece of CSV text: nothing else grows with _CHUNK_ROWS
 or with the number of powers.  Before anything is allocated, check_run bounds
-a run's steps and delay together by MAX_STEPS and charges it for its buffer;
-simulate is charged for its states besides.
+a run's steps and delay together by MAX_STEPS and charges it for all that
+but a batch's temporaries; simulate is charged for its states besides.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ class SimSystem:
 
     kind: str
     lg: np.ndarray
-    n: int | None = None
-    k: int | None = None
+    n: int
+    k: int
 
     def __post_init__(self):
         if self.kind not in DYNAMICS:
@@ -192,10 +193,13 @@ class SinusoidDisturbance:
         self.omega = errors.check("sinusoid omega", omega)
 
     def sampler(self, dim: int, step: float):
-        """The run's sampler: times -> the (len(times), dim) samples."""
-        def sample(times):
-            sig = self.amplitude * np.sin(self.omega * np.asarray(times))
-            return np.repeat(sig[:, None], dim, axis=1)
+        """The run's sampler: sample(lo, hi) -> the (hi - lo + 1, dim)
+        samples at the grid times i * step of steps lo .. hi, and the
+        (hi - lo, dim) samples at the midpoints of steps lo .. hi - 1."""
+        def sample(lo, hi):
+            grid = np.arange(lo, hi + 1) * step
+            return tuple(np.repeat((self.amplitude * np.sin(self.omega * t))[:, None], dim, axis=1)
+                         for t in (grid, grid[:-1] + step / 2.0))
 
         return sample
 
@@ -209,21 +213,18 @@ class NoiseDisturbance:
         self.seed = errors.check("noise seed", seed, 0, integer=True)
 
     def sampler(self, dim: int, step: float):
-        """The run's sampler: times -> the (len(times), dim) samples.  Time t
-        reads row rint(2 t / step) // 2 of one table, whose rows one
-        generator of the seed draws in order as later times ask for them:
-        step i's grid time i * step and its midpoint read row i, although
-        i * step / step falls just below i at some i.  Rows before the
-        earliest time of the last call are dropped, so a run that reads its
-        times a chunk at a time holds a chunk of the table, and no call may
-        ask for a time before that."""
+        """The run's sampler: sample(lo, hi) -> rows lo .. hi of one table
+        as the samples at the grid times of steps lo .. hi, and rows
+        lo .. hi - 1 as those at their midpoints: step i reads row i over
+        the whole step.  One generator of the seed draws the rows in order
+        as later steps ask for them.  Rows before the last call's lo are
+        dropped, so a run that samples a chunk of steps at a time holds a
+        chunk of the table, and no call may start before that."""
         rng = np.random.default_rng(self.seed)
         table, row0 = np.empty((0, dim)), 0
 
-        def sample(times):
+        def sample(lo, hi):
             nonlocal table, row0
-            idx = np.rint(2.0 * np.asarray(times) / step).astype(int) // 2
-            lo, hi = int(idx.min()), int(idx.max())
             if lo < row0:
                 raise ValueError(f"noise row {lo} was dropped; the table starts at row {row0}")
             more = hi + 1 - row0 - len(table)
@@ -231,7 +232,7 @@ class NoiseDisturbance:
                 table = np.concatenate(
                     (table, rng.uniform(-self.amplitude, self.amplitude, size=(more, dim))))
             table, row0 = table[lo - row0 :], lo
-            return table[idx - lo]
+            return table[: hi + 1 - lo], table[: hi - lo]
 
         return sample
 
@@ -330,9 +331,8 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> 
     A run's steps and its delay window together may number at most
     MAX_STEPS, whatever it holds: a delay of 1e-10 at its default step,
     2.5e-12, takes 8e12 steps over a horizon of 20, whose buffer would fit
-    and which would take days.  The memory charged is the run's sliding
-    buffer, _window_rows(m, nsteps) rows; simulate is charged for its states
-    besides.
+    and which would take days.  The memory charged is what the run holds
+    (_held_bytes); simulate is charged for its states besides.
 
     Raises:
         ParameterError: on a step not finite and > 0, a horizon shorter than
@@ -348,8 +348,18 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> 
             f"a run of {steps:.4g} steps, with {lag:.4g} more for its delay, is "
             f"longer than the {MAX_STEPS:,} steps one run may take")
     nsteps, m = int(round(steps)), int(round(lag))
-    errors.check_memory(f"a run of {nsteps} steps", 8.0 * _window_rows(m, nsteps) * sys.dim)
+    errors.check_memory(f"a run of {nsteps} steps", _held_bytes(sys, delay, m, nsteps))
     return h, nsteps, m
+
+
+def _held_bytes(sys: SimSystem, delay: DelaySpec, m: int, nsteps: int) -> float:
+    """Bytes a run holds throughout: its sliding buffer and, with an undelayed
+    term (m = 0, or mode self-undelayed), 16 dim x dim operators (a0, atau,
+    the RK4 coefficients and their temporaries) and the powers of P."""
+    held = _window_rows(m, nsteps) * sys.dim
+    if m == 0 or delay.mode == "self-undelayed":
+        held += (16 + (_SCAN_CHUNK - 1) * _blocked(m, nsteps)) * sys.dim ** 2
+    return 8.0 * held
 
 
 def simulate(
@@ -386,7 +396,7 @@ def simulate(
     _, nsteps, m = check_run(sys, delay, horizon, step)
     # the states beside the buffer, before either is allocated
     errors.check_memory(f"a run of {nsteps} steps held whole",
-                        8.0 * (nsteps + 1 + _window_rows(m, nsteps)) * sys.dim)
+                        8.0 * (nsteps + 1) * sys.dim + _held_bytes(sys, delay, m, nsteps))
     run = _prepare(sys, delay, x0, horizon, step, disturbance)
     states = _allocate(nsteps + 1, sys.dim, nsteps)
 
@@ -407,7 +417,7 @@ def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
     buffer slides, and classify's two rows are copied as they pass.  The
     file is opened once the buffer is allocated, so a run refused, or whose
     buffer cannot be allocated, writes no file.  Inputs are checked as by
-    simulate; the run is charged for its buffer alone (check_run).
+    simulate; the run is not charged for its states (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, disturbance)
     ends, judge = _classify_rows(run)
@@ -430,7 +440,7 @@ def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -
     """classify(simulate(sys, delay, x0, horizon, step)), field for field,
     without holding the run: classify's two rows are copied as the buffer
     slides past them (see _advance).  Inputs are checked as by simulate,
-    and the run is charged for its buffer alone (check_run).
+    and the run is not charged for its states (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, None)
     ends, judge = _classify_rows(run)
@@ -482,8 +492,8 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
     hist = _allocate(_window_rows(m, nsteps), sys.dim, nsteps)
     hist[: m + 5] = x0
     meta = {
-        "n": sys.n if sys.n is not None else -1,
-        "k": sys.k if sys.k is not None else -1,
+        "n": sys.n,
+        "k": sys.k,
         "kind": sys.kind,
         "mode": delay.mode,
         "tau": delay.tau,
@@ -514,8 +524,7 @@ def _forcing(sys: SimSystem, disturbance, h: float, nsteps: int):
     """None without a disturbance; else take(i, b) -> the disturbance through
     the input matrix at the grid times of steps i .. i+b-1, at their
     midpoints, and at the grid times of steps i+1 .. i+b.  The samples are
-    taken for max(b, _CHUNK_ROWS) steps at a time, at the times
-    np.arange(nsteps + 1) * h and their midpoints would give."""
+    taken for max(b, _CHUNK_ROWS) steps at a time."""
     if disturbance is None:
         return None
     f = sys.lg.shape[0]
@@ -523,19 +532,17 @@ def _forcing(sys: SimSystem, disturbance, h: float, nsteps: int):
     lo = hi = 0
     grid = mid = None
 
-    def enter(times):
+    def enter(samples):
         # the disturbance enters every velocity error, the last f states
-        out = np.zeros((len(times), sys.dim))
-        out[:, sys.dim - f :] = sample(times)
+        out = np.zeros((len(samples), sys.dim))
+        out[:, sys.dim - f :] = samples
         return out
 
     def take(i, b):
         nonlocal lo, hi, grid, mid
         if i + b > hi:
             lo, hi = i, min(nsteps, i + max(b, _CHUNK_ROWS))
-            times = np.arange(lo, hi + 1) * h
-            grid = enter(times)
-            mid = enter(times[:-1] + h / 2.0)
+            grid, mid = map(enter, sample(lo, hi))
         j = i - lo
         return grid[j : j + b], mid[j : j + b], grid[j + 1 : j + b + 1]
 
@@ -570,6 +577,11 @@ def _batch_steps(m: int) -> int:
 def _window_rows(m: int, nsteps: int) -> int:
     """Rows of the sliding buffer (see _advance) of a run of nsteps steps."""
     return m + 5 + min(nsteps, max(_batch_steps(m), _CHUNK_ROWS))
+
+
+def _blocked(m: int, nsteps: int) -> bool:
+    """Whether a run with an undelayed term takes the powers of P (_recur)."""
+    return min(_batch_steps(m), nsteps) >= 2 * _SCAN_CHUNK
 
 
 # a batch past the cutoff, or the powers of P for a step far beyond RK4's
@@ -642,7 +654,7 @@ def _advance(run: _Run, sink) -> tuple:
         if atau is not None:
             c1a, cha, c4a = (c @ atau for c in (c1, ch, c4))
         pc = fill = None
-        if min(batch, nsteps) >= 2 * _SCAN_CHUNK:
+        if _blocked(m, nsteps):
             # P^1 .. P^(c-1) go straight into their blocks of fill, each the
             # product of the one before with P; only the last power is kept
             fill = np.empty((len(p), (_SCAN_CHUNK - 1) * len(p)))

@@ -118,12 +118,12 @@ _SPELLED = {row.name or key: key for key, row in KEYS.items()}
 
 
 class Command(NamedTuple):
-    """One platoon subcommand: its help, the experiments a config file may
-    name for it (its own first), the runner in this module that it calls
-    as runner(cfg, *args, outdir), and every key it reads."""
+    """One platoon subcommand: its help, the one experiment a config file
+    may name for it, the runner in this module that it calls as
+    runner(cfg, *args, outdir), and every key it reads."""
 
     help: str
-    experiments: tuple
+    experiment: str
     runner: str
     args: tuple
     keys: tuple
@@ -135,17 +135,17 @@ _SHARED = ("n", "k", "seed", "outdir", "experiment")
 _PLACED = ("arrangement", "refs")
 
 COMMANDS = {
-    "report": Command("robustness report (JSON + text summary)", ("report", "hinf-sweep"),
-                      "run_report", (), (*_SHARED, *_PLACED, "gamma", "sweep_csv")),
-    "sweep-remove": Command("drop each minimally-dense reference in turn", ("add-remove",),
+    "report": Command("robustness report (JSON + text summary)", "report", "run_report", (),
+                      (*_SHARED, *_PLACED, "gamma", "sweep_csv")),
+    "sweep-remove": Command("drop each minimally-dense reference in turn", "add-remove",
                             "run_remove_add_sweep", ("remove",), (*_SHARED, *_PLACED)),
-    "sweep-add": Command("promote each non-reference position in turn", ("add-remove",),
+    "sweep-add": Command("promote each non-reference position in turn", "add-remove",
                          "run_remove_add_sweep", ("add",), (*_SHARED, *_PLACED)),
-    "delay-grid": Command("simulate both dynamics over a list of delays", ("delay-grid",),
+    "delay-grid": Command("simulate both dynamics over a list of delays", "delay-grid",
                           "run_delay_grid", (), (*_SHARED, *_PLACED, "taus", "horizon", "step")),
-    "scaling": Command("gain growth with n: single end reference vs MD", ("scaling",),
+    "scaling": Command("gain growth with n: single end reference vs MD", "scaling",
                        "run_scaling", (), (*_SHARED, "ns")),
-    "simulate": Command("one time-domain run, exported as CSV", ("simulate",), "run_simulate", (),
+    "simulate": Command("one time-domain run, exported as CSV", "simulate", "run_simulate", (),
                         (*_SHARED, *_PLACED, "dynamics", "tau", "delay_mode", "horizon",
                          "step", "disturbance", "amplitude", "omega")),
 }
@@ -196,10 +196,9 @@ def finalize_config(raw: dict, command: str) -> ScenarioConfig:
     parsed = {key: _parse(key, value) for key, value in raw.items() if value is not None}
     if "n" not in parsed or "k" not in parsed:
         raise ParameterError("config must supply n and k")
-    experiment = parsed.setdefault("experiment", cmd.experiments[0])
-    if experiment not in cmd.experiments:
-        raise ParameterError(f"the {command} subcommand runs name = "
-                             f"{' | '.join(cmd.experiments)}, not {experiment!r}")
+    if parsed.setdefault("experiment", cmd.experiment) != cmd.experiment:
+        raise ParameterError(f"the {command} subcommand runs name = {cmd.experiment}, "
+                             f"not {parsed['experiment']!r}")
     for key, value in parsed.items():
         row = KEYS[key]
         if isinstance(row.parse, tuple) and value not in row.parse:
@@ -298,7 +297,7 @@ def run_report(cfg: ScenarioConfig, outdir) -> list:
     top, refset, gs, spec = _analysis(cfg)
     report = robustness.build_report(top, refset, gs=gs, spec=spec, gamma=cfg.gamma)
     responses = {}
-    if cfg.sweep_csv or cfg.experiment == "hinf-sweep":
+    if cfg.sweep_csv:
         # one sweep per dynamics feeds both the report's peaks and its CSV
         responses = {dyn: robustness.sweep_hinf(gs, dyn, spec=spec)
                      for dyn in robustness.DYNAMICS}
@@ -562,7 +561,7 @@ def run_verify(seed: int = 0) -> tuple:
     for _ in range(20):
         t, _, g = _random_instance(rng, n_max=18, f_max=12)
         s = spectral.eig_sym(g.lg)
-        mapped = spectral.map_formation_spectrum(s)
+        mapped = spectral.formation_modes(s.values)
         dense = np.linalg.eigvals(spectral.build_formation_matrix(g))
         worst = max(worst, spectral.spectrum_mismatch(mapped, dense))
         # the closed forms in lambda_1 and lambda_max against every mode

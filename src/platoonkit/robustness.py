@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -312,6 +312,15 @@ def delay_margin_formation(spec: Spectrum, k: int) -> FormationDelayMargin:
 # Aggregate report
 # ---------------------------------------------------------------------------
 
+def _jsonable(x):
+    """x with arrays and tuples as lists, and inf as UNBOUNDED, at any depth."""
+    if isinstance(x, dict):
+        return {key: _jsonable(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in (x.tolist() if isinstance(x, np.ndarray) else x)]
+    return UNBOUNDED if isinstance(x, float) and math.isinf(x) else x
+
+
 @dataclass(frozen=True)
 class RobustnessReport:
     """All robustness quantities of one grounded platoon, with provenance."""
@@ -346,28 +355,13 @@ class RobustnessReport:
     swept: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def enc(x):
-            if isinstance(x, np.ndarray):
-                return x.tolist()
-            return UNBOUNDED if isinstance(x, float) and math.isinf(x) else x
-
-        special = {"refs", "lambda_min_certificate", "lambda_max_certificate", "gamma", "swept"}
-        out = {f.name: enc(getattr(self, f.name)) for f in fields(self) if f.name not in special}
-        out["refs"] = list(self.refs)
+        out = _jsonable(asdict(self))
         out["followers_count"] = self.n - len(self.refs)
-        out["certificates"] = {
-            "lambda_min": self.lambda_min_certificate.as_dict(),
-            "lambda_max": self.lambda_max_certificate.as_dict(),
-        }
-        if self.gamma is not None:
-            out["gamma"] = {
-                "gamma": self.gamma.gamma,
-                "necessary_ok": self.gamma.necessary_ok,
-                "sufficient_ok": self.gamma.sufficient_ok,
-                "boundary_case": self.gamma.boundary_case,
-            }
-        if self.swept:
-            out["swept"] = dict(self.swept)
+        out["certificates"] = {"lambda_min": out.pop("lambda_min_certificate"),
+                               "lambda_max": out.pop("lambda_max_certificate")}
+        for key in ("gamma", "swept"):  # written only when asked for
+            if not out[key]:
+                del out[key]
         return out
 
     def to_json(self) -> str:

@@ -215,15 +215,6 @@ class BoundCertificate:
     holds: bool
     chain: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "witnessed": self.witnessed,
-            "holds": self.holds,
-            "chain": [[name, value] for name, value in self.chain],
-        }
-
 
 def _certificate(lower: float, upper: float, witnessed: float, chain) -> BoundCertificate:
     holds = (lower <= witnessed + CERT_TOL) and (witnessed <= upper + CERT_TOL)
@@ -270,22 +261,19 @@ def certify_lambda_max(gs: GroundedSystem, spec: Spectrum) -> BoundCertificate:
 # Second-order (formation) spectrum
 # ---------------------------------------------------------------------------
 
-def map_formation_spectrum(spec: Spectrum) -> np.ndarray:
+def formation_modes(values) -> np.ndarray:
     """Map each grounded eigenvalue lam > 0 to both roots of
     mu^2 + lam*mu + lam, the eigenvalues of the formation matrix.
 
-    Returns 2|F| complex numbers, a pair per eigenvalue in order, closed
-    under conjugation: lam < 4 gives a complex pair of magnitude sqrt(lam);
-    lam > 4 two real roots; |lam - 4| < 1e-12 the exact double root -2.
+    Returns 2 len(values) complex numbers, a pair per eigenvalue in order,
+    closed under conjugation: lam < 4 gives a complex pair of magnitude
+    sqrt(lam); lam > 4 two real roots; |lam - 4| < 1e-12 the exact double
+    root -2.
 
     Raises:
-        ParameterError: if any eigenvalue is <= 0 (grounding assumption violated).
+        ParameterError: if there is no eigenvalue, or any is <= 0 (grounding
+            assumption violated).
     """
-    return formation_modes(spec.values)
-
-
-def formation_modes(values) -> np.ndarray:
-    """map_formation_spectrum of a plain array of eigenvalues."""
     lam = np.asarray(values, dtype=float)
     if lam.size == 0:
         raise ParameterError("empty spectrum")

@@ -8,7 +8,7 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-from platoonkit import build_platoon, ground, make_reference_set  # noqa: E402
+from platoonkit import SinusoidDisturbance, build_platoon, ground, make_reference_set  # noqa: E402
 
 
 def random_grounded(rng, n_lo=2, n_hi=60, k_hi=6, f_min=1, f_max=None):
@@ -60,6 +60,21 @@ def formation_modal_delay_margin(lg_values) -> float:
     """
     mus = np.concatenate([np.roots([1.0, lam, lam]) for lam in lg_values])
     return float(np.min((np.abs(np.angle(mus)) - math.pi / 2.0) / np.abs(mus)))
+
+
+def whole_run_samples(dist, dim, h, nsteps) -> tuple:
+    """A disturbance's samples over a run of nsteps steps of h, drawn whole
+    and apart from its sampler: (grid, mid), at the grid times i * h of
+    steps 0 .. nsteps and at the midpoints of steps 0 .. nsteps - 1.  A
+    sinusoid is evaluated there; noise is one table that a fresh generator
+    of its seed draws whole, whose row i is both of step i's samples."""
+    grid = np.arange(nsteps + 1) * h
+    if isinstance(dist, SinusoidDisturbance):
+        return tuple(np.repeat((dist.amplitude * np.sin(dist.omega * t))[:, None], dim, axis=1)
+                     for t in (grid, grid[:-1] + h / 2.0))
+    table = np.random.default_rng(dist.seed).uniform(
+        -dist.amplitude, dist.amplitude, size=(nsteps + 1, dim))
+    return table, table[:-1]
 
 
 def trajectory_csv(traj) -> str:

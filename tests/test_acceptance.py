@@ -20,12 +20,12 @@ from platoonkit import (
     classify,
     delay_margin_formation,
     eig_sym,
+    formation_modes,
     formation_system,
     ground,
     hinf_formation,
     hinf_velocity,
     make_reference_set,
-    map_formation_spectrum,
     md_arrangement,
     simulate,
     simulate_offdiagonal,
@@ -78,7 +78,7 @@ def test_criterion_02_spectrum_mapping_oracle():
     worst = 0.0
     for _ in range(100):
         _, _, gs = random_grounded(rng, n_hi=30, f_max=20)
-        mapped = map_formation_spectrum(eig_sym(gs.lg))
+        mapped = formation_modes(eig_sym(gs.lg).values)
         dense = np.linalg.eigvals(build_formation_matrix(gs))
         worst = max(worst, spectrum_mismatch(mapped, dense))
     ok = worst <= 1e-7

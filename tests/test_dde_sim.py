@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import expm_oracle, random_grounded, trajectory_csv
+from conftest import expm_oracle, random_grounded, trajectory_csv, whole_run_samples
 from platoonkit import (
     DelaySpec,
     NoiseDisturbance,
@@ -130,6 +130,33 @@ class TestSimulateBasics:
         assert verdict(sysm, delay, x0, horizon, h) == want
         got, _ = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0, horizon, h)
         assert got == want
+
+    @pytest.mark.parametrize("kind, delay, refused", [
+        # undelayed formation, dim 342: 11.2 MB of buffer and 59 MB of
+        # stacked powers of P besides
+        ("formation", UNDELAYED, True),
+        # own state undelayed, dim 171: batches of 99 steps take no powers,
+        # but the 16 dim x dim operators are 3.7 MB beside 5.8 MB of buffer
+        ("velocity", DelaySpec(0.1, "self-undelayed"), True),
+        # every term delayed: the buffer is all it holds
+        ("formation", DelaySpec(0.1, "full"), False),
+    ], ids=["undelayed-formation", "self-undelayed-velocity", "full-formation"])
+    def test_operators_and_powers_are_charged(self, monkeypatch, kind, delay, refused):
+        gs = ground(build_platoon(200, 3), md_arrangement(200, 3))
+        sysm = velocity_system(gs) if kind == "velocity" else formation_system(gs)
+        m = round(delay.tau / 1e-3)
+        buffer = 8.0 * dde_sim._window_rows(m, 5000) * sysm.dim
+        monkeypatch.setattr("platoonkit.errors._physical_memory", lambda: 1.5 * buffer)
+        if not refused:
+            assert verdict(sysm, delay, np.ones(sysm.dim), 5.0, 1e-3).diverged is False
+            return
+
+        def no_buffer(*args):
+            raise AssertionError("a buffer was allocated before the run was refused")
+
+        monkeypatch.setattr(dde_sim, "_allocate", no_buffer)
+        with pytest.raises(ParameterError, match="a run of 5000 steps needs"):
+            verdict(sysm, delay, np.ones(sysm.dim), 5.0, 1e-3)
 
     def test_steps_and_delay_window_bounded_together(self):
         sysm = scalar_system()
@@ -267,10 +294,8 @@ def reference_rk4(a0, atau, jmat, x0, m, h, nsteps, disturbance=None):
     if disturbance is None:
         w_grid, w_mid = np.zeros((nsteps + 1, dim)), np.zeros((nsteps, dim))
     else:
-        grid = np.arange(nsteps + 1) * h
-        sample = disturbance.sampler(jmat.shape[1], h)
-        w_grid = sample(grid) @ jmat.T
-        w_mid = sample(grid[:-1] + h / 2.0) @ jmat.T
+        grid, mid = whole_run_samples(disturbance, jmat.shape[1], h, nsteps)
+        w_grid, w_mid = grid @ jmat.T, mid @ jmat.T
     first = -2 if m == 1 else -1
     weights = _cubic_midpoint_weights(range(first, first + 4))
     xs = [np.asarray(x0, dtype=float)]
@@ -774,16 +799,36 @@ class TestDisturbances:
                         disturbance=dist)
         assert traj.norms[-1] > 0.0 and not traj.diverged
 
-    @pytest.mark.parametrize("h", [1e-3, 5e-3, 0.1])
-    def test_noise_step_times_read_their_own_row(self, h):
-        # i * h / h falls just below i at some i; step i's grid time and
-        # its midpoint must still read row i, as one run samples them
-        nsteps, dim = 200_000, 2
+    # windows that move forward: overlapping, adjacent, of one step and of none
+    WINDOWS = [(0, 4096), (4096, 8192), (5000, 5001), (5000, 5000), (7000, 20_000)]
+
+    def test_noise_samples_by_step_are_rows_of_one_table(self):
+        # step i's grid time and midpoint both read row i of the table that a
+        # fresh generator of the seed draws whole; the window may not move back
+        nsteps, dim = 20_000, 3
         table = np.random.default_rng(4).uniform(-0.2, 0.2, (nsteps + 1, dim))
-        grid = np.arange(nsteps + 1) * h
-        sample = NoiseDisturbance(amplitude=0.2, seed=4).sampler(dim, h)
-        assert np.array_equal(sample(grid), table)
-        assert np.array_equal(sample(grid[:-1] + h / 2.0), table[:-1])
+        sample = NoiseDisturbance(amplitude=0.2, seed=4).sampler(dim, 1e-3)
+        for lo, hi in self.WINDOWS:
+            grid, mid = sample(lo, hi)
+            assert np.array_equal(grid, table[lo : hi + 1])
+            assert np.array_equal(mid, table[lo:hi])
+        with pytest.raises(ValueError, match="noise row 6999 was dropped"):
+            sample(6999, 7000)
+
+    @pytest.mark.parametrize("h", [1e-3, 0.1])
+    def test_sinusoid_samples_by_step_are_sin_at_their_times(self, h):
+        dim, amp, omega = 2, 0.3, 1.7
+        sample = SinusoidDisturbance(amplitude=amp, omega=omega).sampler(dim, h)
+        for lo, hi in self.WINDOWS:
+            grid, mid = sample(lo, hi)
+            assert grid.shape == (hi - lo + 1, dim) and mid.shape == (hi - lo, dim)
+            # the same value on every channel; libm's sin may round apart
+            # from numpy's in the last bit, a sample a step off by amp*omega*h
+            assert (grid == grid[:, :1]).all() and (mid == mid[:, :1]).all()
+            want = [amp * math.sin(omega * (i * h)) for i in range(lo, hi + 1)]
+            want_mid = [amp * math.sin(omega * (i * h + h / 2.0)) for i in range(lo, hi)]
+            assert np.allclose(grid[:, 0], want, rtol=0.0, atol=1e-15)
+            assert np.allclose(mid[:, 0], want_mid, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):
@@ -898,7 +943,7 @@ class TestSimSystemValidation:
     def test_bad_kind_and_gains(self):
         lg = np.array([[1.0]])
         with pytest.raises(ParameterError):
-            SimSystem(kind="position", lg=lg)
+            SimSystem(kind="position", lg=lg, n=2, k=1)
 
     def test_defaults(self):
         assert default_step(0.0) == 1e-3

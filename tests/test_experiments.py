@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import trajectory_csv
+from conftest import trajectory_csv, whole_run_samples
 from platoonkit import (
     NumericalError,
     ParameterError,
@@ -87,7 +87,7 @@ class TestConfig:
             finalize_config({"n": "5", "k": "2", "sweep_csv": "maybe"}, "report")
         # the experiment is not a flag: a foreign one can only come this way
         with pytest.raises(ParameterError, match=re.escape(
-                "the report subcommand runs name = report | hinf-sweep, not 'bogus'")):
+                "the report subcommand runs name = report, not 'bogus'")):
             finalize_config({"n": "5", "k": "2", "experiment": "bogus"}, "report")
         with pytest.raises(ParameterError, match="the scaling subcommand runs name = scaling, "
                            "not 'delay-grid'"):
@@ -159,7 +159,7 @@ class TestRunners:
         assert doc["delay_velocity_max"] == pytest.approx(0.35584964447221523)
 
     def test_hinf_sweep_files(self, tmp_path):
-        cfg = ScenarioConfig(n=10, k=2, experiment="hinf-sweep")
+        cfg = ScenarioConfig(n=10, k=2, sweep_csv=True)
         paths = run_report(cfg, tmp_path)
         assert (tmp_path / "freq_velocity.csv").exists()
         assert (tmp_path / "freq_formation.csv").exists()
@@ -486,6 +486,19 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert tmp_path.is_dir()
 
+    def test_refused_run_leaves_no_parent_it_made(self, tmp_path, capsys, monkeypatch):
+        # mkdir makes every missing parent of --out; the refused run removes
+        # them all, and keeps the one that was there before
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep-add", "--n", "8", "--k", "1", "--arrangement", "explicit", "--refs", "3"]
+        assert main(argv + ["--out", "nest/a/b"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        (tmp_path / "nest").mkdir()
+        assert main(argv + ["--out", "nest/a/b"]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "nest"]
+        assert not list((tmp_path / "nest").iterdir())
+
     def test_scaling_needs_five_distinct_sizes(self, tmp_path, capsys, monkeypatch):
         # five copies of one size would fit each log-log slope to one point
         def no_eigensolve(*args, **kwargs):
@@ -668,14 +681,17 @@ class TestCli:
         assert main(["report", "--config", str(cfg_file)]) == 2
         assert "unknown key 'outdir'" in capsys.readouterr().err
 
-    def test_config_file_can_request_hinf_sweep(self, tmp_path):
+    def test_config_name_hinf_sweep_exit_2(self, tmp_path, capsys):
+        # sweep_csv = true is the one way to ask for the frequency CSVs
         cfg_file = tmp_path / "s.cfg"
         cfg_file.write_text(
             "[platoon]\nn = 8\nk = 2\n\n[experiment]\nname = hinf-sweep\n"
         )
         out = tmp_path / "out"
-        assert main(["report", "--config", str(cfg_file), "--out", str(out)]) == 0
-        assert (out / "freq_velocity.csv").exists()
+        assert main(["report", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the report subcommand runs name = report, not 'hinf-sweep'"]
+        assert not out.exists()
 
 
 NUMBERS = st.one_of(st.floats(), st.integers(-10**30, 10**30))
@@ -795,29 +811,15 @@ class TestSimulateStreamsTheWholeRun:
 
     @staticmethod
     def _whole_run_sampler(dist, dim, h, nsteps):
-        """The samples of a run drawn whole, as each of its grid and
-        midpoint calls once drew them: a sinusoid at every time, or noise
-        from a fresh generator's table for the whole run, whose row i step
-        i's grid time and midpoint read.  The sampler returns them for any
-        of those times, and refuses any other."""
-        grid = np.arange(nsteps + 1) * h
-        times = np.concatenate((grid, grid[:-1] + h / 2.0))
-        values = []
-        for t in (grid, grid[:-1] + h / 2.0):
-            if isinstance(dist, dde_sim.SinusoidDisturbance):
-                values.append(np.repeat((dist.amplitude * np.sin(dist.omega * t))[:, None],
-                                        dim, axis=1))
-            else:
-                table = np.random.default_rng(dist.seed).uniform(
-                    -dist.amplitude, dist.amplitude, size=(nsteps + 1, dim))
-                values.append(table[: len(t)])
-        order = np.argsort(times)
-        times, values = times[order], np.concatenate(values)[order]
+        """sample(lo, hi) over the samples of a run drawn whole, apart from
+        the production sampler (conftest.whole_run_samples): the grid rows
+        of steps lo .. hi and the midpoints of steps lo .. hi - 1, of any
+        window within the run."""
+        grid, mid = whole_run_samples(dist, dim, h, nsteps)
 
-        def sample(t):
-            pos = np.searchsorted(times, t)
-            assert np.array_equal(times[pos], t)
-            return values[pos]
+        def sample(lo, hi):
+            assert 0 <= lo <= hi <= nsteps
+            return grid[lo : hi + 1], mid[lo:hi]
 
         return sample
 
@@ -827,6 +829,8 @@ class TestSimulateStreamsTheWholeRun:
         # batches of 99 steps, across chunk ends
         pytest.param(["--tau", "0.1"], id="full"),
         pytest.param(["--tau", "0.1", "--delay-mode", "self-undelayed"], id="self-undelayed"),
+        # two steps of delay: batches of one step
+        pytest.param(["--tau", "0.002"], id="one-step-batches"),
     ])
     def test_disturbance_sampled_per_chunk_equals_whole_run(self, tmp_path, monkeypatch,
                                                             disturbance, delay):

@@ -16,12 +16,12 @@ from platoonkit import (
     delay_margin_formation,
     delay_margin_velocity,
     eig_sym,
+    formation_modes,
     gamma_conditions,
     ground,
     hinf_formation,
     hinf_velocity,
     make_reference_set,
-    map_formation_spectrum,
     margin_formation,
     md_arrangement,
     min_refs_nonexpansive,
@@ -470,7 +470,7 @@ class TestFormationClosedForms:
             fdm = delay_margin_formation(spec, k)
             every_peak = max(peak_amplitude(float(lam)) for lam in spec.values)
             assert hinf_formation(spec) == pytest.approx(every_peak, rel=1e-12), lg
-            every_re = np.min(np.abs(map_formation_spectrum(spec).real))
+            every_re = np.min(np.abs(formation_modes(spec.values).real))
             assert margin_formation(spec) == pytest.approx(every_re, rel=1e-12), lg
             # defective double roots at lam = 4 put dense eigenvalues off by ~1e-8
             dense = np.linalg.eigvals(build_formation_matrix(SimpleNamespace(lg=lg)))
@@ -492,7 +492,7 @@ class TestReportModesOnce:
     def test_extreme_modes_equal_two_eigenvalue_map(self):
         for _, lg in closed_form_cases():
             spec = eig_sym(lg)
-            two = map_formation_spectrum(spec_of([spec.lambda1, spec.lambda_max]))
+            two = formation_modes([spec.lambda1, spec.lambda_max])
             assert np.array_equal(_extreme_modes(spec).view(np.uint64), two.view(np.uint64)), lg
 
     def test_report_margins_equal_public_functions(self):

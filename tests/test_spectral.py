@@ -15,9 +15,9 @@ from platoonkit import (
     delay_margin_formation,
     eig_sym,
     eig_sym_bisection,
+    formation_modes,
     ground,
     make_reference_set,
-    map_formation_spectrum,
     md_arrangement,
     stochasticity_defect,
 )
@@ -176,31 +176,31 @@ class TestCertificates:
 
 class TestFormationSpectrum:
     def test_branch_point_double_root(self):
-        fs = map_formation_spectrum(Spectrum(values=np.array([4.0])))
+        fs = formation_modes([4.0])
         assert np.array_equal(fs, np.array([-2.0 + 0j, -2.0 + 0j]))
 
     def test_unit_eigenvalue_complex_pair(self):
-        fs = map_formation_spectrum(Spectrum(values=np.array([1.0])))
+        fs = formation_modes([1.0])
         expected = np.array([complex(-0.5, -math.sqrt(3) / 2), complex(-0.5, math.sqrt(3) / 2)])
         assert np.max(np.abs(fs - expected)) < 1e-15
         assert np.max(np.abs(np.abs(fs) - 1.0)) < 1e-15
 
     def test_real_branch(self):
-        fs = map_formation_spectrum(Spectrum(values=np.array([5.0])))
+        fs = formation_modes([5.0])
         expected = np.array([(-5 - SQRT5) / 2, (-5 + SQRT5) / 2])
         assert np.max(np.abs(fs - expected)) < 1e-14
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
-            map_formation_spectrum(Spectrum(values=np.array([0.0, 1.0])))
+            formation_modes([0.0, 1.0])
         with pytest.raises(ParameterError):
-            map_formation_spectrum(Spectrum(values=np.array([-1.0])))
+            formation_modes([-1.0])
 
     def test_closed_under_conjugation_and_strictly_stable(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             _, _, gs = random_grounded(rng, n_hi=30)
-            fs = map_formation_spectrum(eig_sym(gs.lg))
+            fs = formation_modes(eig_sym(gs.lg).values)
             a = np.sort_complex(fs)
             b = np.sort_complex(np.conj(fs))
             assert np.max(np.abs(a - b)) < 1e-12
@@ -217,7 +217,7 @@ class TestFormationSpectrum:
             spec = eig_sym(gs.lg)
             if spec.lambda1 > 2.0:
                 continue
-            fs = map_formation_spectrum(spec)
+            fs = formation_modes(spec.values)
             assert np.all(fs.real <= -spec.lambda1 / 2.0 + 1e-9)
             checked += 1
 
@@ -225,7 +225,7 @@ class TestFormationSpectrum:
         for n, k in [(36, 4), (50, 2), (17, 1)]:
             gs = ground(build_platoon(n, k), md_arrangement(n, k))
             spec = eig_sym(gs.lg)
-            fs = map_formation_spectrum(spec)
+            fs = formation_modes(spec.values)
             assert np.all(fs.real <= -spec.lambda1 / 2.0 + 1e-9)
             assert np.all(fs.real < 0.0)
 
@@ -269,7 +269,7 @@ class TestFormationMatrix:
 
     def test_p52_multiset_matches_mapping(self):
         gs = grounded(5, 2, [3])
-        mapped = map_formation_spectrum(eig_sym(gs.lg))
+        mapped = formation_modes(eig_sym(gs.lg).values)
         dense = np.linalg.eigvals(build_formation_matrix(gs))
         assert dense.shape == (8,)
         assert spectrum_mismatch(mapped, dense) < 1e-7
@@ -278,7 +278,7 @@ class TestFormationMatrix:
         rng = np.random.default_rng(12)
         for _ in range(40):
             _, _, gs = random_grounded(rng, n_hi=30, f_max=20)
-            mapped = map_formation_spectrum(eig_sym(gs.lg))
+            mapped = formation_modes(eig_sym(gs.lg).values)
             dense = np.linalg.eigvals(build_formation_matrix(gs))
             assert spectrum_mismatch(mapped, dense) < 1e-7
 
