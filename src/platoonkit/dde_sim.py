@@ -64,15 +64,17 @@ _CHUNK_ROWS rows: when a batch would run past its end, the rows accepted
 since the last slide go to the run's sink, the window that the batch reads
 is copied to the front, and the run goes on from there, so every row is
 computed as in a buffer of the whole run.  simulate's sink copies the rows
-into the whole run's states; simulate_to_csv's writes them to the CSV file,
-and verdict's keeps only the two rows classify compares.  A disturbance is
+into the whole run's states and simulate_to_csv's writes them to the CSV
+file; every run returns classify's verdict on the whole run, for which it
+copies the trailing window's first row as it is handed on.  A disturbance is
 sampled by step index, a chunk at a time: sample(lo, hi) gives its values at
 the grid times of steps lo .. hi and the midpoints of steps lo .. hi - 1.
 Beside the buffer a run holds its operators, the powers of P, one batch's
-temporaries and one piece of CSV text: nothing else grows with _CHUNK_ROWS
-or with the number of powers.  Before anything is allocated, check_run bounds
-a run's steps and delay together by MAX_STEPS and charges it for all that
-but a batch's temporaries; simulate is charged for its states besides.
+temporaries, one piece of CSV text and a chunk of its disturbance's samples:
+nothing else grows with _CHUNK_ROWS or with the number of powers.  Before
+anything is allocated, check_run bounds a run's steps and delay together by
+MAX_STEPS and charges it for all that but the CSV text and the samples;
+simulate is charged for its states besides.
 """
 
 from __future__ import annotations
@@ -353,13 +355,22 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> 
 
 
 def _held_bytes(sys: SimSystem, delay: DelaySpec, m: int, nsteps: int) -> float:
-    """Bytes a run holds throughout: its sliding buffer and, with an undelayed
-    term (m = 0, or mode self-undelayed), 16 dim x dim operators (a0, atau,
-    the RK4 coefficients and their temporaries) and the powers of P."""
-    held = _window_rows(m, nsteps) * sys.dim
-    if m == 0 or delay.mode == "self-undelayed":
-        held += (16 + (_SCAN_CHUNK - 1) * _blocked(m, nsteps)) * sys.dim ** 2
-    return 8.0 * held
+    """Bytes a run holds at its peak: its sliding buffer, its operators
+    (a and (h/24) a^T in mode "full", else 16 dim x dim), the powers of P
+    where _blocked, and a batch's temporaries, in blocks of max(b + 3, m + 5)
+    rows (a batch's product, or the window a slide copies before it moves
+    it): undelayed one (pass 3's product), mode "full" two (y of this batch
+    beside the last's, the cumulative sum's copy of its input or a slide's),
+    mode "self-undelayed" three (two products beside the last batch's
+    half-step samples).  256 KiB cover numpy's ufunc buffers and the run's
+    Python objects."""
+    rows = max(min(_batch_steps(m), nsteps) + 3, m + 5)
+    if m > 0 and delay.mode == "full":
+        temps, ops = 2 * rows, 2
+    else:
+        temps = rows if m == 0 else 3 * rows
+        ops = 16 + (_SCAN_CHUNK - 1) * _blocked(m, nsteps)
+    return 8.0 * ((_window_rows(m, nsteps) + temps + ops * sys.dim) * sys.dim) + 2.0**18
 
 
 def simulate(
@@ -403,10 +414,10 @@ def simulate(
     def keep(first, rows):
         states[first : first + len(rows)] = rows
 
-    last, diverged = _advance(run, keep)
+    last, judged = _advance(run, keep)
     # a view, not a copy: the rows past a diverged run's last are not kept
     return Trajectory(times=np.arange(last + 1) * run.h, states=states[: last + 1],
-                      meta=dict(run.meta, diverged=diverged))
+                      meta=dict(run.meta, diverged=judged.diverged))
 
 
 def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
@@ -420,31 +431,23 @@ def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
     simulate; the run is not charged for its states (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, disturbance)
-    ends, judge = _classify_rows(run)
     with open(path, "w") as fh:
         fh.write("# " + ", ".join(f"{key}={'none' if value is None else value}"
                                   for key, value in run.meta.items()) + "\n")
         fh.write("t,norm," + ",".join(f"x_{i + 1}" for i in range(sys.dim)) + "\n")
-
-        def write(first, rows):
-            _csv_rows(fh, np.arange(first, first + len(rows)) * run.h, rows)
-            ends(first, rows)
-
-        last, diverged = _advance(run, write)
-        if diverged:  # known only once the run ends
+        _, judged = _advance(run, lambda first, rows: _csv_rows(
+            fh, np.arange(first, first + len(rows)) * run.h, rows))
+        if judged.diverged:  # known only once the run ends
             fh.write("# diverged=true (run truncated at state norm > 1e12)\n")
-    return judge(last, diverged), dict(run.meta, diverged=diverged)
+    return judged, dict(run.meta, diverged=judged.diverged)
 
 
 def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -> StabilityVerdict:
     """classify(simulate(sys, delay, x0, horizon, step)), field for field,
-    without holding the run: classify's two rows are copied as the buffer
-    slides past them (see _advance).  Inputs are checked as by simulate,
-    and the run is not charged for its states (check_run).
+    without holding the run (see _advance).  Inputs are checked as by
+    simulate, and the run is not charged for its states (check_run).
     """
-    run = _prepare(sys, delay, x0, horizon, step, None)
-    ends, judge = _classify_rows(run)
-    return judge(*_advance(run, ends))
+    return _advance(_prepare(sys, delay, x0, horizon, step, None), lambda first, rows: None)[1]
 
 
 @dataclass(frozen=True)
@@ -549,26 +552,6 @@ def _forcing(sys: SimSystem, disturbance, h: float, nsteps: int):
     return take
 
 
-def _classify_rows(run: _Run) -> tuple:
-    """(sink, judge): the sink copies the two rows classify compares as they
-    pass, and judge(last, diverged) returns classify's verdict on the run
-    that _advance returned (last, diverged) for."""
-    steps = (_window_start(run.nsteps), run.nsteps)
-    kept = {}
-
-    def sink(first, rows):
-        for i in steps:
-            if first <= i < first + len(rows):
-                kept[i] = rows[i - first].copy()
-
-    def judge(last, diverged):
-        # last * h is classify's horizon, the last of simulate's times
-        rows = None if diverged else np.stack([kept[i] for i in steps])
-        return _judge(rows, last * run.h, diverged)
-
-    return sink, judge
-
-
 def _batch_steps(m: int) -> int:
     """Steps per batch for a delay of m steps (see _advance)."""
     return _CHUNK_ROWS if m == 0 else max(m - 1, 1)
@@ -607,7 +590,8 @@ def _advance(run: _Run, sink) -> tuple:
     the same wherever the rows lie, so a run that slides fills its rows bit
     for bit as one that does not.  The run's last rows go to the sink when
     it ends, so the sink sees every row from step 0 to the last, once and
-    in order.  The rows it gets are a view of hist, valid until it returns.
+    in order.  The rows it gets are a view of hist, valid until it returns;
+    the row at _window_start(nsteps) is copied when a slide hands it on.
 
     In mode "full" the b + 3 delayed samples of a batch of b steps take one
     product y = xd (h/24) atau^T, and step j's forcing is the four-tap
@@ -630,8 +614,7 @@ def _advance(run: _Run, sink) -> tuple:
     one is filled from a finite start.  No other norm is taken here: the
     Trajectory computes them where they are read.
 
-    Returns (last, diverged): the number of steps kept, and whether the run
-    stopped at such a row.
+    Returns (last, verdict): the steps kept and classify's verdict on them.
     """
     hist, nsteps, m, a0, atau, h, forcing = (
         run.hist, run.nsteps, run.m, run.a0, run.atau, run.h, run.forcing)
@@ -671,10 +654,13 @@ def _advance(run: _Run, sink) -> tuple:
     last, diverged = nsteps, False
     pad = base = m + 4
     i = sent = 0  # steps taken, rows handed to the sink
+    start, kept = _window_start(nsteps), None
     while i < nsteps:
         b = min(batch, nsteps - i)
         if base + i + b + 1 > len(hist):
             sink(sent, hist[base + sent : base + i + 1])
+            if sent <= start <= i:
+                kept = hist[base + start].copy()
             sent = i + 1
             hist[: pad + 1] = hist[base + i - pad : base + i + 1]
             base = pad - i
@@ -717,7 +703,10 @@ def _advance(run: _Run, sink) -> tuple:
                 break
         i += b
     sink(sent, hist[base + sent : base + last + 1])
-    return last, diverged
+    # last * h is classify's horizon, the last of simulate's times
+    rows = None if diverged else np.stack(
+        [kept if start < sent else hist[base + start], hist[base + last]])
+    return last, _judge(rows, last * h, diverged)
 
 
 def _recur(rows, p, pc, fill, forced) -> None:

@@ -207,6 +207,9 @@ def finalize_config(raw: dict, command: str) -> ScenarioConfig:
             for v in value if row.many else (value,):
                 errors.check(key, v, integer=row.parse is int, **row.bounds)
     cfg = ScenarioConfig(**parsed)
+    for key, readers in (("amplitude", ("sin", "noise")), ("omega", ("sin",))):
+        if key in parsed and cfg.disturbance not in readers:
+            raise ParameterError(f"disturbance {cfg.disturbance} does not read {key}")
     if cfg.step is None:
         # before any run: a delay whose default step underflows fails its run
         dde_sim.default_step(cfg.tau, "tau")

@@ -138,7 +138,8 @@ class TestSimulateBasics:
         # own state undelayed, dim 171: batches of 99 steps take no powers,
         # but the 16 dim x dim operators are 3.7 MB beside 5.8 MB of buffer
         ("velocity", DelaySpec(0.1, "self-undelayed"), True),
-        # every term delayed: the buffer is all it holds
+        # every term delayed: beside the buffer, two batches' products and
+        # two dim x dim operators, 14.2 MB of the 17.2 MB allowed
         ("formation", DelaySpec(0.1, "full"), False),
     ], ids=["undelayed-formation", "self-undelayed-velocity", "full-formation"])
     def test_operators_and_powers_are_charged(self, monkeypatch, kind, delay, refused):
@@ -599,6 +600,41 @@ class TestVerdictMatchesClassify:
         # the window holds m + 5 + _CHUNK_ROWS rows: the cut is past a slide
         assert dde_sim._CHUNK_ROWS < cut < 200 * m
 
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    def test_diverged_before_the_window_start(self, tmp_path, kind):
+        # cut near step 3,000 of 6,000, before the first slide (at step
+        # 4,023) and the window start (4,500): the verdict is the marker's,
+        # through verdict and through the streamed CSV
+        sysm, margin = self._system(kind)
+        m, nsteps = 150, 6000
+        delay, h = DelaySpec(6.0 * margin, "full"), 6.0 * margin / m
+        x0 = np.random.default_rng(1).uniform(-1.0, 1.0, sysm.dim)
+        got = self._check(sysm, delay, h, nsteps, x0)
+        assert got.diverged and round(got.horizon / h) < 4023 < dde_sim._window_start(nsteps)
+        streamed, meta = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0,
+                                                 (nsteps + 0.3) * h, h)
+        assert streamed == got and meta["diverged"]
+
+    @pytest.mark.parametrize("nsteps, edge", [
+        (10728, "last"),  # the start row 8046 is the last the second slide hands on
+        (21457, "first"),  # the start row 16093 is the first the fifth hands on
+    ])
+    def test_start_row_at_a_slides_edge(self, nsteps, edge):
+        # batches of 149 steps: the buffer slides every 4,023 steps, handing
+        # on rows 0 .. 4023, 4024 .. 8046, 8047 .. 12069, ...
+        sysm, margin = self._system("velocity")
+        m = 150
+        h = min(40.0 / nsteps, 0.25 * margin / m)
+        delay, x0 = DelaySpec(m * h, "full"), np.random.default_rng(m).uniform(-1.0, 1.0, 4)
+        handed = []
+        run = dde_sim._prepare(sysm, delay, x0, (nsteps + 0.3) * h, h, None)
+        dde_sim._advance(run, lambda first, rows: handed.append((first, first + len(rows) - 1)))
+        slides = handed[:-1]  # the last call ends the run
+        assert dde_sim._window_start(nsteps) in [
+            first if edge == "first" else last for first, last in slides]
+        got = self._check(sysm, delay, h, nsteps, x0)
+        assert not got.diverged and 0.0 < got.decay_ratio < math.inf
+
     @pytest.mark.parametrize("marked", [False, True])
     def test_diverged_is_the_runs_marker_not_the_ratio(self, marked):
         # a start norm of 1e-160 under an end norm of 1e150: the ratio
@@ -937,6 +973,31 @@ class TestWorkingSetIsTheRunsBuffers:
         s = dde_sim._batch_steps(0) // dde_sim._SCAN_CHUNK
         pass3 = 8 * s * (dde_sim._SCAN_CHUNK - 1) * dim
         assert peak < self._held(dim, 0) + pass3 + 32 * 8 * dim * dim
+
+    @pytest.mark.parametrize("kind, mode, m", [
+        ("velocity", "full", 0),
+        ("formation", "full", 0),
+        ("velocity", "full", 100),
+        ("formation", "full", 100),
+        ("velocity", "self-undelayed", 100),
+        ("velocity", "full", 5000),  # batches of 4,999 steps > _CHUNK_ROWS
+        ("formation", "full", 5000),
+        ("velocity", "self-undelayed", 5000),
+    ])
+    def test_peak_within_the_charge(self, kind, mode, m):
+        # a run long enough to slide twice peaks at most at what check_run
+        # charges it, and above half of that
+        sysm = velocity_system(self.GS) if kind == "velocity" else formation_system(self.GS)
+        nsteps = m + 2 * max(dde_sim._batch_steps(m), dde_sim._CHUNK_ROWS)
+        # a delay of at most 0.025, below a fifth of either fully delayed
+        # margin (0.145 and 0.161): the run does not diverge
+        h = 1e-3 if m == 0 else min(1e-3, 0.025 / m)
+        delay = DelaySpec(m * h, mode)
+        x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
+        assert not verdict(sysm, delay, x0, nsteps * h, h).diverged
+        charge = dde_sim._held_bytes(sysm, delay, m, nsteps)
+        peak = self._traced_peak(lambda: verdict(sysm, delay, x0, nsteps * h, h))
+        assert charge / 2 < peak <= charge
 
 
 class TestSimSystemValidation:

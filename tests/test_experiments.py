@@ -662,11 +662,19 @@ class TestCli:
         (["delay-grid", "--taus", "0.1"], "[platoon]\nn = 5\nk = 2\n[experiment]\n"
          "name = scaling\n",
          "error: the delay-grid subcommand runs name = delay-grid, not 'scaling'"),
+        # an undisturbed run reads neither disturbance key, noise no omega
+        (["simulate", "--n", "8", "--k", "1", "--amplitude", "0.3", "--omega", "2",
+          "--horizon", "20"], None, "error: disturbance none does not read amplitude"),
+        (["simulate", "--n", "8", "--k", "1", "--disturbance", "noise", "--omega", "2"],
+         None, "error: disturbance noise does not read omega"),
+        (["simulate"], "[platoon]\nn = 8\nk = 1\n[experiment]\ndisturbance = noise\n"
+         "amplitude = 0.3\nomega = 2\n", "error: disturbance noise does not read omega"),
     ], ids=["sweep-add-config", "scaling-flags", "scaling-config", "scaling-md-flag",
-            "delay-grid-name"])
+            "delay-grid-name", "undisturbed-flags", "noise-omega-flag", "noise-omega-config"])
     def test_unread_key_exit_2(self, tmp_path, capsys, argv, config, error):
-        # a key the subcommand does not read is refused, as a flag or in a
-        # config file, and the error line names the key and the subcommand
+        # a key the subcommand, or its disturbance, does not read is refused,
+        # as a flag or in a config file, and the error line names the key and
+        # the subcommand or the disturbance
         out = tmp_path / "out"
         if config is not None:
             (tmp_path / "s.cfg").write_text(config)
@@ -834,9 +842,10 @@ class TestSimulateStreamsTheWholeRun:
     ])
     def test_disturbance_sampled_per_chunk_equals_whole_run(self, tmp_path, monkeypatch,
                                                             disturbance, delay):
-        # 20,000 steps, five chunks of samples
+        # 20,000 steps, five chunks of samples; noise reads no omega
+        omega = ["--omega", "1.7"] if disturbance == "sin" else []
         argv = ["simulate", *self.BASE, *delay, "--horizon", "20", "--step", "0.001",
-                "--disturbance", disturbance, "--amplitude", "0.3", "--omega", "1.7"]
+                "--disturbance", disturbance, "--amplitude", "0.3", *omega]
         assert main(argv + ["--out", str(tmp_path / "chunked")]) == 0
         whole = self._whole_run_sampler
         for cls in (dde_sim.SinusoidDisturbance, dde_sim.NoiseDisturbance):
