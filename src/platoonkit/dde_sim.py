@@ -67,14 +67,14 @@ computed as in a buffer of the whole run.  simulate's sink copies the rows
 into the whole run's states and simulate_to_csv's writes them to the CSV
 file; every run returns classify's verdict on the whole run, for which it
 copies the trailing window's first row as it is handed on.  A disturbance is
-sampled by step index, a chunk at a time: sample(lo, hi) gives its values at
-the grid times of steps lo .. hi and the midpoints of steps lo .. hi - 1.
-Beside the buffer a run holds its operators, the powers of P, one batch's
-temporaries, one piece of CSV text and a chunk of its disturbance's samples:
-nothing else grows with _CHUNK_ROWS or with the number of powers.  Before
-anything is allocated, check_run bounds a run's steps and delay together by
-MAX_STEPS and charges it for all that but the CSV text and the samples;
-simulate is charged for its states besides.
+sampled for the steps the buffer holds, at the start and at each slide:
+sample(lo, hi) gives its values on the f velocity errors at the grid times
+of steps lo .. hi and the midpoints of steps lo .. hi - 1.  Beside the
+buffer a run holds its operators, the powers of P, one batch's temporaries,
+that window of samples and one piece of CSV text: nothing else grows with
+_CHUNK_ROWS or with the number of powers.  Before anything is allocated,
+check_run bounds a run's steps and delay together by MAX_STEPS and charges
+it for all of that; simulate is charged for its states besides.
 """
 
 from __future__ import annotations
@@ -207,34 +207,29 @@ class SinusoidDisturbance:
 
 
 class NoiseDisturbance:
-    """Seeded uniform noise in [-amplitude, amplitude], piecewise constant
-    over each integration step (so runs are reproducible given the seed)."""
+    """Seeded uniform noise in [-amplitude, amplitude], one value per
+    channel at each grid time, held from there through the step's midpoint
+    (so runs are reproducible given the seed)."""
 
     def __init__(self, amplitude: float, seed: int):
-        self.amplitude = errors.check("noise amplitude", amplitude)
+        self.amplitude = errors.check("noise amplitude", amplitude, 0.0)
+        # the draws span 2 * amplitude, which must be finite too
+        errors.check("twice the noise amplitude", 2.0 * self.amplitude)
         self.seed = errors.check("noise seed", seed, 0, integer=True)
 
     def sampler(self, dim: int, step: float):
         """The run's sampler: sample(lo, hi) -> rows lo .. hi of one table
         as the samples at the grid times of steps lo .. hi, and rows
-        lo .. hi - 1 as those at their midpoints: step i reads row i over
-        the whole step.  One generator of the seed draws the rows in order
-        as later steps ask for them.  Rows before the last call's lo are
-        dropped, so a run that samples a chunk of steps at a time holds a
-        chunk of the table, and no call may start before that."""
-        rng = np.random.default_rng(self.seed)
-        table, row0 = np.empty((0, dim)), 0
-
+        lo .. hi - 1 as those at their midpoints: step i's first three
+        stages read row i and its last stage row i + 1.  The table is what
+        one generator of the seed draws row by row; sample draws rows
+        lo .. hi alone, from a generator of the seed advanced past the
+        lo * dim values before them, so it keeps nothing between calls and
+        any window reads the same rows."""
         def sample(lo, hi):
-            nonlocal table, row0
-            if lo < row0:
-                raise ValueError(f"noise row {lo} was dropped; the table starts at row {row0}")
-            more = hi + 1 - row0 - len(table)
-            if more > 0:
-                table = np.concatenate(
-                    (table, rng.uniform(-self.amplitude, self.amplitude, size=(more, dim))))
-            table, row0 = table[lo - row0 :], lo
-            return table[: hi + 1 - lo], table[: hi - lo]
+            rng = np.random.Generator(np.random.PCG64(self.seed).advance(lo * dim))
+            table = rng.uniform(-self.amplitude, self.amplitude, size=(hi + 1 - lo, dim))
+            return table, table[:-1]
 
         return sample
 
@@ -325,7 +320,8 @@ def default_horizon(lambda1: float) -> float:
 # Integration
 # ---------------------------------------------------------------------------
 
-def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> tuple:
+def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float,
+              disturbance=None, keep: str | None = None) -> tuple:
     """Check a run of `simulate`, `simulate_to_csv` or `verdict` before
     anything is allocated, and return its (step h, steps, delay in whole
     steps m).
@@ -334,12 +330,14 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> 
     MAX_STEPS, whatever it holds: a delay of 1e-10 at its default step,
     2.5e-12, takes 8e12 steps over a horizon of 20, whose buffer would fit
     and which would take days.  The memory charged is what the run holds
-    (_held_bytes); simulate is charged for its states besides.
+    (_held_bytes), with `disturbance`'s samples and `keep` "states"
+    (simulate), "csv" (simulate_to_csv) or None (verdict).
 
     Raises:
         ParameterError: on a step not finite and > 0, a horizon shorter than
-            10 steps, more than MAX_STEPS steps, or a buffer larger than
-            physical memory.
+            10 steps, more than MAX_STEPS steps, a sinusoid whose omega t
+            overflows within the run, or buffers larger than physical
+            memory.
     """
     h = float(errors.check("step", step, 0.0, strict=True))
     errors.check("horizon (at least 10 steps)", horizon, 10.0 * h)
@@ -350,11 +348,16 @@ def check_run(sys: SimSystem, delay: DelaySpec, horizon: float, step: float) -> 
             f"a run of {steps:.4g} steps, with {lag:.4g} more for its delay, is "
             f"longer than the {MAX_STEPS:,} steps one run may take")
     nsteps, m = int(round(steps)), int(round(lag))
-    errors.check_memory(f"a run of {nsteps} steps", _held_bytes(sys, delay, m, nsteps))
+    if isinstance(disturbance, SinusoidDisturbance):
+        # sin(omega t) of an omega t that overflows is NaN, not a divergence
+        errors.check("sinusoid omega times the horizon", disturbance.omega * (nsteps * h))
+    errors.check_memory(f"a run of {nsteps} steps{' held whole' if keep == 'states' else ''}",
+                        _held_bytes(sys, delay, m, nsteps, disturbance is not None, keep))
     return h, nsteps, m
 
 
-def _held_bytes(sys: SimSystem, delay: DelaySpec, m: int, nsteps: int) -> float:
+def _held_bytes(sys: SimSystem, delay: DelaySpec, m: int, nsteps: int,
+                disturbed: bool, keep: str | None) -> float:
     """Bytes a run holds at its peak: its sliding buffer, its operators
     (a and (h/24) a^T in mode "full", else 16 dim x dim), the powers of P
     where _blocked, and a batch's temporaries, in blocks of max(b + 3, m + 5)
@@ -362,15 +365,26 @@ def _held_bytes(sys: SimSystem, delay: DelaySpec, m: int, nsteps: int) -> float:
     it): undelayed one (pass 3's product), mode "full" two (y of this batch
     beside the last's, the cumulative sum's copy of its input or a slide's),
     mode "self-undelayed" three (two products beside the last batch's
-    half-step samples).  256 KiB cover numpy's ufunc buffers and the run's
-    Python objects."""
+    half-step samples).  A disturbed run holds one block more (its forcing's
+    products, which numpy sums into the first of them as it elides
+    temporaries) and two f-wide windows of samples for the steps the buffer
+    holds; keep "csv" one piece of CSV text, 64 bytes a value (a Python
+    float, its pointer and its text), and keep "states" the whole run's
+    states.  256 KiB cover numpy's ufunc buffers and Python objects."""
     rows = max(min(_batch_steps(m), nsteps) + 3, m + 5)
     if m > 0 and delay.mode == "full":
         temps, ops = 2 * rows, 2
     else:
         temps = rows if m == 0 else 3 * rows
         ops = 16 + (_SCAN_CHUNK - 1) * _blocked(m, nsteps)
-    return 8.0 * ((_window_rows(m, nsteps) + temps + ops * sys.dim) * sys.dim) + 2.0**18
+    held = (_window_rows(m, nsteps) + temps + ops * sys.dim) * sys.dim
+    if disturbed:
+        held += rows * sys.dim + 2 * (_window_rows(m, nsteps) - m - 4) * sys.lg.shape[0]
+    if keep == "csv":
+        held += 8 * (sys.dim + 2) * _CSV_ROWS
+    elif keep == "states":
+        held += (nsteps + 1) * sys.dim
+    return 8.0 * held + 2.0**18
 
 
 def simulate(
@@ -404,12 +418,8 @@ def simulate(
     Returns:
         Trajectory; truncated with meta["diverged"] = True on overflow.
     """
-    _, nsteps, m = check_run(sys, delay, horizon, step)
-    # the states beside the buffer, before either is allocated
-    errors.check_memory(f"a run of {nsteps} steps held whole",
-                        8.0 * (nsteps + 1) * sys.dim + _held_bytes(sys, delay, m, nsteps))
-    run = _prepare(sys, delay, x0, horizon, step, disturbance)
-    states = _allocate(nsteps + 1, sys.dim, nsteps)
+    run = _prepare(sys, delay, x0, horizon, step, disturbance, "states")
+    states = _allocate(run.nsteps + 1, sys.dim, run.nsteps)
 
     def keep(first, rows):
         states[first : first + len(rows)] = rows
@@ -428,9 +438,10 @@ def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
     buffer slides, and classify's two rows are copied as they pass.  The
     file is opened once the buffer is allocated, so a run refused, or whose
     buffer cannot be allocated, writes no file.  Inputs are checked as by
-    simulate; the run is not charged for its states (check_run).
+    simulate; the run is charged for a piece of CSV text, not for its
+    states (check_run).
     """
-    run = _prepare(sys, delay, x0, horizon, step, disturbance)
+    run = _prepare(sys, delay, x0, horizon, step, disturbance, "csv")
     with open(path, "w") as fh:
         fh.write("# " + ", ".join(f"{key}={'none' if value is None else value}"
                                   for key, value in run.meta.items()) + "\n")
@@ -454,7 +465,8 @@ def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -
 class _Run:
     """A checked run: xdot = a0 x(t) + atau x(t - m h) + w(t), with a0 or
     atau None where absent, over nsteps steps of h; hist is its sliding
-    buffer with the pre-history filled, forcing its disturbance (or None),
+    buffer with the pre-history filled, sample its disturbance's sampler
+    (or None), whose samples enter the last f states, the velocity errors,
     and meta the trajectory metadata but the divergence flag."""
 
     h: float
@@ -463,16 +475,17 @@ class _Run:
     a0: np.ndarray | None
     atau: np.ndarray | None
     hist: np.ndarray
-    forcing: object
+    sample: object
+    f: int
     meta: dict
 
 
 def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
-             disturbance) -> _Run:
+             disturbance, keep: str | None = None) -> _Run:
     """The checks, operators and buffer of a run of simulate,
-    simulate_to_csv or verdict, whose buffer is _window_rows(m, nsteps)
-    rows."""
-    h, nsteps, m = check_run(sys, delay, horizon, step)
+    simulate_to_csv or verdict, which keeps its rows as `keep` says
+    (check_run), and whose buffer is _window_rows(m, nsteps) rows."""
+    h, nsteps, m = check_run(sys, delay, horizon, step, disturbance, keep)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
@@ -504,7 +517,9 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
         "step": h,
         "seed": getattr(disturbance, "seed", None),
     }
-    return _Run(h, nsteps, m, a0, atau, hist, _forcing(sys, disturbance, h, nsteps), meta)
+    f = sys.lg.shape[0]
+    sample = None if disturbance is None else disturbance.sampler(f, h)
+    return _Run(h, nsteps, m, a0, atau, hist, sample, f, meta)
 
 
 def _allocate(rows: int, dim: int, nsteps: int) -> np.ndarray:
@@ -521,35 +536,6 @@ def _allocate(rows: int, dim: int, nsteps: int) -> np.ndarray:
             f"cannot allocate the {8.0 * rows * dim / 2**30:.4g} GiB of buffers "
             f"for a run of {nsteps} steps"
         ) from exc
-
-
-def _forcing(sys: SimSystem, disturbance, h: float, nsteps: int):
-    """None without a disturbance; else take(i, b) -> the disturbance through
-    the input matrix at the grid times of steps i .. i+b-1, at their
-    midpoints, and at the grid times of steps i+1 .. i+b.  The samples are
-    taken for max(b, _CHUNK_ROWS) steps at a time."""
-    if disturbance is None:
-        return None
-    f = sys.lg.shape[0]
-    sample = disturbance.sampler(f, h)
-    lo = hi = 0
-    grid = mid = None
-
-    def enter(samples):
-        # the disturbance enters every velocity error, the last f states
-        out = np.zeros((len(samples), sys.dim))
-        out[:, sys.dim - f :] = samples
-        return out
-
-    def take(i, b):
-        nonlocal lo, hi, grid, mid
-        if i + b > hi:
-            lo, hi = i, min(nsteps, i + max(b, _CHUNK_ROWS))
-            grid, mid = map(enter, sample(lo, hi))
-        j = i - lo
-        return grid[j : j + b], mid[j : j + b], grid[j + 1 : j + b + 1]
-
-    return take
 
 
 def _batch_steps(m: int) -> int:
@@ -593,6 +579,11 @@ def _advance(run: _Run, sink) -> tuple:
     in order.  The rows it gets are a view of hist, valid until it returns;
     the row at _window_start(nsteps) is copied when a slide hands it on.
 
+    A disturbance is sampled f values wide for the steps hist holds, at the
+    start and after each slide, one window at a time; step i's samples are
+    row base + i - pad.  They add into the last f columns of g in mode
+    "full", and meet the last f columns of C1, Ch and C4 otherwise.
+
     In mode "full" the b + 3 delayed samples of a batch of b steps take one
     product y = xd (h/24) atau^T, and step j's forcing is the four-tap
     filter sum_q c_q y[j + q], with c = _TAPS_CENTERED or, when m = 1,
@@ -616,8 +607,8 @@ def _advance(run: _Run, sink) -> tuple:
 
     Returns (last, verdict): the steps kept and classify's verdict on them.
     """
-    hist, nsteps, m, a0, atau, h, forcing = (
-        run.hist, run.nsteps, run.m, run.a0, run.atau, run.h, run.forcing)
+    hist, nsteps, m, a0, atau, h, sample, f = (
+        run.hist, run.nsteps, run.m, run.a0, run.atau, run.h, run.sample, run.f)
     batch = _batch_steps(m)
     screen = (0.5 * DIVERGENCE_CUTOFF) ** 2
     (w0, w1, w2, w3), taps, s0 = (
@@ -650,7 +641,9 @@ def _advance(run: _Run, sink) -> tuple:
             # a zero state with inf * 0 = NaN; such runs keep the plain loop
             if not np.all(np.isfinite(pc)):
                 pc = fill = None
-        forced = atau is not None or forcing is not None
+        if sample is not None:
+            c1f, chf, c4f = (c[:, -f:].T for c in (c1, ch, c4))
+        forced = atau is not None or sample is not None
     last, diverged = nsteps, False
     pad = base = m + 4
     i = sent = 0  # steps taken, rows handed to the sink
@@ -667,8 +660,11 @@ def _advance(run: _Run, sink) -> tuple:
         # rows[0] is the accepted state, g the batch's rows
         rows = hist[base + i : base + i + b + 1]
         g = rows[1:]
-        if forcing is not None:
-            wg0, wgh, wg1 = forcing(i, b)
+        if sample is not None:
+            j = base + i - pad  # 0 at the start and after each slide
+            if j == 0:
+                grid = mid = None  # the last window goes before the next
+                grid, mid = sample(i, min(nsteps, len(hist) - 1 - base))
         if a0 is None:
             lo = base + i - m + s0
             y = hist[lo : lo + b + 3] @ kt
@@ -679,8 +675,9 @@ def _advance(run: _Run, sink) -> tuple:
                 g *= 13.0
                 g -= y[:-3]
                 g -= y[3:]
-            if forcing is not None:
-                g += (h / 6.0) * (wg0 + 4.0 * wgh + wg1)
+            if sample is not None:
+                g[:, -f:] += (h / 6.0) * (grid[j : j + b] + 4.0 * mid[j : j + b]
+                                          + grid[j + 1 : j + b + 1])
             acc = rows.view(np.complex128) if paired else rows
             np.add.accumulate(acc, axis=0, out=acc)
         else:
@@ -691,8 +688,8 @@ def _advance(run: _Run, sink) -> tuple:
                 xd = hist[lo + s0 : lo + s0 + b + 3]
                 xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
                 g[:] = hist[lo : lo + b] @ c1a.T + xdh @ cha.T + hist[lo + 1 : lo + b + 1] @ c4a.T
-            if forcing is not None:
-                g += wg0 @ c1.T + wgh @ ch.T + wg1 @ c4.T
+            if sample is not None:
+                g += grid[j : j + b] @ c1f + mid[j : j + b] @ chf + grid[j + 1 : j + b + 1] @ c4f
             _recur(rows, p, pc, fill, forced)
         # NaN if any entry is NaN, inf if one overflows; neither passes
         flat = g.ravel()

@@ -31,8 +31,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.12g}"
     return str(x)
 
@@ -210,6 +208,10 @@ def finalize_config(raw: dict, command: str) -> ScenarioConfig:
     for key, readers in (("amplitude", ("sin", "noise")), ("omega", ("sin",))):
         if key in parsed and cfg.disturbance not in readers:
             raise ParameterError(f"disturbance {cfg.disturbance} does not read {key}")
+    # before any platoon is built (check_run checks omega t on a default horizon)
+    _make_disturbance(cfg)
+    if cfg.disturbance == "sin" and cfg.horizon is not None:
+        errors.check("sinusoid omega times the horizon", cfg.omega * cfg.horizon)
     if cfg.step is None:
         # before any run: a delay whose default step underflows fails its run
         dde_sim.default_step(cfg.tau, "tau")

@@ -840,16 +840,15 @@ class TestDisturbances:
 
     def test_noise_samples_by_step_are_rows_of_one_table(self):
         # step i's grid time and midpoint both read row i of the table that a
-        # fresh generator of the seed draws whole; the window may not move back
+        # fresh generator of the seed draws whole, whichever windows came
+        # before: the last one moves back
         nsteps, dim = 20_000, 3
         table = np.random.default_rng(4).uniform(-0.2, 0.2, (nsteps + 1, dim))
         sample = NoiseDisturbance(amplitude=0.2, seed=4).sampler(dim, 1e-3)
-        for lo, hi in self.WINDOWS:
+        for lo, hi in self.WINDOWS + [(6999, 7000)]:
             grid, mid = sample(lo, hi)
             assert np.array_equal(grid, table[lo : hi + 1])
             assert np.array_equal(mid, table[lo:hi])
-        with pytest.raises(ValueError, match="noise row 6999 was dropped"):
-            sample(6999, 7000)
 
     @pytest.mark.parametrize("h", [1e-3, 0.1])
     def test_sinusoid_samples_by_step_are_sin_at_their_times(self, h):
@@ -925,10 +924,11 @@ class TestTrajectoryCsv:
 
 
 class TestWorkingSetIsTheRunsBuffers:
-    """A run holds its sliding buffer, its operators, a batch's temporaries
-    and one piece of CSV text, and nothing else that grows with
-    _CHUNK_ROWS or with the blocked recurrence's _SCAN_CHUNK powers.  Each
-    bound is summed from those sizes for the run's own dim, m and batch."""
+    """A run holds its sliding buffer, its operators, a batch's temporaries,
+    one window of its disturbance's samples and one piece of CSV text, and
+    nothing else that grows with _CHUNK_ROWS or with the blocked
+    recurrence's _SCAN_CHUNK powers.  Each bound is summed from those sizes
+    for the run's own dim, m and batch."""
 
     GS = ground(build_platoon(36, 4), md_arrangement(36, 4))
 
@@ -974,19 +974,27 @@ class TestWorkingSetIsTheRunsBuffers:
         pass3 = 8 * s * (dde_sim._SCAN_CHUNK - 1) * dim
         assert peak < self._held(dim, 0) + pass3 + 32 * 8 * dim * dim
 
-    @pytest.mark.parametrize("kind, mode, m", [
-        ("velocity", "full", 0),
-        ("formation", "full", 0),
-        ("velocity", "full", 100),
-        ("formation", "full", 100),
-        ("velocity", "self-undelayed", 100),
-        ("velocity", "full", 5000),  # batches of 4,999 steps > _CHUNK_ROWS
-        ("formation", "full", 5000),
-        ("velocity", "self-undelayed", 5000),
-    ])
-    def test_peak_within_the_charge(self, kind, mode, m):
+    @pytest.mark.parametrize("disturbance", [
+        None, NoiseDisturbance(0.3, 5), SinusoidDisturbance(0.3, 1.7)], ids=["none", "noise", "sin"])
+    @pytest.mark.parametrize("kind, mode, m, keep", [
+        ("velocity", "full", 0, None),
+        ("formation", "full", 0, None),
+        ("velocity", "full", 100, None),
+        ("formation", "full", 100, None),
+        ("velocity", "self-undelayed", 100, None),
+        ("velocity", "full", 5000, None),  # batches of 4,999 steps > _CHUNK_ROWS
+        ("formation", "full", 5000, None),
+        ("velocity", "self-undelayed", 5000, None),
+        # the CSV text is written at each slide, beside each mode's leftovers
+        # of the last batch; formatting a run takes a second or more
+        ("velocity", "full", 0, "csv"),
+        ("velocity", "full", 100, "csv"),
+        ("velocity", "self-undelayed", 100, "csv"),
+    ], ids=lambda value: "verdict" if value is None else None)
+    def test_peak_within_the_charge(self, kind, mode, m, keep, disturbance):
         # a run long enough to slide twice peaks at most at what check_run
-        # charges it, and above half of that
+        # charges it, and above half of that: a verdict's run (with its
+        # disturbance, which verdict itself does not take) or a streamed one
         sysm = velocity_system(self.GS) if kind == "velocity" else formation_system(self.GS)
         nsteps = m + 2 * max(dde_sim._batch_steps(m), dde_sim._CHUNK_ROWS)
         # a delay of at most 0.025, below a fifth of either fully delayed
@@ -994,9 +1002,17 @@ class TestWorkingSetIsTheRunsBuffers:
         h = 1e-3 if m == 0 else min(1e-3, 0.025 / m)
         delay = DelaySpec(m * h, mode)
         x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
-        assert not verdict(sysm, delay, x0, nsteps * h, h).diverged
-        charge = dde_sim._held_bytes(sysm, delay, m, nsteps)
-        peak = self._traced_peak(lambda: verdict(sysm, delay, x0, nsteps * h, h))
+        if keep is None:
+            def run():
+                prepared = dde_sim._prepare(sysm, delay, x0, nsteps * h, h, disturbance)
+                return dde_sim._advance(prepared, lambda first, rows: None)[1]
+        else:
+            def run():
+                return dde_sim.simulate_to_csv(os.devnull, sysm, delay, x0, nsteps * h, h,
+                                               disturbance)[0]
+        assert not run().diverged
+        charge = dde_sim._held_bytes(sysm, delay, m, nsteps, disturbance is not None, keep)
+        peak = self._traced_peak(run)
         assert charge / 2 < peak <= charge
 
 

@@ -26,6 +26,7 @@ from platoonkit import (
     velocity_system,
     verdict,
 )
+from platoonkit.dde_sim import simulate_to_csv
 from platoonkit.errors import check
 
 GS = ground(build_platoon(5, 2), make_reference_set(5, [3]))
@@ -131,7 +132,20 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
     lambda: run(horizon=0.05),
     lambda: judge(horizon=0.05),
     lambda: gamma_conditions(GS, 1e-320),  # 1/gamma overflows to inf
+    lambda: NoiseDisturbance(-0.3, 0),
+    lambda: NoiseDisturbance(9e307, 0),  # the draws span 2 * amplitude, which overflows
+    # omega t overflows within the run, and sin(inf) is NaN
+    lambda: run(disturbance=SinusoidDisturbance(0.3, 1e308)),
 ])
 def test_out_of_range_values_rejected(call):
     with pytest.raises(ParameterError, match="finite"):
         call()
+
+
+def test_disturbance_refused_before_the_file_is_opened(tmp_path):
+    # the streamed run is refused as simulate is, and writes no file
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ParameterError, match="omega times the horizon must be a finite"):
+        simulate_to_csv(path, velocity_system(GS), DelaySpec(0.1, "full"), np.ones(4), 10.0,
+                        0.01, SinusoidDisturbance(0.3, 1e308))
+    assert not path.exists()

@@ -406,9 +406,16 @@ class TestCli:
         ["simulate", "--step", "0"],
         ["report", "--gamma", "1e-320"],  # 1/gamma overflows to inf
         ["verify", "--seed", "-1"],
+        ["simulate", "--disturbance", "noise", "--amplitude", "-0.3", "--horizon", "20"],
+        # the draws span 2 * amplitude, which overflows
+        ["simulate", "--disturbance", "noise", "--amplitude", "9e307", "--horizon", "20"],
+        # omega t overflows at t = 1.798, and sin(inf) is NaN
+        ["simulate", "--disturbance", "sin", "--amplitude", "0.3", "--omega", "1e308",
+         "--horizon", "20"],
     ])
     def test_out_of_range_config_exit_2(self, tmp_path, capsys, monkeypatch, argv):
-        # refused from the table of bounds, before any platoon is built
+        # refused from the table of bounds, or by the disturbance, before any
+        # platoon is built
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the config was rejected")
 
@@ -420,6 +427,7 @@ class TestCli:
         code = main(argv[:1] + platoon + argv[1:])
         assert code == 2
         assert "must be a finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("argv, name", [
         (["simulate", "--tau", "5e-324"], "tau"),
