@@ -49,13 +49,14 @@ A delay of tau = 0, or one that rounds to zero steps, runs the undelayed
 dynamics xdot(t) = A x(t) in either mode and for either dynamics.
 
 Divergence (state norm beyond 1e12 or non-finite) truncates the run at its
-first such step and marks the trajectory rather than raising.  A batch is
-screened by its sum of squares, one dot product; only a batch past
-(1e12 / 2)^2 takes per-row norms to find the first divergent row.  No norms
-are stored: Trajectory.norms takes every row's, _CHUNK_ROWS rows at a time,
-when it is read; classify takes the two rows it compares, and the CSV writer
-each piece's as it formats it.  The CSV writer formats _CSV_ROWS rows at a
-time and writes each piece to its file before it formats the next, so it
+first such step and marks the trajectory rather than raising.  The rows since
+the last screen are screened at each slide and at the run's end, by their sum
+of squares, one dot product; rows past (1e12 / 2)^2 are screened again a batch
+at a time, and a failing batch takes per-row norms to find the first divergent
+row.  No norms are stored: Trajectory.norms takes every row's, _CHUNK_ROWS at
+a time, when it is read; classify takes the two rows it compares, and the CSV
+writer each piece's as it formats it.  The CSV writer formats _CSV_ROWS rows
+at a time and writes each piece to its file before it formats the next, so it
 holds no more than one piece's values and text at a time.  A diverged run's
 CSV ends with its divergence marker, which is known only when the run ends.
 
@@ -71,7 +72,8 @@ sampled for the steps the buffer holds, at the start and at each slide:
 sample(lo, hi) gives its values on the f velocity errors at the grid times
 of steps lo .. hi and the midpoints of steps lo .. hi - 1.  Beside the
 buffer a run holds its operators, the powers of P, one batch's temporaries,
-that window of samples and one piece of CSV text: nothing else grows with
+that window of samples and one piece of CSV text (mode "full" writes each
+batch's product into one buffer per run): nothing else grows with
 _CHUNK_ROWS or with the number of powers.  Before anything is allocated,
 check_run bounds a run's steps and delay together by MAX_STEPS and charges
 it for all of that; simulate is charged for its states besides.
@@ -362,22 +364,22 @@ def _held_bytes(sys: SimSystem, delay: DelaySpec, m: int, nsteps: int,
     (a and (h/24) a^T in mode "full", else 16 dim x dim), the powers of P
     where _blocked, and a batch's temporaries, in blocks of max(b + 3, m + 5)
     rows (a batch's product, or the window a slide copies before it moves
-    it): undelayed one (pass 3's product), mode "full" two (y of this batch
-    beside the last's, the cumulative sum's copy of its input or a slide's),
-    mode "self-undelayed" three (two products beside the last batch's
-    half-step samples).  A disturbed run holds one block more (its forcing's
-    products, which numpy sums into the first of them as it elides
-    temporaries) and two f-wide windows of samples for the steps the buffer
-    holds; keep "csv" one piece of CSV text, 64 bytes a value (a Python
-    float, its pointer and its text), and keep "states" the whole run's
-    states.  256 KiB cover numpy's ufunc buffers and Python objects."""
+    it): undelayed one (pass 3's product), mode "full" two (its product
+    buffer beside a slide's copy), mode "self-undelayed" three (two products
+    beside the last batch's half-step samples); the screen's norms of a
+    batch's rows take a block and two values a row.  A disturbed run holds
+    one block more (its forcing's products, which numpy sums into the first
+    as it elides temporaries) and two f-wide windows of samples for the
+    steps the buffer holds; keep "csv" one piece of CSV text, 64 bytes a
+    value (a Python float, its pointer and its text), and keep "states" the
+    whole run's states.  256 KiB cover ufunc buffers and Python objects."""
     rows = max(min(_batch_steps(m), nsteps) + 3, m + 5)
     if m > 0 and delay.mode == "full":
         temps, ops = 2 * rows, 2
     else:
         temps = rows if m == 0 else 3 * rows
         ops = 16 + (_SCAN_CHUNK - 1) * _blocked(m, nsteps)
-    held = (_window_rows(m, nsteps) + temps + ops * sys.dim) * sys.dim
+    held = (_window_rows(m, nsteps) + temps + ops * sys.dim) * sys.dim + 2 * rows
     if disturbed:
         held += rows * sys.dim + 2 * (_window_rows(m, nsteps) - m - 4) * sys.lg.shape[0]
     if keep == "csv":
@@ -585,38 +587,38 @@ def _advance(run: _Run, sink) -> tuple:
     "full", and meet the last f columns of C1, Ch and C4 otherwise.
 
     In mode "full" the b + 3 delayed samples of a batch of b steps take one
-    product y = xd (h/24) atau^T, and step j's forcing is the four-tap
-    filter sum_q c_q y[j + q], with c = _TAPS_CENTERED or, when m = 1,
-    _TAPS_BACKWARD.  Batches of one step (m <= 2, or the last step of a run)
-    take the taps as one dot product; longer ones use the centered taps'
-    symmetry, 13 (y1 + y2) - (y0 + y3).  The cumulative sum is a chain of
-    adds down each column; an even dim's rows are viewed as complex pairs,
-    whose add is the float adds of both parts in the same order, so each
-    add advances two chains bit for bit.  An odd dim sums the floats.
+    product y = xd (h/24) atau^T, into one buffer whose four filter views
+    are made once (the run's last, shorter batch slices it), and step j's
+    forcing is the four-tap filter sum_q c_q y[j + q], with c =
+    _TAPS_CENTERED or, when m = 1, _TAPS_BACKWARD.  Batches of one step
+    (m <= 2, or the last step of a run) take the taps as one dot product;
+    longer ones use the centered taps' symmetry, 13 (y1 + y2) - (y0 + y3).
+    The cumulative sum is a chain of adds down each column; an even dim's
+    rows are viewed as complex pairs, whose add is the float adds of both
+    parts in the same order, so each add advances two chains bit for bit.
+    An odd dim sums the floats.
 
-    A batch is cut back to its first row whose norm is non-finite or beyond
-    DIVERGENCE_CUTOFF.  A batch whose sum of squares (one dot product) is at
-    most (DIVERGENCE_CUTOFF / 2)^2 has every row's norm within half the
-    cutoff, a factor of 2 that no rounding of either sum can close, so only
-    a batch that fails this screen (NaN and overflow fail it) takes the
-    per-row norms.  The cut stays exact for the blocked recurrence: its
-    chunk sums read only forcings, which come from accepted history, and its
-    chunk starts are carried in order, so every row before the first failing
-    one is filled from a finite start.  No other norm is taken here: the
-    Trajectory computes them where they are read.
+    The run is cut back to its first row whose norm is non-finite or beyond
+    DIVERGENCE_CUTOFF (_first_bad), screened at each slide, before any row
+    goes to the sink or the window moves, and at the run's end.  Batches
+    between screens may run on from inf or NaN past that row, and are
+    dropped: every row, and each chunk start of the blocked recurrence, is
+    computed from the rows before it alone, so the rows before it are those
+    of a run cut at once.  No other norm is taken here.
 
     Returns (last, verdict): the steps kept and classify's verdict on them.
     """
     hist, nsteps, m, a0, atau, h, sample, f = (
         run.hist, run.nsteps, run.m, run.a0, run.atau, run.h, run.sample, run.f)
     batch = _batch_steps(m)
-    screen = (0.5 * DIVERGENCE_CUTOFF) ** 2
     (w0, w1, w2, w3), taps, s0 = (
         (_W_BACKWARD, _TAPS_BACKWARD, -2) if m == 1 else (_W_CENTERED, _TAPS_CENTERED, -1))
     if a0 is None:
         # every term delayed: P = I and C1 = Ch/4 = C4 = (h/6) I
         kt = (h / 24.0) * atau.T
-        paired = hist.shape[1] % 2 == 0
+        y = np.empty((min(batch, nsteps) + 3, hist.shape[1]))
+        y0, y1, y2, y3 = y[:-3], y[1:-2], y[2:-1], y[3:]
+        acc = hist.view(np.complex128) if hist.shape[1] % 2 == 0 else hist
     else:
         z = h * a0
         z2 = z @ z
@@ -648,62 +650,83 @@ def _advance(run: _Run, sink) -> tuple:
     pad = base = m + 4
     i = sent = 0  # steps taken, rows handed to the sink
     start, kept = _window_start(nsteps), None
-    while i < nsteps:
+    while True:
         b = min(batch, nsteps - i)
-        if base + i + b + 1 > len(hist):
+        if b == 0 or base + i + b + 1 > len(hist):
+            # screen the rows since the last screen (row 0 is x0, not a step)
+            first = max(sent, 1)
+            cut = _first_bad(hist[base + first : base + i + 1], batch)
+            if cut is not None:
+                last, diverged = first + cut, True
+            if cut is not None or b == 0:
+                break
             sink(sent, hist[base + sent : base + i + 1])
             if sent <= start <= i:
                 kept = hist[base + start].copy()
             sent = i + 1
             hist[: pad + 1] = hist[base + i - pad : base + i + 1]
             base = pad - i
-        # rows[0] is the accepted state, g the batch's rows
-        rows = hist[base + i : base + i + b + 1]
-        g = rows[1:]
+        r = base + i  # the accepted state's row; the batch fills the b after it
+        g = hist[r + 1 : r + b + 1]
         if sample is not None:
-            j = base + i - pad  # 0 at the start and after each slide
+            j = r - pad  # 0 at the start and after each slide
             if j == 0:
                 grid = mid = None  # the last window goes before the next
                 grid, mid = sample(i, min(nsteps, len(hist) - 1 - base))
         if a0 is None:
-            lo = base + i - m + s0
-            y = hist[lo : lo + b + 3] @ kt
+            if b + 3 < len(y):  # the run's last, shorter batch
+                y = y[: b + 3]
+                y0, y1, y2, y3 = y[:-3], y[1:-2], y[2:-1], y[3:]
+            lo = r - m + s0
+            np.matmul(hist[lo : lo + b + 3], kt, out=y)
             if b == 1:
                 np.dot(taps, y, out=g[0])
             else:
-                np.add(y[1:-2], y[2:-1], out=g)
+                np.add(y1, y2, out=g)
                 g *= 13.0
-                g -= y[:-3]
-                g -= y[3:]
+                g -= y0
+                g -= y3
             if sample is not None:
                 g[:, -f:] += (h / 6.0) * (grid[j : j + b] + 4.0 * mid[j : j + b]
                                           + grid[j + 1 : j + b + 1])
-            acc = rows.view(np.complex128) if paired else rows
-            np.add.accumulate(acc, axis=0, out=acc)
+            sums = acc[r : r + b + 1]
+            np.add.accumulate(sums, axis=0, out=sums)
         else:
             if atau is None:
                 g[:] = 0.0
             else:
-                lo = base + i - m
+                lo = r - m
                 xd = hist[lo + s0 : lo + s0 + b + 3]
                 xdh = w0 * xd[:b] + w1 * xd[1 : b + 1] + w2 * xd[2 : b + 2] + w3 * xd[3 : b + 3]
                 g[:] = hist[lo : lo + b] @ c1a.T + xdh @ cha.T + hist[lo + 1 : lo + b + 1] @ c4a.T
             if sample is not None:
                 g += grid[j : j + b] @ c1f + mid[j : j + b] @ chf + grid[j + 1 : j + b + 1] @ c4f
-            _recur(rows, p, pc, fill, forced)
-        # NaN if any entry is NaN, inf if one overflows; neither passes
-        flat = g.ravel()
-        if not np.dot(flat, flat) <= screen:
-            bad = ~(np.linalg.norm(g, axis=1) <= DIVERGENCE_CUTOFF)
-            if bad.any():
-                last, diverged = i + 1 + int(np.argmax(bad)), True
-                break
+            _recur(hist[r : r + b + 1], p, pc, fill, forced)
         i += b
     sink(sent, hist[base + sent : base + last + 1])
     # last * h is classify's horizon, the last of simulate's times
     rows = None if diverged else np.stack(
         [kept if start < sent else hist[base + start], hist[base + last]])
     return last, _judge(rows, last * h, diverged)
+
+
+def _first_bad(rows, piece: int):
+    """The index of the first of rows whose norm is non-finite or beyond
+    DIVERGENCE_CUTOFF, or None.  A sum of squares (one dot product) within
+    (DIVERGENCE_CUTOFF / 2)^2 leaves a factor of 2 that no rounding closes;
+    rows past it (NaN and overflow are) are screened again `piece` rows at
+    a time, and only a failing piece takes per-row norms."""
+    flat = rows.ravel()
+    if np.dot(flat, flat) <= (0.5 * DIVERGENCE_CUTOFF) ** 2:
+        return None
+    if len(rows) > piece:
+        for lo in range(0, len(rows), piece):
+            cut = _first_bad(rows[lo : lo + piece], piece)
+            if cut is not None:
+                return lo + cut
+        return None
+    bad = ~(np.linalg.norm(rows, axis=1) <= DIVERGENCE_CUTOFF)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _recur(rows, p, pc, fill, forced) -> None:
@@ -797,7 +820,9 @@ def threshold_scan(
             which excites every mode (structured states can miss the
             critical one).
         horizon: simulation horizon; defaults to max(80, 1000 / max diag(lg)),
-            long enough for the trailing window to see the slowest mode.
+            too short where the slowest mode cannot fall below 20% over the
+            trailing quarter: the scan then reads low (formation P(8,1) with
+            reference {1}: 0.2694, exact margin 0.5009; ROADMAP item 3).
 
     Each run uses step = tau / _SCAN_STEPS_PER_TAU, so the delay is resolved
     identically across the bracket.

@@ -2,7 +2,6 @@
 on numeric input and on sizes too large for memory."""
 
 import math
-import numbers
 import os
 
 
@@ -18,11 +17,13 @@ def check(name: str, value, low=-math.inf, *, strict: bool = False, integer: boo
     """Return `value` (as an int when `integer`) if it is a finite number, at
     least `low` (above it when `strict`) and whole when `integer`; else raise
     ParameterError naming `name`.  Every numeric input comes through here,
-    since a bare comparison lets NaN pass (``nan <= 0`` is false)."""
+    since a bare comparison lets NaN pass (``nan <= 0`` is false).  Finite
+    means finite as a float: an int beyond the float range is refused here,
+    not where it is first converted."""
     try:
-        ok = (isinstance(value, numbers.Integral) or math.isfinite(value)) and (
+        ok = math.isfinite(float(value)) and (
             value > low if strict else value >= low) and (not integer or value == int(value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:.12g}"

@@ -332,6 +332,18 @@ def reference_rk4(a0, atau, jmat, x0, m, h, nsteps, disturbance=None):
     return np.array(xs), np.array(norms), False
 
 
+def dense_system(gs, kind):
+    """(the SimSystem of kind, its matrix A, its input matrix J), with A and
+    J built here, apart from the package's formation builder."""
+    lg = np.asarray(gs.lg, float)
+    f = len(lg)
+    if kind == "velocity":
+        return velocity_system(gs), -lg, np.eye(f)
+    a = np.block([[np.zeros((f, f)), np.eye(f)], [-lg, -lg]])
+    jmat = np.vstack([np.zeros((f, f)), np.eye(f)])
+    return formation_system(gs), a, jmat
+
+
 DISTURBANCES = {
     None: lambda rng: None,
     "sin": lambda rng: SinusoidDisturbance(amplitude=0.3, omega=1.7),
@@ -344,19 +356,10 @@ class TestFullDelayMatchesPerStepReference:
     path, the undelayed run (one batch) and the self-undelayed run (own state
     instantaneous, neighbor states delayed)."""
 
-    def _system(self, gs, kind):
-        lg = np.asarray(gs.lg, float)
-        f = len(lg)
-        if kind == "velocity":
-            return velocity_system(gs), -lg, np.eye(f)
-        a = np.block([[np.zeros((f, f)), np.eye(f)], [-lg, -lg]])
-        jmat = np.vstack([np.zeros((f, f)), np.eye(f)])
-        return formation_system(gs), a, jmat
-
     def _instance(self, seed, kind):
         rng = np.random.default_rng(seed)
         _, _, gs = random_grounded(rng, n_lo=4, n_hi=12, k_hi=3, f_min=2, f_max=10)
-        return rng, gs, *self._system(gs, kind)
+        return rng, gs, *dense_system(gs, kind)
 
     def _check(self, sysm, mode, a0, atau, jmat, tau, h, m, nsteps, x0, dist):
         traj = simulate(sysm, DelaySpec(tau, mode), x0, (nsteps + 0.3) * h, h,
@@ -416,7 +419,7 @@ class TestFullDelayMatchesPerStepReference:
         # screen, but the state's norm stays below the cutoff: the per-row
         # test must keep every step
         gs = grounded(5, 2, [3])
-        sysm, a, jmat = self._system(gs, "velocity")
+        sysm, a, jmat = dense_system(gs, "velocity")
         x0 = np.array([9e11, 0.0, 0.0, 0.0])
         assert x0[0] > 0.5 * dde_sim.DIVERGENCE_CUTOFF / math.sqrt(len(x0))
         h, nsteps = 2e-3, 1000
@@ -662,6 +665,113 @@ class TestVerdictMatchesClassify:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
         assert max(peaks) < 8 * (m + 5 + 160_000) * sysm.dim
+
+
+class TestDivergenceCutAtASlide:
+    """The rows are screened for divergence at each slide and at the run's
+    end, so batches may run on past the first divergent row before it is
+    found.  A run whose norm grows monotonically, scaled so that its first
+    row past the cutoff falls on a chosen step, puts that row at the last
+    row a slide hands on, at the first row after it, and at the run's last
+    row, in its final batch: verdict, simulate and simulate_to_csv all cut
+    at reference_rk4's row."""
+
+    # xdot = GROW x(t - tau) from a positive state: every entry, and so the
+    # norm, grows at every step
+    GROW = np.array([[1.0, 0.2], [0.2, 0.8]])
+    NSTEPS, H = 5000, 1e-3
+
+    def _operators(self, mode, m):
+        if m == 0:
+            return self.GROW, None
+        if mode == "full":
+            return None, self.GROW
+        own = np.diag(np.diag(self.GROW))
+        return own, self.GROW - own
+
+    @pytest.mark.parametrize("where", ["last-handed-on", "first-after", "final-batch"])
+    @pytest.mark.parametrize("mode, m", [
+        ("full", 1), ("full", 2), ("full", 150), ("self-undelayed", 150),
+        pytest.param("full", 0, id="none-0"),
+    ])
+    def test_cut_at_the_reference_row(self, tmp_path, mode, m, where):
+        sysm = SimSystem(kind="velocity", lg=-self.GROW, n=3, k=1)
+        h, nsteps = self.H, self.NSTEPS
+        delay, horizon, x0 = DelaySpec(m * h, mode), (nsteps + 0.3) * h, np.ones(2)
+        handed = []
+        run = dde_sim._prepare(sysm, delay, x0, horizon, h, None)
+        dde_sim._advance(run, lambda first, rows: handed.append(first + len(rows) - 1))
+        # one slide, which hands on rows 0 .. handed[0], then the run's end
+        assert len(handed) == 2
+        cut = {"last-handed-on": handed[0], "first-after": handed[0] + 1,
+               "final-batch": nsteps}[where]
+        norms = simulate(sysm, delay, x0, horizon, h).norms
+        assert np.all(np.diff(norms) > 1e-6 * norms[1:])
+        # the cutoff halfway, in ratio, between the norms of rows cut - 1 and cut
+        x0 = x0 * dde_sim.DIVERGENCE_CUTOFF / math.sqrt(norms[cut - 1] * norms[cut])
+        _, norms, diverged = reference_rk4(*self._operators(mode, m), None, x0, m, h, nsteps)
+        assert diverged and len(norms) - 1 == cut
+
+        got = verdict(sysm, delay, x0, horizon, h)
+        assert got.diverged and round(got.horizon / h) == cut
+        traj = simulate(sysm, delay, x0, horizon, h)
+        assert traj.diverged and len(traj.states) == cut + 1
+        streamed, meta = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0, horizon, h)
+        assert streamed == got and meta["diverged"]
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(lines) == 2 + cut + 1 + 1
+        assert lines[-1] == "# diverged=true (run truncated at state norm > 1e12)"
+
+
+class TestCharacteristicEquation:
+    """Mode "full" against the integrator's own characteristic equation,
+    which shares no code with it (Bellen & Zennaro 2003).  Each mode mu of
+    A follows its own scalar recurrence
+    x_{i+1} = x_i + (h mu / 24) (-x_{i-m-1} + 13 x_{i-m} + 13 x_{i-m+1} - x_{i-m+2}),
+    whose roots z solve z^(m+2) - z^(m+1) - (h mu / 24)(-1 + 13 z + 13 z^2 - z^3);
+    for m = 1 the backward taps (1, -5, 19, 9) read x_{i-3} .. x_i, and
+    z^4 - z^3 - (h mu / 24)(1 - 5 z + 19 z^2 + 9 z^3) = 0.  A run's norm
+    decays as the largest |z| over every mode, at ln|z| / h per unit time.
+    The modes come from np.linalg.eigvals of dense_system's matrices."""
+
+    GS = grounded(6, 2, [1])  # five followers
+
+    @pytest.mark.parametrize("kind", ["velocity", "formation"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 100])
+    def test_tail_slope_is_the_rightmost_root(self, kind, m):
+        sysm, a, _ = dense_system(self.GS, kind)
+        # tau = 0.1, a third of the velocity margin pi / (2 lambda_max) =
+        # 0.303: the rightmost root is the slowest mode's, real for the
+        # velocity dynamics and a complex pair for the formation dynamics
+        tau, horizon = 0.1, 100.0
+        h = tau / m
+        taps = np.array([1.0, -5.0, 19.0, 9.0] if m == 1 else [-1.0, 13.0, 13.0, -1.0])
+        roots = []
+        for mu in np.linalg.eigvals(a):
+            poly = np.zeros(max(m, 2) + 3, complex)  # highest power first
+            poly[:2] = 1.0, -1.0
+            poly[-4:] -= (h * mu / 24.0) * taps[::-1]
+            roots.append(np.roots(poly))
+        s = np.log(np.concatenate(roots)) / h
+        right = s[np.argmax(s.real)]
+        # isolated: every other root, but the pair's conjugate, lies at least
+        # 0.5 to its left, so by mid-run its share of the norm is below e^-25
+        rest = s[(np.abs(s - right) > 1e-9) & (np.abs(s - np.conj(right)) > 1e-9)]
+        assert np.max(rest.real) < right.real - 0.5
+
+        x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
+        traj = simulate(sysm, DelaySpec(tau, "full"), x0, horizon, h)
+        tail = len(traj.times) // 2
+        t, log_norm = traj.times[tail:], np.log(traj.norms[tail:])
+        # a complex pair's norm oscillates at twice its frequency: fit the
+        # slope beside the first four harmonics of that oscillation
+        cols = [np.ones_like(t), t]
+        if abs(right.imag) > 1e-9:
+            cols += [fn(2.0 * q * right.imag * t) for q in range(1, 5) for fn in (np.cos, np.sin)]
+        slope = np.linalg.lstsq(np.column_stack(cols), log_norm, rcond=None)[0][1]
+        # a delay one step longer would move it by 3e-4 (velocity) and 2e-3
+        # (formation) of itself at m = 100
+        assert abs(slope - right.real) <= 1e-5 * abs(right.real)
 
 
 class TestPairedPrefixSum:
@@ -994,12 +1104,40 @@ class TestWorkingSetIsTheRunsBuffers:
     def test_peak_within_the_charge(self, kind, mode, m, keep, disturbance):
         # a run long enough to slide twice peaks at most at what check_run
         # charges it, and above half of that: a verdict's run (with its
-        # disturbance, which verdict itself does not take) or a streamed one
-        sysm = velocity_system(self.GS) if kind == "velocity" else formation_system(self.GS)
-        nsteps = m + 2 * max(dde_sim._batch_steps(m), dde_sim._CHUNK_ROWS)
-        # a delay of at most 0.025, below a fifth of either fully delayed
+        # disturbance, which verdict itself does not take) or a streamed one.
+        # A delay of at most 0.025, below a fifth of either fully delayed
         # margin (0.145 and 0.161): the run does not diverge
         h = 1e-3 if m == 0 else min(1e-3, 0.025 / m)
+        diverged, peak, charge = self._charged_run(kind, mode, m, keep, disturbance, h)
+        assert not diverged and charge / 2 < peak <= charge
+
+    @pytest.mark.parametrize("kind, mode, m, keep", [
+        ("velocity", "full", 0, None),
+        ("formation", "full", 2, None),
+        ("velocity", "full", 100, None),
+        ("formation", "full", 150, None),
+        ("velocity", "self-undelayed", 100, None),
+        ("velocity", "full", 100, "csv"),
+    ], ids=lambda value: "verdict" if value is None else None)
+    def test_peak_within_the_charge_of_a_diverging_run(self, kind, mode, m, keep):
+        # a screen at a slide finds the divergence, taking per-row norms of
+        # a batch's rows at a time: a fully delayed run at tau = 0.5, about
+        # three times its margin, and the others at a step beyond RK4's bound
+        lg = np.asarray(self.GS.lg, float)
+        if mode == "self-undelayed":
+            h = 3.0 / float(np.max(np.diag(lg)))
+        elif m == 0:
+            h = 4.0 / float(np.max(np.linalg.eigvalsh(lg)))
+        else:
+            h = 0.5 / m
+        diverged, peak, charge = self._charged_run(kind, mode, m, keep, None, h)
+        assert diverged and charge / 2 < peak <= charge
+
+    def _charged_run(self, kind, mode, m, keep, disturbance, h):
+        """(whether it diverged, its traced peak, its charge) of a run of
+        step h that would slide twice."""
+        sysm = velocity_system(self.GS) if kind == "velocity" else formation_system(self.GS)
+        nsteps = m + 2 * max(dde_sim._batch_steps(m), dde_sim._CHUNK_ROWS)
         delay = DelaySpec(m * h, mode)
         x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
         if keep is None:
@@ -1010,10 +1148,9 @@ class TestWorkingSetIsTheRunsBuffers:
             def run():
                 return dde_sim.simulate_to_csv(os.devnull, sysm, delay, x0, nsteps * h, h,
                                                disturbance)[0]
-        assert not run().diverged
+        diverged = run().diverged
         charge = dde_sim._held_bytes(sysm, delay, m, nsteps, disturbance is not None, keep)
-        peak = self._traced_peak(run)
-        assert charge / 2 < peak <= charge
+        return diverged, self._traced_peak(run), charge
 
 
 class TestSimSystemValidation:

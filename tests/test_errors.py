@@ -56,6 +56,8 @@ class TestCheck:
         ("5", {}),
         (None, {}),
         (1j, {}),
+        (10**400, {}),  # an int that no float holds
+        (10**400, {"integer": True}),
     ])
     def test_rejects(self, value, kwargs):
         with pytest.raises(ParameterError, match="speed must be a finite"):
@@ -139,6 +141,17 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
 ])
 def test_out_of_range_values_rejected(call):
     with pytest.raises(ParameterError, match="finite"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NoiseDisturbance(10**400, 0),
+    lambda: DelaySpec(10**400),
+    lambda: SinusoidDisturbance(10**400, 1),
+], ids=["noise", "delay", "sinusoid"])
+def test_int_beyond_the_float_range_rejected(call):
+    # a Python int is a number, but this one overflows where it becomes a float
+    with pytest.raises(ParameterError, match="must be a finite number"):
         call()
 
 
