@@ -65,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                            action="store_true" if row.parse is bool else None)
         p.add_argument("--emit-config", action="store_true",
                        help="print the effective merged config and exit")
-    p = sub.add_parser("verify", help="fast correctness battery (exit 4 on violation)")
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("verify", help="fast correctness battery (exit 4 on violation)")
     return parser
 
 
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         if args.command == "verify":
-            failures, lines = experiments.run_verify(seed=args.seed)
+            failures, lines = experiments.run_verify()
             print("\n".join(lines))
             if failures:
                 print(f"verification FAILED: {len(failures)} check(s)", file=sys.stderr)

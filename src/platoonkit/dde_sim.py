@@ -1,5 +1,6 @@
 """Fixed-step time-domain integration of the platoon dynamics with constant
-communication delay, plus the stable/unstable classifier and threshold scan.
+communication delay, each run's stable/unstable verdict, and the threshold
+scan.
 
 The integrator is the classic explicit 4th-order Runge-Kutta scheme (RK4)
 over a stored uniform-step history buffer.  The requested delay is rounded to
@@ -36,8 +37,10 @@ x_{k+1} = P^c x_k + (chunk k's last sum), one small product per chunk; pass
 P, each written into its place as the product of the one before with P.
 Left-over steps, and batches of fewer than two chunks, take one product per
 step.  The polynomial form, the filter and the chunked sums round
-differently from evaluating the four stages one by one, by a few 1e-14 of
-the trajectory's maximum.
+differently from evaluating the four stages one by one: by a few 1e-14 of
+the trajectory's maximum on a decaying run, by more as a growing run goes
+on (1.1e-12 after 5,000 undelayed steps of 1e-3 on xdot = [[1, 0.2], [0.2,
+0.8]] x, 4.2e-12 after 20,000).
 
 Two delay modes are supported for the linear dynamics xdot = A x:
 
@@ -48,13 +51,17 @@ Two delay modes are supported for the linear dynamics xdot = A x:
 A delay of tau = 0, or one that rounds to zero steps, runs the undelayed
 dynamics xdot(t) = A x(t) in either mode and for either dynamics.
 
-Divergence (state norm beyond 1e12 or non-finite) truncates the run at its
-first such step and marks the trajectory rather than raising.  The rows since
-the last screen are screened at each slide and at the run's end, by their sum
-of squares, one dot product; rows past (1e12 / 2)^2 are screened again a batch
-at a time, and a failing batch takes per-row norms to find the first divergent
-row.  No norms are stored: Trajectory.norms takes every row's, _CHUNK_ROWS at
-a time, when it is read; classify takes the two rows it compares, and the CSV
+Every run has one verdict, _judge's: unstable, decay ratio inf, if it
+diverged; else stable iff its decay ratio, the norm of its last state over
+that of row _window_start(last) (the trailing quarter's start), is below
+STABILITY_THRESHOLD.  Divergence (state norm beyond 1e12 or non-finite)
+truncates the run at its first such step and marks its verdict rather than
+raising.  The rows since the last screen are screened
+at each slide and at the run's end, by their sum of squares, one dot
+product; rows past (1e12 / 2)^2 are screened again a batch at a time, and a
+failing batch takes per-row norms to find the first divergent row.  No
+norms are stored: Trajectory.norms takes every row's, _CHUNK_ROWS at a
+time, when it is read; _judge takes the two rows it compares, and the CSV
 writer each piece's as it formats it.  The CSV writer formats _CSV_ROWS rows
 at a time and writes each piece to its file before it formats the next, so it
 holds no more than one piece's values and text at a time.  A diverged run's
@@ -66,9 +73,9 @@ since the last slide go to the run's sink, the window that the batch reads
 is copied to the front, and the run goes on from there, so every row is
 computed as in a buffer of the whole run.  simulate's sink copies the rows
 into the whole run's states and simulate_to_csv's writes them to the CSV
-file; every run returns classify's verdict on the whole run, for which it
-copies the trailing window's first row as it is handed on.  A disturbance is
-sampled for the steps the buffer holds, at the start and at each slide:
+file; every run returns its verdict, for which it copies the trailing
+window's first row as it is handed on.  A disturbance is sampled for the
+steps the buffer holds, at the start and at each slide:
 sample(lo, hi) gives its values on the f velocity errors at the grid times
 of steps lo .. hi and the midpoints of steps lo .. hi - 1.  Beside the
 buffer a run holds its operators, the powers of P, one batch's temporaries,
@@ -83,7 +90,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,15 +256,12 @@ def _row_norms(states: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled state history."""
+    """Uniformly sampled state history, with its run's verdict and metadata."""
 
     times: np.ndarray
     states: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def diverged(self) -> bool:
-        return bool(self.meta.get("diverged", False))
+    verdict: StabilityVerdict
+    meta: dict
 
     @property
     def norms(self) -> np.ndarray:
@@ -402,11 +406,8 @@ def simulate(
     The delay is rounded to the nearest multiple of the step and the rounded
     value is reported in the trajectory metadata as ``tau_effective``.  A
     delay that rounds to zero steps degenerates to the undelayed dynamics.
-    Every mode goes through one propagator (see the module docstring), a
-    batch of steps at a time: m-1 steps for a delay of m >= 3 steps, one
-    step for m = 1 or 2, and 4096 steps when nothing is delayed.  Each
-    batch reads only history that earlier batches have accepted.  The
-    accepted rows are copied into the run's states as the buffer slides.
+    Every mode goes through one propagator, _advance, and the accepted rows
+    are copied into the run's states as its buffer slides.
 
     Args:
         sys: system to integrate.
@@ -418,7 +419,7 @@ def simulate(
             input matrix and sampled at the integration stage times.
 
     Returns:
-        Trajectory; truncated with meta["diverged"] = True on overflow.
+        Trajectory, with its verdict; truncated at a first divergent step.
     """
     run = _prepare(sys, delay, x0, horizon, step, disturbance, "states")
     states = _allocate(run.nsteps + 1, sys.dim, run.nsteps)
@@ -429,19 +430,18 @@ def simulate(
     last, judged = _advance(run, keep)
     # a view, not a copy: the rows past a diverged run's last are not kept
     return Trajectory(times=np.arange(last + 1) * run.h, states=states[: last + 1],
-                      meta=dict(run.meta, diverged=judged.diverged))
+                      verdict=judged, meta=run.meta)
 
 
 def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
                     step: float, disturbance=None) -> tuple:
     """Write the run of simulate(sys, delay, x0, horizon, step, disturbance)
-    to the CSV file `path`, and return (classify's verdict on it, its meta),
-    without holding the run: each stretch of accepted rows is written as the
-    buffer slides, and classify's two rows are copied as they pass.  The
-    file is opened once the buffer is allocated, so a run refused, or whose
-    buffer cannot be allocated, writes no file.  Inputs are checked as by
-    simulate; the run is charged for a piece of CSV text, not for its
-    states (check_run).
+    to the CSV file `path`, and return its (verdict, meta), without holding
+    the run: each stretch of accepted rows is written as the buffer slides,
+    and _judge's two rows are copied as they pass.  The file is opened once
+    the buffer is allocated, so a run refused, or whose buffer cannot be
+    allocated, writes no file.  Inputs are checked as by simulate; the run
+    is charged for a piece of CSV text, not for its states (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, disturbance, "csv")
     with open(path, "w") as fh:
@@ -452,11 +452,11 @@ def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
             fh, np.arange(first, first + len(rows)) * run.h, rows))
         if judged.diverged:  # known only once the run ends
             fh.write("# diverged=true (run truncated at state norm > 1e12)\n")
-    return judged, dict(run.meta, diverged=judged.diverged)
+    return judged, run.meta
 
 
 def verdict(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float) -> StabilityVerdict:
-    """classify(simulate(sys, delay, x0, horizon, step)), field for field,
+    """The verdict (_judge) of simulate(sys, delay, x0, horizon, step),
     without holding the run (see _advance).  Inputs are checked as by
     simulate, and the run is not charged for its states (check_run).
     """
@@ -469,7 +469,7 @@ class _Run:
     atau None where absent, over nsteps steps of h; hist is its sliding
     buffer with the pre-history filled, sample its disturbance's sampler
     (or None), whose samples enter the last f states, the velocity errors,
-    and meta the trajectory metadata but the divergence flag."""
+    and meta the trajectory metadata."""
 
     h: float
     nsteps: int
@@ -488,7 +488,7 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
     simulate_to_csv or verdict, which keeps its rows as `keep` says
     (check_run), and whose buffer is _window_rows(m, nsteps) rows."""
     h, nsteps, m = check_run(sys, delay, horizon, step, disturbance, keep)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = errors.check_array("x0", x0).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
     errors.check("the norm of x0", float(np.linalg.norm(x0)))
@@ -606,7 +606,7 @@ def _advance(run: _Run, sink) -> tuple:
     computed from the rows before it alone, so the rows before it are those
     of a run cut at once.  No other norm is taken here.
 
-    Returns (last, verdict): the steps kept and classify's verdict on them.
+    Returns (last, verdict): the steps kept and their verdict (_judge).
     """
     hist, nsteps, m, a0, atau, h, sample, f = (
         run.hist, run.nsteps, run.m, run.a0, run.atau, run.h, run.sample, run.f)
@@ -704,7 +704,7 @@ def _advance(run: _Run, sink) -> tuple:
             _recur(hist[r : r + b + 1], p, pc, fill, forced)
         i += b
     sink(sent, hist[base + sent : base + last + 1])
-    # last * h is classify's horizon, the last of simulate's times
+    # last * h is the verdict's horizon, the last of simulate's times
     rows = None if diverged else np.stack(
         [kept if start < sent else hist[base + start], hist[base + last]])
     return last, _judge(rows, last * h, diverged)
@@ -763,20 +763,8 @@ def simulate_offdiagonal(sys: SimSystem, tau: float, x0, horizon: float, step: f
 
 
 # ---------------------------------------------------------------------------
-# Classification and threshold scan
+# Verdicts and threshold scan
 # ---------------------------------------------------------------------------
-
-def classify(traj: Trajectory) -> StabilityVerdict:
-    """Stable iff the norm decays below 20% across the trailing quarter of
-    the covered horizon; a divergence marker forces unstable."""
-    horizon = float(traj.times[-1]) if len(traj.times) else 0.0
-    if traj.diverged:
-        return _judge(None, horizon, True)
-    if len(traj.states) < 2:
-        raise ParameterError("trajectory too short to cover the trailing window")
-    # the two rows compared, not the whole run's norms
-    return _judge(traj.states[[_window_start(len(traj.states) - 1), -1]], horizon, False)
-
 
 def _window_start(last: int) -> int:
     """The row that starts the trailing window of a run of last steps."""
@@ -784,21 +772,15 @@ def _window_start(last: int) -> int:
 
 
 def _judge(rows, horizon: float, diverged: bool) -> StabilityVerdict:
-    """The verdict of classify and verdict: unstable if diverged, else
-    stable iff the norm of rows[1] (the last state) is below
-    STABILITY_THRESHOLD times that of rows[0] (the window's start).  A
-    ratio that overflows is inf without any divergence."""
+    """The verdict (see the module docstring) on a run of `horizon` whose
+    trailing window starts at rows[0] and ends at rows[1].  A start norm of
+    0 gives ratio 0; a ratio that overflows is inf without any divergence."""
     if diverged:
-        return StabilityVerdict(stable=False, decay_ratio=math.inf, horizon=horizon,
-                                diverged=True)
-    start, end = _row_norms(rows).tolist()
-    ratio = 0.0 if start == 0.0 else end / start
-    return StabilityVerdict(
-        stable=bool(ratio < STABILITY_THRESHOLD),
-        decay_ratio=ratio,
-        horizon=horizon,
-        diverged=False,
-    )
+        ratio = math.inf
+    else:
+        start, end = _row_norms(rows).tolist()
+        ratio = 0.0 if start == 0.0 else end / start
+    return StabilityVerdict(bool(ratio < STABILITY_THRESHOLD), ratio, horizon, diverged)
 
 
 def threshold_scan(

@@ -4,6 +4,8 @@ on numeric input and on sizes too large for memory."""
 import math
 import os
 
+import numpy as np
+
 
 class ParameterError(ValueError):
     """Invalid user-supplied parameter (bad n/k, malformed reference set, ...)."""
@@ -16,8 +18,8 @@ class NumericalError(RuntimeError):
 def check(name: str, value, low=-math.inf, *, strict: bool = False, integer: bool = False):
     """Return `value` (as an int when `integer`) if it is a finite number, at
     least `low` (above it when `strict`) and whole when `integer`; else raise
-    ParameterError naming `name`.  Every numeric input comes through here,
-    since a bare comparison lets NaN pass (``nan <= 0`` is false).  Finite
+    ParameterError naming `name`.  Every numeric scalar input comes through
+    here, since a bare comparison lets NaN pass (``nan <= 0`` is false).  Finite
     means finite as a float: an int beyond the float range is refused here,
     not where it is first converted."""
     try:
@@ -30,6 +32,21 @@ def check(name: str, value, low=-math.inf, *, strict: bool = False, integer: boo
         raise ParameterError(
             f"{name} must be a finite {'integer' if integer else 'number'}{bound}, got {value!r}")
     return int(value) if integer else value
+
+
+def check_array(name: str, value, dtype=float, rule: str = "finite") -> np.ndarray:
+    """`value` as an array of `dtype` if every entry is a finite number,
+    else ParameterError saying that `name` must be `rule`.  Every numeric
+    array input comes through here: numpy raises OverflowError on an int
+    beyond the float range and ValueError on text, and passes NaN on."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name} must be {rule} numbers: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise ParameterError(
+            f"{name} must be {rule}, got the non-finite {a[~np.isfinite(a)][0].item()!r}")
+    return a
 
 
 def _physical_memory() -> float:

@@ -516,9 +516,9 @@ def _random_instance(rng, n_max=40, k_max=5, f_max=None):
     return top, refset, topology.ground(top, refset)
 
 
-def run_verify(seed: int = 0) -> tuple:
-    """Fast desk-value and oracle checks.  Returns (failures, log lines)."""
-    seed = errors.check("seed", seed, 0, integer=True)
+def run_verify() -> tuple:
+    """Fast desk-value and oracle checks, on random instances of seed 0.
+    Returns (failures, log lines)."""
     failures = []
     lines = []
 
@@ -553,7 +553,7 @@ def run_verify(seed: int = 0) -> tuple:
     check("P(36,4) adding any reference keeps velocity gain < 1",
           all(hv < 1.0 - 1e-9 for _, _, hv, _ in _sweep_rows(desk, "add")))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst_cert = True
     for _ in range(60):
         _, _, g = _random_instance(rng)

@@ -253,10 +253,10 @@ def delay_margin_exact(mu) -> float:
     Raises:
         ParameterError: on no mode, or on a mode that is zero or not finite.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    mu = np.atleast_1d(errors.check_array("modes mu", mu, complex))
     errors.check("number of modes", mu.size, 1)
     size = np.abs(mu)
-    # min and max pass NaN on, so every mode is checked
+    # finite parts may still overflow |mu|, as 1.7e308 + 1.7e308j does
     errors.check("largest mode magnitude |mu|", float(size.max()))
     errors.check("smallest mode magnitude |mu|", float(size.min()), 0.0, strict=True)
     return float(np.min((np.abs(np.angle(mu)) - math.pi / 2.0) / size))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import NumericalError, ParameterError
 from .topology import GroundedSystem
 
@@ -42,9 +43,8 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        # a NaN fails both tests, as every comparison with it is false
-        if not (np.isfinite(v).all() and (v[1:] >= v[:-1]).all()):
+        v = errors.check_array("spectrum values", self.values, rule="finite and ascending")
+        if not (v[1:] >= v[:-1]).all():
             raise ParameterError(f"spectrum values must be finite and ascending, got {v}")
 
     def __len__(self) -> int:
@@ -64,14 +64,12 @@ class Spectrum:
         return self._extreme(-1)
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    """Refuse anything but a finite square matrix, symmetric to 1e-12
-    relative tolerance."""
+def _symmetric(m) -> np.ndarray:
+    """m as a float array, if a finite square matrix symmetric to 1e-12
+    relative tolerance (NaN would pass that test, as nan > tol is false)."""
+    a = errors.check_array("matrix", m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    # NaN would pass the tolerance test below, since nan > tol is false
-    if not np.isfinite(a).all():
-        raise ParameterError("matrix has non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if asym > 1e-12 * scale:
@@ -79,6 +77,7 @@ def _check_symmetric(a: np.ndarray) -> None:
             f"matrix is not symmetric: max |a - a.T| = {asym:.3e} exceeds "
             f"1e-12 relative tolerance"
         )
+    return a
 
 
 def eig_sym(m) -> Spectrum:
@@ -95,8 +94,7 @@ def eig_sym(m) -> Spectrum:
         ParameterError: on a non-square, non-finite or non-symmetric matrix.
         NumericalError: if LAPACK does not converge.
     """
-    a = np.array(m, dtype=float)
-    _check_symmetric(a)
+    a = _symmetric(m)
     try:
         return Spectrum(values=np.linalg.eigvalsh(a))
     except np.linalg.LinAlgError as exc:
@@ -113,8 +111,7 @@ def householder_tridiagonalize(m) -> tuple:
     Raises:
         ParameterError: on a non-square, non-finite or non-symmetric matrix.
     """
-    a = np.array(m, dtype=float)
-    _check_symmetric(a)
+    a = _symmetric(m)
     a = 0.5 * (a + a.T)
     n = a.shape[0]
     for kk in range(n - 2):
@@ -271,10 +268,10 @@ def formation_modes(values) -> np.ndarray:
     root -2.
 
     Raises:
-        ParameterError: if there is no eigenvalue, or any is <= 0 (grounding
-            assumption violated).
+        ParameterError: if there is no eigenvalue, or any is not finite or
+            is <= 0 (grounding assumption violated).
     """
-    lam = np.asarray(values, dtype=float)
+    lam = errors.check_array("formation spectrum values", values)
     if lam.size == 0:
         raise ParameterError("empty spectrum")
     if lam.min() <= 0.0:

@@ -8,7 +8,13 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-from platoonkit import SinusoidDisturbance, build_platoon, ground, make_reference_set  # noqa: E402
+from platoonkit import (  # noqa: E402
+    SinusoidDisturbance,
+    StabilityVerdict,
+    build_platoon,
+    ground,
+    make_reference_set,
+)
 
 
 def random_grounded(rng, n_lo=2, n_hi=60, k_hi=6, f_min=1, f_max=None):
@@ -91,5 +97,23 @@ def trajectory_csv(traj) -> str:
         norms = np.linalg.norm(traj.states, axis=1)
     rows = ["%.12g,%.12g," % (t, nrm) + ",".join("%.12g" % v for v in row)
             for t, nrm, row in zip(traj.times.tolist(), norms.tolist(), traj.states.tolist())]
-    marker = ["# diverged=true (run truncated at state norm > 1e12)"] if traj.diverged else []
+    diverged = traj.verdict.diverged
+    marker = ["# diverged=true (run truncated at state norm > 1e12)"] if diverged else []
     return "\n".join([head, cols, *rows, *marker]) + "\n"
+
+
+def reference_verdict(traj) -> StabilityVerdict:
+    """The verdict on the run `traj`, read from its norms and times alone
+    and written apart from the integrator's own rule: a run diverged iff
+    its last norm is not within 1e12 (ratio inf, unstable); else its decay
+    ratio is the last norm over the norm at round(0.75 * last) (0 when that
+    norm is 0), stable iff below 0.2, over the horizon of its last time."""
+    norms, horizon = traj.norms, float(traj.times[-1])
+    last = len(norms) - 1
+    if not norms[last] <= 1e12:
+        return StabilityVerdict(stable=False, decay_ratio=math.inf, horizon=horizon,
+                                diverged=True)
+    start = norms[round(0.75 * last)]
+    ratio = 0.0 if start == 0.0 else float(norms[last]) / float(start)
+    return StabilityVerdict(stable=ratio < 0.2, decay_ratio=ratio, horizon=horizon,
+                            diverged=False)

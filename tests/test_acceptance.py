@@ -17,7 +17,6 @@ from platoonkit import (
     build_platoon,
     certify_lambda_max,
     certify_lambda_min,
-    classify,
     delay_margin_formation,
     eig_sym,
     formation_modes,
@@ -170,9 +169,7 @@ def test_criterion_06_delay_grid_p36():
         ("formation", tau_f_unstable, False): (sys_f, x0_f),
     }
     for (kind, tau, want_stable), (sysm, x0) in runs.items():
-        verdict = classify(
-            simulate(sysm, DelaySpec(tau, "full"), x0, horizon=100.0, step=1e-3)
-        )
+        verdict = simulate(sysm, DelaySpec(tau, "full"), x0, horizon=100.0, step=1e-3).verdict
         leg_ok = verdict.stable == want_stable
         leg = (
             f"{kind} tau={tau}: expected {'stable' if want_stable else 'unstable'}, "
@@ -246,7 +243,7 @@ def test_criterion_10_offdiagonal_delay_large_tau():
     # tau = 5 decays slowly (rate ~ 1/tau); the 500-unit default horizon cap
     # gives the trailing window enough time to show it
     traj = simulate_offdiagonal(velocity_system(gs), 5.0, x0, horizon=500.0, step=5e-3)
-    verdict = classify(traj)
+    verdict = traj.verdict
     ok = verdict.stable
     assert report(10, "P(36,4) off-diagonal delay tau=5 stable", ok,
                   f"decay_ratio={verdict.decay_ratio:.3g}")

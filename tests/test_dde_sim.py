@@ -4,11 +4,18 @@ import os
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import expm_oracle, random_grounded, trajectory_csv, whole_run_samples
+from conftest import (
+    expm_oracle,
+    random_grounded,
+    reference_verdict,
+    trajectory_csv,
+    whole_run_samples,
+)
 from platoonkit import (
     DelaySpec,
     NoiseDisturbance,
@@ -16,7 +23,6 @@ from platoonkit import (
     SinusoidDisturbance,
     build_formation_matrix,
     build_platoon,
-    classify,
     delay_margin_formation,
     delay_margin_velocity,
     eig_sym,
@@ -31,7 +37,13 @@ from platoonkit import (
     verdict,
 )
 from platoonkit import dde_sim
-from platoonkit.dde_sim import SimSystem, Trajectory, default_horizon, default_step
+from platoonkit.dde_sim import (
+    SimSystem,
+    StabilityVerdict,
+    Trajectory,
+    default_horizon,
+    default_step,
+)
 
 UNDELAYED = DelaySpec(0.0)  # tau = 0 runs undelayed in any mode
 
@@ -61,8 +73,7 @@ class TestSimulateBasics:
 
     def test_scalar_delay_beyond_pi_half_grows(self):
         traj = simulate(scalar_system(), DelaySpec(2.0, "full"), np.ones(1), 60.0, 0.01)
-        verdict = classify(traj)
-        assert not verdict.stable
+        assert not traj.verdict.stable
         # oscillatory growth: sign changes and increasing envelope
         x = traj.states[:, 0]
         assert np.any(x < 0) and np.any(x > 0)
@@ -123,7 +134,7 @@ class TestSimulateBasics:
         # m + 5 + _CHUNK_ROWS rows (0.13 MB)
         sysm = velocity_system(grounded(5, 2, [3]))
         delay, x0, horizon, h = DelaySpec(0.05, "full"), np.ones(4), 100.0, 1e-3
-        want = classify(simulate(sysm, delay, x0, horizon, h))
+        want = simulate(sysm, delay, x0, horizon, h).verdict
         monkeypatch.setattr("platoonkit.errors._physical_memory", lambda: 2.0**20)
         with pytest.raises(ParameterError, match="a run of 100000 steps held whole needs"):
             simulate(sysm, delay, x0, horizon, h)
@@ -173,10 +184,10 @@ class TestSimulateBasics:
 
     def test_divergence_truncates_with_marker(self):
         traj = simulate(scalar_system(), DelaySpec(3.0, "full"), np.ones(1), 400.0, 0.02)
-        assert traj.diverged
+        assert traj.verdict.diverged
         assert traj.times[-1] < 400.0
         assert np.all(np.isfinite(traj.norms))
-        assert not classify(traj).stable
+        assert not traj.verdict.stable
 
     def test_formation_dimension_and_decay(self):
         gs = grounded(5, 2, [3])
@@ -184,12 +195,12 @@ class TestSimulateBasics:
         x0 = np.random.default_rng(1).uniform(-1, 1, 8)
         traj = simulate(sysm, UNDELAYED, x0, 40.0, 1e-2)
         assert traj.states.shape[1] == 8
-        assert classify(traj).stable
+        assert traj.verdict.stable
 
     def test_norms_match_states(self, tmp_path):
         # the norms are computed on read, in chunks of 4096 rows; each must
         # equal the norm of its row, bit for bit, and so must the two rows
-        # classify compares and the streamed CSV's norm column
+        # the verdict compares and the streamed CSV's norm column
         gs = grounded(5, 2, [3])
         velocity, formation = velocity_system(gs), formation_system(gs)
         rng = np.random.default_rng(6)
@@ -204,18 +215,19 @@ class TestSimulateBasics:
         for sysm, delay, horizon, step, diverged in cases:
             x0 = rng.uniform(-1, 1, sysm.dim)
             traj = simulate(sysm, delay, x0, horizon, step)
-            assert traj.diverged == diverged
+            assert traj.verdict.diverged == diverged
             norms = traj.norms
             assert np.array_equal(norms, np.linalg.norm(traj.states, axis=1))
             assert np.allclose(np.diff(traj.times), step)
             if not diverged:
                 w0 = round(0.75 * (len(norms) - 1))
-                assert classify(traj).decay_ratio == norms[-1] / norms[w0]
+                assert traj.verdict.decay_ratio == norms[-1] / norms[w0]
             # the rows follow the two header lines; a diverged run's marker
             # follows them
             path = tmp_path / "trajectory.csv"
             got, meta = dde_sim.simulate_to_csv(path, sysm, delay, x0, horizon, step)
-            assert got == classify(traj) and meta == traj.meta
+            assert got == traj.verdict == verdict(sysm, delay, x0, horizon, step)
+            assert got == reference_verdict(traj) and meta == traj.meta
             text = path.read_text()
             assert text == trajectory_csv(traj)
             rows = text.splitlines()[2 : 2 + len(norms)]
@@ -369,14 +381,15 @@ class TestFullDelayMatchesPerStepReference:
         assert traj.meta == {
             "n": sysm.n, "k": sysm.k, "kind": sysm.kind, "mode": mode, "tau": tau,
             "tau_effective": m * h, "step": h, "seed": getattr(dist, "seed", None),
-            "diverged": diverged,
         }
         # relative to the trajectory's maximum: near-zero norms of a growing
         # run carry the absolute rounding of its largest states
         assert np.max(np.abs(traj.states - states)) <= 1e-12 * np.max(np.abs(states))
         assert np.max(np.abs(traj.norms - norms)) <= 1e-12 * np.max(norms)
-        ref = Trajectory(times=traj.times, states=states, meta={"diverged": diverged})
-        assert classify(traj).stable == classify(ref).stable
+        assert traj.verdict == reference_verdict(traj)
+        assert traj.verdict.diverged == diverged
+        ref = SimpleNamespace(times=traj.times, norms=np.asarray(norms))
+        assert traj.verdict.stable == reference_verdict(ref).stable
         return traj
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
@@ -405,7 +418,7 @@ class TestFullDelayMatchesPerStepReference:
         traj = self._check(sysm, "full", None, a, jmat, tau, tau / m, m, 200 * m,
                            rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
-        assert traj.diverged and cut < 200 * m
+        assert traj.verdict.diverged and cut < 200 * m
         # batches of m - 1 = 149 steps: the cut falls inside a batch
         assert m != 150 or cut % (m - 1) != 0
 
@@ -432,7 +445,7 @@ class TestFullDelayMatchesPerStepReference:
             dg = np.diag(np.diag(lg))
             a0, atau = -dg, dg - lg
         traj = self._check(sysm, mode, a0, atau, jmat, m * h, h, m, nsteps, x0, None)
-        assert not traj.diverged and len(traj.times) == nsteps + 1
+        assert not traj.verdict.diverged and len(traj.times) == nsteps + 1
 
     def test_filter_taps_fold_the_stencils(self):
         # x_d0 + 4 x_dh + x_d1 on the window of four delayed samples, times 4:
@@ -460,7 +473,7 @@ class TestFullDelayMatchesPerStepReference:
         h = 4.0 / float(np.max(np.abs(np.linalg.eigvals(a))))
         traj = self._check(sysm, "full", a, None, jmat, 0.0, h, 0, 2000,
                            rng.uniform(-1, 1, sysm.dim), None)
-        assert traj.diverged and len(traj.times) < 2001
+        assert traj.verdict.diverged and len(traj.times) < 2001
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
     def test_undelayed_divergence_inside_a_chunk(self, kind):
@@ -472,7 +485,7 @@ class TestFullDelayMatchesPerStepReference:
                            rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
         # steps 283 (velocity) and 295 (formation): neither a chunk start
-        assert traj.diverged and cut > 2 * 64 and cut % 64 != 0
+        assert traj.verdict.diverged and cut > 2 * 64 and cut % 64 != 0
 
     @pytest.mark.parametrize("kind", ["velocity", "formation"])
     def test_undelayed_zero_state_with_overflowing_step_powers(self, kind):
@@ -482,7 +495,7 @@ class TestFullDelayMatchesPerStepReference:
         h = 50.0 / float(np.max(np.abs(np.linalg.eigvals(a))))
         traj = self._check(sysm, "full", a, None, jmat, 0.0, h, 0, 300,
                            np.zeros(sysm.dim), None)
-        assert not traj.diverged and not traj.states.any()
+        assert not traj.verdict.diverged and not traj.states.any()
 
     @pytest.mark.parametrize("m, nsteps, dist", [
         (1, 600, None),
@@ -513,34 +526,32 @@ class TestFullDelayMatchesPerStepReference:
         traj = self._check(sysm, "self-undelayed", -dg, dg - lg, jmat, 300 * h, h, 300, 1500,
                            rng.uniform(-1, 1, sysm.dim), None)
         cut = len(traj.times) - 1
-        assert traj.diverged and 64 < cut < 4 * 64 and cut % 64 != 0
+        assert traj.verdict.diverged and 64 < cut < 4 * 64 and cut % 64 != 0
 
 
-class TestClassify:
+class TestVerdicts:
     def test_zero_trajectory_is_stable(self):
         sysm = velocity_system(grounded(5, 2, [3]))
-        verdict = classify(simulate(sysm, UNDELAYED, np.zeros(4), 2.0, 1e-2))
-        assert verdict.stable and verdict.decay_ratio == 0.0
-
-    def test_requires_enough_samples(self):
-        traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, 1)))
-        with pytest.raises(ParameterError):
-            classify(traj)
+        got = simulate(sysm, UNDELAYED, np.zeros(4), 2.0, 1e-2).verdict
+        assert got.stable and got.decay_ratio == 0.0
+        assert verdict(sysm, UNDELAYED, np.zeros(4), 2.0, 1e-2) == got
 
     def test_p36_velocity_grid_verdicts(self):
         gs = ground(build_platoon(36, 4), md_arrangement(36, 4))
         sysm = velocity_system(gs)
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 32)
-        stable = classify(simulate(sysm, DelaySpec(0.09, "full"), x0, 100.0, 1e-3))
-        unstable = classify(simulate(sysm, DelaySpec(0.4, "full"), x0, 100.0, 1e-3))
+        stable = simulate(sysm, DelaySpec(0.09, "full"), x0, 100.0, 1e-3).verdict
+        unstable = simulate(sysm, DelaySpec(0.4, "full"), x0, 100.0, 1e-3).verdict
         assert stable.stable
         assert not unstable.stable
 
 
-class TestVerdictMatchesClassify:
-    """verdict against classify(simulate(...)): the sliding buffer fills
+class TestVerdictMatchesReference:
+    """verdict, simulate's verdict and simulate_to_csv's against
+    reference_verdict on simulate's norms: the rows that the run's verdict
+    compares are captured as the buffer slides, and the sliding buffer fills
     every row as the whole-run buffer does, so every field agrees and the
-    decay ratio is bit-equal.  A verdict buffer holds the delay window and
+    decay ratio is bit-equal.  A run's buffer holds the delay window and
     max(batch, _CHUNK_ROWS) steps, so a run longer than that slides."""
 
     GS = grounded(5, 2, [3])
@@ -552,10 +563,12 @@ class TestVerdictMatchesClassify:
 
     def _check(self, sysm, delay, h, nsteps, x0):
         horizon = (nsteps + 0.3) * h
-        want = classify(simulate(sysm, delay, x0, horizon, h))
-        got = verdict(sysm, delay, x0, horizon, h)
-        assert got == want
-        assert np.float64(got.decay_ratio).tobytes() == np.float64(want.decay_ratio).tobytes()
+        traj = simulate(sysm, delay, x0, horizon, h)
+        want = reference_verdict(traj)
+        for got in (verdict(sysm, delay, x0, horizon, h), traj.verdict,
+                    dde_sim.simulate_to_csv(os.devnull, sysm, delay, x0, horizon, h)[0]):
+            assert got == want
+            assert np.float64(got.decay_ratio).tobytes() == np.float64(want.decay_ratio).tobytes()
         return got
 
     @pytest.mark.parametrize("mode, kind, m, nsteps", [
@@ -616,7 +629,7 @@ class TestVerdictMatchesClassify:
         assert got.diverged and round(got.horizon / h) < 4023 < dde_sim._window_start(nsteps)
         streamed, meta = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0,
                                                  (nsteps + 0.3) * h, h)
-        assert streamed == got and meta["diverged"]
+        assert streamed == got and "diverged" not in meta
 
     @pytest.mark.parametrize("nsteps, edge", [
         (10728, "last"),  # the start row 8046 is the last the second slide hands on
@@ -642,12 +655,11 @@ class TestVerdictMatchesClassify:
     def test_diverged_is_the_runs_marker_not_the_ratio(self, marked):
         # a start norm of 1e-160 under an end norm of 1e150: the ratio
         # overflows to inf, and only the marker says whether the run diverged
-        states = np.zeros((5, 4))
-        states[3, 0], states[4, 0] = 1e-160, 1e150
-        got = classify(Trajectory(times=np.arange(5.0), states=states,
-                                  meta={"diverged": marked}))
+        rows = np.zeros((2, 4))
+        rows[0, 0], rows[1, 0] = 1e-160, 1e150
+        got = dde_sim._judge(rows, 4.0, marked)
         assert got.decay_ratio == math.inf and not got.stable
-        assert got.diverged == marked
+        assert got.diverged == marked and got.horizon == 4.0
 
     def test_memory_does_not_grow_with_the_run(self):
         # a run four times longer peaks where the shorter one does, below
@@ -715,9 +727,9 @@ class TestDivergenceCutAtASlide:
         got = verdict(sysm, delay, x0, horizon, h)
         assert got.diverged and round(got.horizon / h) == cut
         traj = simulate(sysm, delay, x0, horizon, h)
-        assert traj.diverged and len(traj.states) == cut + 1
-        streamed, meta = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0, horizon, h)
-        assert streamed == got and meta["diverged"]
+        assert traj.verdict.diverged and len(traj.states) == cut + 1
+        streamed, _ = dde_sim.simulate_to_csv(tmp_path / "t.csv", sysm, delay, x0, horizon, h)
+        assert streamed == got == traj.verdict == reference_verdict(traj)
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert len(lines) == 2 + cut + 1 + 1
         assert lines[-1] == "# diverged=true (run truncated at state norm > 1e12)"
@@ -800,9 +812,11 @@ class TestPairedPrefixSum:
         h = min(40.0 / nsteps, 0.25 * delay_margin_velocity(eig_sym(sysm.lg)) / m)
         x0 = np.random.default_rng(m).uniform(-1.0, 1.0, sysm.dim)
         delay, horizon = DelaySpec(m * h, "full"), (nsteps + 0.3) * h
-        want = classify(simulate(sysm, delay, x0, horizon, h))
+        traj = simulate(sysm, delay, x0, horizon, h)
         got = verdict(sysm, delay, x0, horizon, h)
-        assert got == want and not got.diverged and 0.0 < got.decay_ratio < math.inf
+        assert got == traj.verdict == reference_verdict(traj)
+        assert dde_sim.simulate_to_csv(os.devnull, sysm, delay, x0, horizon, h)[0] == got
+        assert not got.diverged and 0.0 < got.decay_ratio < math.inf
 
 
 class TestThresholdScan:
@@ -858,13 +872,49 @@ class TestThresholdScan:
             threshold_scan(velocity_system(grounded(5, 2, [3])), horizon=20.0, **args)
 
 
+
+class TestMisreadVerdicts:
+    """Runs whose verdict is silently wrong (ROADMAP item 3): the trailing
+    quarter of a run must see the norm fall below 20%, which the slowest
+    root of a stable system need not do within the horizon.  Each test
+    asserts the right answer, and fails until the verdict can tell."""
+
+    P36 = ground(build_platoon(36, 4), md_arrangement(36, 4))
+
+    @pytest.mark.xfail(strict=True, reason="reads unstable, decay ratio 0.257")
+    def test_self_undelayed_p36_is_stable(self):
+        # own state undelayed: stable for every tau (0.703 at tau = 20)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 32)
+        got = verdict(velocity_system(self.P36), DelaySpec(5.0, "self-undelayed"), x0,
+                      200.0, 1e-3)
+        assert got.stable
+
+    @pytest.mark.xfail(strict=True, reason="returns 0.2694 against the exact 0.5009")
+    def test_slow_formation_scan_finds_the_exact_margin(self):
+        # lambda_1 = 0.0437: the slowest mode decays slowly even at tau = 0
+        gs = grounded(8, 1, [1])
+        exact = delay_margin_formation(eig_sym(gs.lg), 1).exact
+        est = threshold_scan(formation_system(gs), 0.05, 1.0, 1e-3)
+        assert abs(est - exact) <= 0.05 * exact
+
+    @pytest.mark.xfail(strict=True, reason="reads unstable, decay ratio 0.467")
+    def test_p36_velocity_just_inside_the_margin_is_stable(self):
+        # tau = 0.1446 < pi / (2 lambda_max) = 0.14468
+        margin = delay_margin_velocity(eig_sym(self.P36.lg))
+        tau = 0.1446
+        assert tau < margin < 0.1447
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 32)
+        assert verdict(velocity_system(self.P36), DelaySpec(tau, "full"), x0, 200.0,
+                       tau / 150).stable
+
+
 class TestOffDiagonalDelay:
     def test_p36_large_delay_stays_stable(self):
         gs = ground(build_platoon(36, 4), md_arrangement(36, 4))
         sysm = velocity_system(gs)
         x0 = np.random.default_rng(0).uniform(-1.0, 1.0, 32)
         traj = simulate_offdiagonal(sysm, 5.0, x0, 500.0, 5e-3)
-        assert classify(traj).stable
+        assert traj.verdict.stable
 
     def test_zero_delay_equals_plain_mode(self):
         gs = grounded(5, 2, [3])
@@ -879,7 +929,7 @@ class TestOffDiagonalDelay:
         sysm = velocity_system(gs)
         x0 = np.random.default_rng(3).uniform(-1, 1, 4)
         traj = simulate_offdiagonal(sysm, 10.0, x0, 500.0, 1e-2)
-        assert classify(traj).stable
+        assert traj.verdict.stable
 
     def test_velocity_only(self):
         gs = grounded(5, 2, [3])
@@ -943,7 +993,7 @@ class TestDisturbances:
         dist = SinusoidDisturbance(amplitude=0.1, omega=0.7)
         traj = simulate(sysm, DelaySpec(0.05, "full"), np.zeros(4), 20.0, 1e-3,
                         disturbance=dist)
-        assert traj.norms[-1] > 0.0 and not traj.diverged
+        assert traj.norms[-1] > 0.0 and not traj.verdict.diverged
 
     # windows that move forward: overlapping, adjacent, of one step and of none
     WINDOWS = [(0, 4096), (4096, 8192), (5000, 5001), (5000, 5000), (7000, 20_000)]
@@ -1010,7 +1060,9 @@ class TestTrajectoryCsv:
         times = np.arange(rows) * 1e-3
         buf = io.StringIO()
         dde_sim._csv_rows(buf, times, states)
-        want = trajectory_csv(Trajectory(times=times, states=states))
+        # rows only: no metadata, and an undiverged verdict adds no marker
+        undiverged = StabilityVerdict(False, math.inf, times[-1], False)
+        want = trajectory_csv(Trajectory(times, states, undiverged, meta={}))
         assert buf.getvalue() == want.split("\n", 2)[2]  # below the two header lines
         lines = buf.getvalue().split("\n")
         assert "-0" in lines[0].split(",") and "inf" in lines[-2] and "nan" in lines[-3]

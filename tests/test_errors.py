@@ -10,11 +10,14 @@ from platoonkit import (
     NoiseDisturbance,
     ParameterError,
     SinusoidDisturbance,
+    Spectrum,
     build_platoon,
     delay_bounds_k,
     delay_margin_exact,
     delay_margin_formation,
     eig_sym,
+    eig_sym_bisection,
+    formation_modes,
     gamma_conditions,
     ground,
     make_reference_set,
@@ -153,6 +156,42 @@ def test_int_beyond_the_float_range_rejected(call):
     # a Python int is a number, but this one overflows where it becomes a float
     with pytest.raises(ParameterError, match="must be a finite number"):
         call()
+
+
+# arrays that numpy would not convert (an int beyond the float range,
+# text), or would pass on with NaN or inf entries
+ARRAYS = {
+    "simulate.x0-int": lambda: run(x0=[10**400, 0, 0, 0]),
+    "simulate.x0-text": lambda: run(x0=["a", 0, 0, 0]),
+    "verdict.x0-int": lambda: judge(x0=[10**400, 0, 0, 0]),
+    "verdict.x0-text": lambda: judge(x0=["a", 0, 0, 0]),
+    "simulate.x0-ragged": lambda: run(x0=[[1.0, 0.0], [0.0]]),
+    "delay_margin_exact-int": lambda: delay_margin_exact([10**400]),
+    "delay_margin_exact-text": lambda: delay_margin_exact(["a"]),
+    "eig_sym-int": lambda: eig_sym([[10**400]]),
+    "eig_sym_bisection-int": lambda: eig_sym_bisection([[10**400]]),
+    "Spectrum-int": lambda: Spectrum([10**400]),
+    "formation_modes-nan": lambda: formation_modes([math.nan]),
+    "formation_modes-inf": lambda: formation_modes([1.0, math.inf]),
+    "formation_modes-int": lambda: formation_modes([1, 10**400]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_bad_arrays_rejected(name):
+    # a ParameterError, not numpy's OverflowError or ValueError, nor NaN
+    # modes under a RuntimeWarning
+    with pytest.raises(ParameterError, match="must be finite"):
+        ARRAYS[name]()
+
+
+def test_bad_x0_refused_before_the_file_is_opened(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ParameterError, match="x0 must be finite numbers"):
+        simulate_to_csv(path, velocity_system(GS), DelaySpec(0.1, "full"),
+                        [10**400, 0, 0, 0], 10.0, 0.01)
+    assert not path.exists()
 
 
 def test_disturbance_refused_before_the_file_is_opened(tmp_path):

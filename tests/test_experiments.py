@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import trajectory_csv, whole_run_samples
+from conftest import reference_verdict, trajectory_csv, whole_run_samples
 from platoonkit import (
     NumericalError,
     ParameterError,
@@ -405,7 +405,6 @@ class TestCli:
         ["simulate", "--tau", "-0.1"],
         ["simulate", "--step", "0"],
         ["report", "--gamma", "1e-320"],  # 1/gamma overflows to inf
-        ["verify", "--seed", "-1"],
         ["simulate", "--disturbance", "noise", "--amplitude", "-0.3", "--horizon", "20"],
         # the draws span 2 * amplitude, which overflows
         ["simulate", "--disturbance", "noise", "--amplitude", "9e307", "--horizon", "20"],
@@ -613,7 +612,7 @@ class TestCli:
     def test_verify_violation_exit_4(self, capsys, monkeypatch):
         import platoonkit.cli as cli_mod
 
-        def broken(seed=0):
+        def broken():
             return ["some check"], ["verify FAIL: some check"]
 
         monkeypatch.setattr(cli_mod.experiments, "run_verify", broken)
@@ -627,7 +626,8 @@ class TestCli:
         (["simulate", "--n", "5", "--k", "2", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         (["simulate", "--tau"], "argument --tau: expected one argument"),
         ([], "required: command"),
-        (["verify", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        # verify draws from one fixed seed, and takes no option
+        (["verify", "--seed", "1"], "unrecognized arguments: --seed 1"),
     ])
     def test_malformed_command_line_returns_2(self, capsys, argv, message):
         # returned, not raised as SystemExit, with argparse's usage message
@@ -753,7 +753,7 @@ class TestDelayGridSufficiencyOnMd:
 
 class TestVerifyBattery:
     def test_no_failures(self):
-        failures, lines = run_verify(seed=0)
+        failures, lines = run_verify()
         assert failures == []
         assert all(line.startswith("verify ok:") for line in lines)
 
@@ -769,8 +769,8 @@ def assert_same_text(got: str, want: str) -> None:
 
 class TestSimulateStreamsTheWholeRun:
     """`simulate` writes trajectory.csv as the run slides, never holding it:
-    its files must equal simulate(...) formatted whole and classify on it,
-    byte for byte.  The sliding buffer holds the delay window and
+    its files must equal simulate(...) formatted whole and its verdict,
+    byte for byte, and the verdict reference_verdict's on its norms.  The sliding buffer holds the delay window and
     max(batch, _CHUNK_ROWS) steps, so a run longer than that slides."""
 
     GS = ground(build_platoon(5, 2), make_reference_set(5, [3]))
@@ -790,9 +790,10 @@ class TestSimulateStreamsTheWholeRun:
                      "--out", str(tmp_path)]) == 0
         x0 = np.random.default_rng(4).uniform(-1.0, 1.0, sysm.dim)
         traj = dde_sim.simulate(sysm, dde_sim.DelaySpec(tau, mode), x0, horizon, h)
-        assert traj.diverged == diverged
+        assert traj.verdict.diverged == diverged
         assert_same_text((tmp_path / "trajectory.csv").read_text(), trajectory_csv(traj))
-        want = dde_sim.classify(traj)
+        want = traj.verdict
+        assert want == reference_verdict(traj)
         assert (tmp_path / "verdict.txt").read_text() == (
             f"stable={_fmt(want.stable)}, decay_ratio={_fmt(want.decay_ratio)}, "
             f"horizon={_fmt(want.horizon)}, tau_effective={_fmt(traj.meta['tau_effective'])}\n")
