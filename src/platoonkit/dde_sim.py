@@ -491,7 +491,8 @@ def _prepare(sys: SimSystem, delay: DelaySpec, x0, horizon: float, step: float,
     x0 = errors.check_array("x0", x0).reshape(-1)
     if len(x0) != sys.dim:
         raise ParameterError(f"x0 has length {len(x0)}, system dimension is {sys.dim}")
-    errors.check("the norm of x0", float(np.linalg.norm(x0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors.check("the norm of x0", float(np.linalg.norm(x0)))
     # as finalize_config: tau = 0 runs undelayed in any mode
     if delay.mode == "self-undelayed" and sys.kind != "velocity" and delay.tau > 0:
         raise ParameterError("self-undelayed mode applies to the velocity dynamics only")

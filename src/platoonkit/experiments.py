@@ -366,15 +366,26 @@ def _sweep_rows(cfg: ScenarioConfig, mode: str) -> list:
         raise ParameterError(f"{mode} sweep requires arrangement=md")
     if mode not in ("remove", "add"):
         raise ParameterError(f"mode must be remove|add, got {mode!r}")
-    base = set(cfg.reference_set().refs)
-    positions = sorted(base) if mode == "remove" else [
-        p for p in range(1, cfg.n + 1) if p not in base
-    ]
+    base = cfg.reference_set()
+    is_ref = np.zeros(cfg.n, dtype=bool)
+    is_ref[np.array(base.refs) - 1] = True
+    # each position's grounded Laplacian is a principal submatrix of this one,
+    # held as floats so that eig_sym makes no copy of it
+    lap = topology.build_platoon(cfg.n, cfg.k).laplacian().astype(float)
     rows = []
-    for pos in positions:
-        refs = sorted(base - {pos}) if mode == "remove" else sorted(base | {pos})
-        # removing the only reference leaves no grounding: unbounded gains
-        rows.append([pos, *(_norms_for(refs, cfg) if refs else (0.0, math.inf, math.inf))])
+    for pos in base.refs if mode == "remove" else base.followers:
+        is_ref[pos - 1] ^= True  # pos leaves (remove) or joins (add) the references
+        followers = np.flatnonzero(~is_ref)
+        is_ref[pos - 1] ^= True
+        if len(followers) == cfg.n:
+            # removing the only reference leaves no grounding: unbounded gains
+            rows.append([pos, 0.0, math.inf, math.inf])
+            continue
+        if not len(followers):
+            raise ParameterError("no followers left: all vehicles are references")
+        spec = spectral.eig_sym(lap[np.ix_(followers, followers)])
+        rows.append([pos, spec.lambda1, robustness.hinf_velocity(spec),
+                     robustness.hinf_formation(spec)])
     return rows
 
 

@@ -12,8 +12,12 @@ from platoonkit import (  # noqa: E402
     SinusoidDisturbance,
     StabilityVerdict,
     build_platoon,
+    eig_sym,
     ground,
+    hinf_formation,
+    hinf_velocity,
     make_reference_set,
+    md_arrangement,
 )
 
 
@@ -117,3 +121,21 @@ def reference_verdict(traj) -> StabilityVerdict:
     ratio = 0.0 if start == 0.0 else float(norms[last]) / float(start)
     return StabilityVerdict(stable=ratio < 0.2, decay_ratio=ratio, horizon=horizon,
                             diverged=False)
+
+
+def reference_sweep_rows(n, k, mode) -> list:
+    """The rows that experiments._sweep_rows must return for P(n, k) MD in
+    `mode`, built one position at a time: the platoon, the reference set,
+    the grounded system and its eigensolve, each made anew per position.
+    Removing the only reference gives the row (position, 0.0, inf, inf)."""
+    base = set(md_arrangement(n, k).refs)
+    positions = sorted(base) if mode == "remove" else sorted(set(range(1, n + 1)) - base)
+    rows = []
+    for pos in positions:
+        refs = sorted(base - {pos}) if mode == "remove" else sorted(base | {pos})
+        if not refs:
+            rows.append([pos, 0.0, math.inf, math.inf])
+            continue
+        spec = eig_sym(ground(build_platoon(n, k), make_reference_set(n, refs)).lg)
+        rows.append([pos, spec.lambda1, hinf_velocity(spec), hinf_formation(spec)])
+    return rows

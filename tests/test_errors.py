@@ -186,6 +186,20 @@ def test_bad_arrays_rejected(name):
         ARRAYS[name]()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda x0, path: run(x0=x0),
+    lambda x0, path: judge(x0=x0),
+    lambda x0, path: simulate_to_csv(path, velocity_system(GS), DelaySpec(0.1, "full"), x0,
+                                     10.0, 0.01),
+], ids=["simulate", "verdict", "simulate_to_csv"])
+def test_finite_x0_whose_norm_overflows_refused_without_a_warning(tmp_path, call):
+    # every entry is finite, but the sum of their squares overflows
+    with pytest.raises(ParameterError, match="the norm of x0 must be a finite number"):
+        call([1e308] * 4, tmp_path / "trajectory.csv")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_bad_x0_refused_before_the_file_is_opened(tmp_path):
     path = tmp_path / "trajectory.csv"
     with pytest.raises(ParameterError, match="x0 must be finite numbers"):

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_verdict, trajectory_csv, whole_run_samples
+from conftest import (
+    reference_sweep_rows,
+    reference_verdict,
+    trajectory_csv,
+    whole_run_samples,
+)
 from platoonkit import (
     NumericalError,
     ParameterError,
@@ -26,6 +31,7 @@ from platoonkit.experiments import (
     KEYS,
     ScenarioConfig,
     _fmt,
+    _sweep_rows,
     emit_config,
     finalize_config,
     fit_loglog,
@@ -286,6 +292,68 @@ class TestRunners:
         lines = (tmp_path / "scaling.csv").read_text().splitlines()
         assert lines[1] == "n,arrangement,lambda1,hinf_velocity,hinf_formation"
         assert len(lines) == 2 + 2 * 5
+
+
+def sweep_outcome(sweep, n, k, mode):
+    """The rows of one sweep as the hex of each cell, so that equal means
+    bit for bit, or the message of the ParameterError that refused it."""
+    try:
+        return [[float(cell).hex() for cell in row] for row in sweep(n, k, mode)]
+    except ParameterError as exc:
+        return str(exc)
+
+
+def gathered(n, k, mode):
+    return _sweep_rows(ScenarioConfig(n=n, k=k), mode)
+
+
+class TestSweepRows:
+    """_sweep_rows gathers each position's grounded Laplacian from one
+    platoon Laplacian; conftest.reference_sweep_rows grounds each position
+    anew, as the sweeps did before."""
+
+    @pytest.mark.parametrize("mode", ["remove", "add"])
+    @pytest.mark.parametrize("n, k", [(36, 4), (48, 2)])
+    def test_md_platoons_match_the_per_position_path(self, n, k, mode):
+        got = sweep_outcome(gathered, n, k, mode)
+        assert isinstance(got, list) and got
+        assert got == sweep_outcome(reference_sweep_rows, n, k, mode)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_platoons_match_the_per_position_path(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 41)), int(rng.integers(1, 7))
+        for mode in ("remove", "add"):
+            assert (sweep_outcome(gathered, n, k, mode)
+                    == sweep_outcome(reference_sweep_rows, n, k, mode)), (n, k, mode)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (5, 2), (7, 3), (4, 6)])
+    def test_removing_the_only_reference_gives_unbounded_gains(self, n, k):
+        pos = (n + 1) // 2  # the one MD reference, at the platoon's middle
+        assert gathered(n, k, "remove") == [[pos, 0.0, math.inf, math.inf]]
+        assert reference_sweep_rows(n, k, "remove") == [[pos, 0.0, math.inf, math.inf]]
+
+    def test_adding_the_last_follower_is_refused(self, tmp_path, capsys):
+        message = "no followers left: all vehicles are references"
+        with pytest.raises(ParameterError, match=message):
+            gathered(2, 1, "add")
+        assert sweep_outcome(reference_sweep_rows, 2, 1, "add") == message
+        assert main(["sweep-add", "--n", "2", "--k", "1", "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["remove", "add"])
+    def test_peak_within_the_platoon_charge(self, mode):
+        # topology._check_size charges a platoon four n x n float arrays; a
+        # sweep holds its Laplacian across all its positions within that
+        n = 300
+        gathered(12, 3, mode)  # untraced: a first call also loads what later calls reuse
+        tracemalloc.start()
+        try:
+            gathered(n, 3, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n
 
 
 class TestFitLoglog:
