@@ -11,17 +11,16 @@ the subcommand does not read exits 2, as an unrecognized flag or as a config
 key, and the error line names the key and the subcommand.
 
 Exit codes: 0 success (and --help), 2 malformed command line, config or
-parameter error, or out of memory, 3 numerical failure, 4 verification
-violation.  main() returns the code; it does not raise SystemExit.  A
-refused run leaves behind no empty directory that its call made: neither
---out nor a parent made for it.
+parameter error, out of memory, or an output path that cannot be made or
+written, 3 numerical failure, 4 verification violation.  main() returns the
+code; it does not raise SystemExit.  A directory is made only when its first
+file is written, after every row is computed: a refused run makes none.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from itertools import takewhile
 from pathlib import Path
 
 from . import experiments
@@ -99,23 +98,12 @@ def main(argv=None) -> int:
         if args.emit_config:
             print(experiments.emit_config(cfg), end="")
             return EXIT_OK
-        outdir = Path(cfg.outdir)
-        # the directories that mkdir makes here, deepest first
-        made = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
-        outdir.mkdir(parents=True, exist_ok=True)
         cmd = experiments.COMMANDS[args.command]
-        try:
-            # looked up at the call: a runner replaced on experiments is the one run
-            for path in getattr(experiments, cmd.runner)(cfg, *cmd.args, outdir):
-                print(f"wrote {path}")
-        finally:
-            # a refused run leaves behind no empty directory that this call made
-            for d in made:
-                if any(d.iterdir()):
-                    break
-                d.rmdir()
+        # looked up at the call: a runner replaced on experiments is the one run
+        for path in getattr(experiments, cmd.runner)(cfg, *cmd.args, Path(cfg.outdir)):
+            print(f"wrote {path}")
         return EXIT_OK
-    except (ParameterError, MemoryError) as exc:
+    except (ParameterError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -91,6 +91,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -439,11 +440,13 @@ def simulate_to_csv(path, sys: SimSystem, delay: DelaySpec, x0, horizon: float,
     to the CSV file `path`, and return its (verdict, meta), without holding
     the run: each stretch of accepted rows is written as the buffer slides,
     and _judge's two rows are copied as they pass.  The file is opened once
-    the buffer is allocated, so a run refused, or whose buffer cannot be
-    allocated, writes no file.  Inputs are checked as by simulate; the run
-    is charged for a piece of CSV text, not for its states (check_run).
+    the buffer is allocated, and its missing parents made then, so a run
+    refused, or whose buffer cannot be allocated, makes no file or
+    directory.  Inputs are checked as by simulate; the run is charged for a
+    piece of CSV text, not for its states (check_run).
     """
     run = _prepare(sys, delay, x0, horizon, step, disturbance, "csv")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("# " + ", ".join(f"{key}={'none' if value is None else value}"
                                   for key, value in run.meta.items()) + "\n")

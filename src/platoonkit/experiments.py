@@ -264,6 +264,7 @@ def _analysis(cfg: ScenarioConfig, refset=None):
 
 
 def _write(path, text: str) -> str:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
     return str(path)

@@ -1047,6 +1047,14 @@ class TestTrajectoryCsv:
         assert lines[1] == "t,norm,x_1,x_2,x_3,x_4"
         assert len(lines) == 2 + len(traj.times)
 
+    def test_missing_directories_are_made(self, tmp_path):
+        run = (velocity_system(grounded(5, 2, [3])), DelaySpec(0.1, "full"), np.ones(4), 1.0,
+               1e-2)
+        dde_sim.simulate_to_csv(tmp_path / "t.csv", *run)
+        nested = tmp_path / "a" / "b" / "t.csv"
+        dde_sim.simulate_to_csv(nested, *run)
+        assert nested.read_bytes() == (tmp_path / "t.csv").read_bytes()
+
     def test_rows_match_per_value_format(self):
         # more rows than one formatting chunk, with negative zeros, values
         # across the exponent switch of %g, and a tail past the cutoff
@@ -1222,6 +1230,8 @@ class TestSimSystemValidation:
                 default_step(tiny, "taus")
         assert default_horizon(1.0) == 200.0
         assert default_horizon(0.1) == 500.0
+        # an ungrounded lambda1 takes the cap, not a division by zero
+        assert default_horizon(0.0) == 500.0
 
 
 class TestEmpiricalMarginMatchesTheory:

@@ -208,6 +208,15 @@ def test_bad_x0_refused_before_the_file_is_opened(tmp_path):
     assert not path.exists()
 
 
+def test_refused_run_makes_no_directory(tmp_path):
+    # 9 steps, fewer than check_run's 10: refused before the parents are made
+    path = tmp_path / "a" / "b" / "trajectory.csv"
+    with pytest.raises(ParameterError, match=r"horizon \(at least 10 steps\)"):
+        simulate_to_csv(path, velocity_system(GS), DelaySpec(0.1, "full"), np.ones(4), 0.09,
+                        0.01)
+    assert not list(tmp_path.iterdir())
+
+
 def test_disturbance_refused_before_the_file_is_opened(tmp_path):
     # the streamed run is refused as simulate is, and writes no file
     path = tmp_path / "trajectory.csv"

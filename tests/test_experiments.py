@@ -45,6 +45,15 @@ from platoonkit.experiments import (
 )
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
+# a small run of each platoon subcommand
+QUICK = {
+    "report": ["--n", "5", "--k", "2"],
+    "sweep-remove": ["--n", "5", "--k", "2"],
+    "sweep-add": ["--n", "5", "--k", "2"],
+    "delay-grid": ["--n", "5", "--k", "2", "--taus", "0.1", "--horizon", "1"],
+    "scaling": ["--n", "8", "--k", "1", "--ns", "8,9,10,11,12"],
+    "simulate": ["--n", "5", "--k", "2", "--horizon", "1"],
+}
 # the refusal of a run of more than dde_sim.MAX_STEPS steps
 TOO_LONG = f"longer than the {dde_sim.MAX_STEPS:,} steps one run may take"
 
@@ -282,6 +291,12 @@ class TestRunners:
         run_delay_grid(cfg, tmp_path)
         assert [d.tau for d in calls] == [0.0, 0.0, 0.1, 0.1, 0.5, 0.5]
 
+    def test_report_gamma_line(self, tmp_path, capsys):
+        assert main(["report", "--n", "36", "--k", "4", "--gamma", "1.0",
+                     "--out", str(tmp_path)]) == 0
+        assert ("gamma = 1: necessary_ok = false, sufficient_ok = false, boundary_case = true"
+                in (tmp_path / "report.txt").read_text().splitlines())
+
     def test_scaling_small(self, tmp_path):
         cfg = ScenarioConfig(n=8, k=1, experiment="scaling", ns=(8, 12, 16, 20, 24))
         run_scaling(cfg, tmp_path)
@@ -390,6 +405,10 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "n = 12" in out and "k = 2" in out
+
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys):
+        assert main(["report", "--config", str(tmp_path), "--n", "5", "--k", "2"]) == 2
+        assert f"error: cannot read config file {tmp_path}" in capsys.readouterr().err
 
     def test_parameter_error_exit_2(self, tmp_path, capsys):
         code = main(["report", "--n", "5", "--k", "2", "--arrangement", "explicit",
@@ -574,6 +593,18 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [tmp_path / "nest"]
         assert not list((tmp_path / "nest").iterdir())
 
+    @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-a-file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_that_is_or_is_beneath_a_file_exit_2(self, tmp_path, capsys, command, beneath):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if beneath else afile
+        assert main([command, *QUICK[command], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert afile.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [afile]
+
     def test_scaling_needs_five_distinct_sizes(self, tmp_path, capsys, monkeypatch):
         # five copies of one size would fit each log-log slope to one point
         def no_eigensolve(*args, **kwargs):
@@ -685,6 +716,13 @@ class TestCli:
 
         monkeypatch.setattr(cli_mod.experiments, "run_verify", broken)
         assert main(["verify"]) == 4
+
+    def test_failing_check_fails_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr("platoonkit.robustness.min_refs_nonexpansive", lambda n, k: 5)
+        assert main(["verify"]) == 4
+        captured = capsys.readouterr()
+        assert "verify FAIL: P(36,4) min refs = 4" in captured.out.splitlines()
+        assert captured.err == "verification FAILED: 1 check(s)\n"
 
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

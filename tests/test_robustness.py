@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import formation_modal_delay_margin, random_grounded
 from platoonkit import (
+    DelaySpec,
     ParameterError,
     build_formation_matrix,
     build_platoon,
@@ -17,6 +18,7 @@ from platoonkit import (
     delay_margin_velocity,
     eig_sym,
     formation_modes,
+    formation_system,
     gamma_conditions,
     ground,
     hinf_formation,
@@ -26,7 +28,9 @@ from platoonkit import (
     md_arrangement,
     min_refs_nonexpansive,
     peak_amplitude,
+    simulate,
     sweep_hinf,
+    velocity_system,
 )
 from platoonkit.experiments import ScenarioConfig, run_report
 from platoonkit.robustness import DYNAMICS, SWEEP_OMEGAS, _extreme_modes
@@ -76,6 +80,19 @@ def test_empty_spectrum_rejected(call):
     assert len(empty) == 0
     with pytest.raises(ParameterError, match="empty spectrum"):
         call(empty)
+
+
+@pytest.mark.parametrize("call, values, message", [
+    (hinf_formation, [0.0, 1.0], "formation gain needs a strictly positive spectrum"),
+    (lambda spec: sweep_hinf(grounded(3, 1, [1]), "formation", spec=spec), [1e-12, 1.0],
+     "sweep needs a grounded system"),
+    (delay_margin_velocity, [0.0, 1e-12], "delay margin needs lambda_max > 0"),
+], ids=["hinf_formation", "sweep_hinf", "delay_margin_velocity"])
+def test_ungrounded_spectrum_rejected(call, values, message):
+    # an eigenvalue at or below the grounding tolerance 1e-12 has no gain
+    # or margin; hinf_velocity marks it unbounded instead
+    with pytest.raises(ParameterError, match=message):
+        call(spec_of(values))
 
 
 @pytest.mark.parametrize("values", [[np.nan, 2.0], [0.5, np.inf], [2.0, 0.5], [np.inf]])
@@ -318,16 +335,21 @@ class TestSweepOracle:
         assert_matches_all_modes(sorted(values))
 
 
+def transfer_inverse(lg, omega, dynamics):
+    """The inverse of the disturbance transfer matrix at omega: j omega I + lg
+    (velocity), or -omega^2 I + (1 + j omega) lg (formation, to the position
+    errors)."""
+    eye = np.eye(len(lg))
+    if dynamics == "velocity":
+        return 1j * omega * eye + lg
+    return -(omega ** 2) * eye + (1.0 + 1j * omega) * lg
+
+
 def svd_gain(lg, omega, dynamics):
     """The largest singular value of the disturbance transfer matrix at
     omega, 1 / sigma_min of its inverse, from an SVD of the dense matrix:
     no eigensolver and no modal formula."""
-    eye = np.eye(len(lg))
-    if dynamics == "velocity":
-        m = 1j * omega * eye + lg
-    else:
-        m = -(omega ** 2) * eye + (1.0 + 1j * omega) * lg
-    return 1.0 / np.linalg.svd(m, compute_uv=False).min()
+    return 1.0 / np.linalg.svd(transfer_inverse(lg, omega, dynamics), compute_uv=False).min()
 
 
 class TestSweepSvdOracle:
@@ -350,6 +372,83 @@ class TestSweepSvdOracle:
             want = svd_gain(gs.lg, fr.omegas[i], dynamics)
             assert abs(fr.gains[i] - want) <= 1e-10 * want, (fr.omegas[i], fr.gains[i], want)
         assert fr.peak_gain == fr.gains[picks[-1]]
+
+
+class DirectedCosine:
+    """The test-side disturbance v cos(omega t) on the velocity-error channels."""
+
+    def __init__(self, v, omega):
+        self.v, self.omega = v, omega
+
+    def sampler(self, dim, step):
+        assert dim == len(self.v)
+
+        def sample(lo, hi):
+            grid = np.arange(lo, hi + 1) * step
+            return tuple(np.cos(self.omega * t)[:, None] * self.v
+                         for t in (grid, grid[:-1] + step / 2.0))
+
+        return sample
+
+
+def worst_input(lg, dynamics):
+    """(omega*, v): the argmin of sigma_min of the transfer's inverse over 0
+    and 2,000 log-spaced frequencies in [1e-4, 10], refined by golden
+    section, and its right singular vector, phase-aligned to be real."""
+    def sigma_min(omega):
+        return np.linalg.svd(transfer_inverse(lg, omega, dynamics), compute_uv=False)[-1]
+
+    grid = np.concatenate(([0.0], np.logspace(-4.0, 1.0, 2000)))
+    i = int(np.argmin([sigma_min(w) for w in grid]))
+    if i > 0:
+        lo, hi = grid[i - 1], grid[min(i + 1, len(grid) - 1)]
+        ratio = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(100):
+            a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            if sigma_min(a) < sigma_min(b):
+                hi = b
+            else:
+                lo = a
+        grid[i] = (lo + hi) / 2.0
+    v = np.linalg.svd(transfer_inverse(lg, grid[i], dynamics))[2][-1].conj()
+    v *= np.exp(-1j * np.angle(v[np.argmax(np.abs(v))]))
+    assert np.max(np.abs(v.imag)) <= 1e-12
+    return grid[i], v.real
+
+
+class TestGainsInTheTimeDomain:
+    """Each closed-form gain against the steady amplitude of an undelayed run
+    driven at its worst frequency and direction, both found from SVDs of
+    the transfer's inverse alone: no eigensolver and no mode map."""
+
+    @pytest.mark.parametrize("n, k, refs", [
+        (36, 4, None),  # MD
+        (12, 3, None),  # MD
+        (8, 1, [1]),    # formation gain 110
+        (20, 2, [1, 20]),
+    ])
+    @pytest.mark.parametrize("dynamics", ["velocity", "formation"])
+    def test_steady_amplitude_is_the_gain(self, n, k, refs, dynamics):
+        gs = grounded(n, k, list(md_arrangement(n, k).refs) if refs is None else refs)
+        omega, v = worst_input(gs.lg, dynamics)
+        sysm = velocity_system(gs) if dynamics == "velocity" else formation_system(gs)
+        # the transients decay as exp(-lambda_1 t / 2) at the slowest
+        periods = 5.0 * 2.0 * math.pi / omega if omega > 0.0 else 0.0
+        sigma0 = np.linalg.svd(gs.lg, compute_uv=False)[-1]
+        traj = simulate(sysm, DelaySpec(), np.zeros(sysm.dim), max(60.0, 40.0 / sigma0) + periods,
+                        1e-2, DirectedCosine(v, omega))
+        # the output: every state (velocity), the position errors (formation)
+        out = traj.states[:, :len(v)]
+        if omega == 0.0:
+            amplitude = np.linalg.norm(out[-1])
+        else:
+            tail = traj.times >= traj.times[-1] - periods
+            t = traj.times[tail]
+            basis = np.column_stack((np.cos(omega * t), np.sin(omega * t)))
+            pair = np.linalg.lstsq(basis, out[tail], rcond=None)[0]
+            amplitude = np.linalg.svd(pair, compute_uv=False)[0]
+        gain = {"velocity": hinf_velocity, "formation": hinf_formation}[dynamics](eig_sym(gs.lg))
+        assert abs(amplitude - gain) <= 1e-9 * gain, (omega, amplitude, gain)
 
 
 class TestGammaConditions:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,6 +197,10 @@ class TestFormationSpectrum:
         with pytest.raises(ParameterError):
             formation_modes([-1.0])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ParameterError, match="empty spectrum"):
+            formation_modes([])
+
     def test_closed_under_conjugation_and_strictly_stable(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -302,6 +307,12 @@ class TestStochasticity:
         for _ in range(60):
             _, _, gs = random_grounded(rng, n_hi=40)
             assert stochasticity_defect(gs) <= 1e-9
+
+    def test_singular_grounded_laplacian_is_numerical_error(self):
+        # an ungrounded follower block: a zero row, so no solve
+        gs = SimpleNamespace(lg=np.zeros((2, 2)), l12=np.ones((2, 1)))
+        with pytest.raises(NumericalError, match="grounded Laplacian is singular"):
+            stochasticity_defect(gs)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=6))
