@@ -255,19 +255,47 @@ def emit_config(cfg: ScenarioConfig) -> str:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _analysis(cfg: ScenarioConfig, refset=None):
+def _analysis(cfg: ScenarioConfig):
     top = topology.build_platoon(cfg.n, cfg.k)
-    refset = refset or cfg.reference_set()
+    refset = cfg.reference_set()
     gs = topology.ground(top, refset)
     spec = spectral.eig_sym(gs.lg)
     return top, refset, gs, spec
 
 
-def _write(path, text: str) -> str:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return str(path)
+def _gains(lap, refs) -> list:
+    """[lambda1, hinf_velocity, hinf_formation] of the platoon with Laplacian
+    `lap` grounded at the 1-based `refs`.  The grounded Laplacian is gathered
+    from lap, its principal submatrix at the followers; lap is held as
+    floats, so that eig_sym makes no copy of the gathered block."""
+    followers = np.delete(np.arange(len(lap)), np.asarray(refs, dtype=int) - 1)
+    if len(followers) == len(lap):
+        # an empty reference set grounds nothing: unbounded gains
+        return [0.0, math.inf, math.inf]
+    if not len(followers):
+        raise ParameterError("no followers left: all vehicles are references")
+    spec = spectral.eig_sym(lap[np.ix_(followers, followers)])
+    return [spec.lambda1, robustness.hinf_velocity(spec), robustness.hinf_formation(spec)]
+
+
+def _write(outdir, files: dict, wrote=()) -> list:
+    """Write `files`, each file name to its text, in order into outdir, made
+    with its missing parents at the first file, and return the paths of
+    `wrote` (the files the run wrote before) and of these.  A write that
+    fails raises OSError naming every file written before it."""
+    paths = [str(path) for path in wrote]
+    for name, text in files.items():
+        path = outdir / name
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            if paths:
+                raise OSError(f"{exc}; wrote {', '.join(paths)} before it") from exc
+            raise
+        paths.append(str(path))
+    return paths
 
 
 def _csv(metadata: dict | None, header: list, rows) -> str:
@@ -308,12 +336,11 @@ def run_report(cfg: ScenarioConfig, outdir) -> list:
         responses = {dyn: robustness.sweep_hinf(gs, dyn, spec=spec)
                      for dyn in robustness.DYNAMICS}
         report = replace(report, swept=robustness.swept_peaks(responses))
-    paths = [_write(outdir / "report.json", report.to_json())]
-    paths.append(_write(outdir / "report.txt", _report_summary(report)))
+    files = {"report.json": report.to_json(), "report.txt": _report_summary(report)}
     for dyn, fr in responses.items():
         rows = zip(fr.omegas.tolist(), fr.gains.tolist())
-        paths.append(_write(outdir / f"freq_{dyn}.csv", _csv(None, ["omega", "gain"], rows)))
-    return paths
+        files[f"freq_{dyn}.csv"] = _csv(None, ["omega", "gain"], rows)
+    return _write(outdir, files)
 
 
 def _report_summary(r: robustness.RobustnessReport) -> str:
@@ -354,11 +381,6 @@ def _report_summary(r: robustness.RobustnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _norms_for(refs, cfg: ScenarioConfig):
-    spec = _analysis(cfg, topology.make_reference_set(cfg.n, refs))[3]
-    return spec.lambda1, robustness.hinf_velocity(spec), robustness.hinf_formation(spec)
-
-
 def _sweep_rows(cfg: ScenarioConfig, mode: str) -> list:
     """[position, lambda1, hinf_velocity, hinf_formation] with the reference
     at each position removed from (mode "remove") or added to ("add") the
@@ -368,26 +390,11 @@ def _sweep_rows(cfg: ScenarioConfig, mode: str) -> list:
     if mode not in ("remove", "add"):
         raise ParameterError(f"mode must be remove|add, got {mode!r}")
     base = cfg.reference_set()
-    is_ref = np.zeros(cfg.n, dtype=bool)
-    is_ref[np.array(base.refs) - 1] = True
-    # each position's grounded Laplacian is a principal submatrix of this one,
-    # held as floats so that eig_sym makes no copy of it
+    refs = set(base.refs)
     lap = topology.build_platoon(cfg.n, cfg.k).laplacian().astype(float)
-    rows = []
-    for pos in base.refs if mode == "remove" else base.followers:
-        is_ref[pos - 1] ^= True  # pos leaves (remove) or joins (add) the references
-        followers = np.flatnonzero(~is_ref)
-        is_ref[pos - 1] ^= True
-        if len(followers) == cfg.n:
-            # removing the only reference leaves no grounding: unbounded gains
-            rows.append([pos, 0.0, math.inf, math.inf])
-            continue
-        if not len(followers):
-            raise ParameterError("no followers left: all vehicles are references")
-        spec = spectral.eig_sym(lap[np.ix_(followers, followers)])
-        rows.append([pos, spec.lambda1, robustness.hinf_velocity(spec),
-                     robustness.hinf_formation(spec)])
-    return rows
+    # pos leaves (remove) or joins (add) the references
+    return [[pos, *_gains(lap, list(refs ^ {pos}))]
+            for pos in (base.refs if mode == "remove" else base.followers)]
 
 
 def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
@@ -397,7 +404,7 @@ def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
     meta = _meta(cfg, cfg.reference_set())
     meta["mode"] = mode
     text = _csv(meta, ["position", "lambda1", "hinf_velocity", "hinf_formation"], rows)
-    return [_write(outdir / f"sweep_{mode}.csv", text)]
+    return _write(outdir, {f"sweep_{mode}.csv": text})
 
 
 def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
@@ -438,7 +445,7 @@ def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
          "below_formation_exact"],
         rows,
     )
-    return [_write(outdir / "delay_grid.csv", text)]
+    return _write(outdir, {"delay_grid.csv": text})
 
 
 def fit_loglog(ns, values) -> dict:
@@ -458,13 +465,12 @@ def fit_loglog(ns, values) -> dict:
 def run_scaling(cfg: ScenarioConfig, outdir) -> list:
     """Gain growth with platoon size: single end reference vs minimally dense."""
     ns = tuple(sorted(cfg.ns))
-    # each row label's references at platoon size n
-    arrangements = dict(single=lambda n: [1], md=lambda n: topology.md_arrangement(n, cfg.k).refs)
-    rows, gains = [], {name: [] for name in arrangements}
+    rows, gains = [], {"single": [], "md": []}
     for n in ns:
-        sub = replace(cfg, n=n)
-        for name, refs in arrangements.items():
-            lam1, hv, hf = _norms_for(refs(n), sub)
+        # both reference sets' grounded Laplacians are gathered from this one
+        lap = topology.build_platoon(n, cfg.k).laplacian().astype(float)
+        for name, refs in (("single", [1]), ("md", topology.md_arrangement(n, cfg.k).refs)):
+            lam1, hv, hf = _gains(lap, refs)
             rows.append([n, name, lam1, hv, hf])
             gains[name].append((hv, hf))
     (single_v, single_f), (md_v, md_f) = (zip(*g) for g in gains.values())
@@ -482,12 +488,9 @@ def run_scaling(cfg: ScenarioConfig, outdir) -> list:
         },
     )
     meta = {"n_list": " ".join(str(n) for n in ns), "k": cfg.k, "seed": cfg.seed}
-    paths = [
-        _write(outdir / "scaling.csv",
-               _csv(meta, ["n", "arrangement", "lambda1", "hinf_velocity", "hinf_formation"], rows)),
-        _write(outdir / "scaling.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"),
-    ]
-    return paths
+    header = ["n", "arrangement", "lambda1", "hinf_velocity", "hinf_formation"]
+    return _write(outdir, {"scaling.csv": _csv(meta, header, rows),
+                           "scaling.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"})
 
 
 def run_simulate(cfg: ScenarioConfig, outdir) -> list:
@@ -508,7 +511,7 @@ def run_simulate(cfg: ScenarioConfig, outdir) -> list:
         f"stable={_fmt(verdict.stable)}, decay_ratio={_fmt(verdict.decay_ratio)}, "
         f"horizon={_fmt(verdict.horizon)}, tau_effective={_fmt(meta['tau_effective'])}\n"
     )
-    return [str(path), _write(outdir / "verdict.txt", verdict_text)]
+    return _write(outdir, {"verdict.txt": verdict_text}, wrote=[path])
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +543,8 @@ def run_verify() -> tuple:
         if not ok:
             failures.append(name)
 
-    top = topology.build_platoon(36, 4)
-    refset = topology.md_arrangement(36, 4)
-    gs = topology.ground(top, refset)
-    spec = spectral.eig_sym(gs.lg)
+    desk = ScenarioConfig(n=36, k=4)
+    spec = _analysis(desk)[3]
     check("P(36,4) lambda1 = 1", abs(spec.lambda1 - 1.0) <= 1e-9, f"lambda1={spec.lambda1!r}")
     check("P(36,4) velocity gain = 1", abs(robustness.hinf_velocity(spec) - 1.0) <= 1e-9)
     check(
@@ -558,7 +559,6 @@ def run_verify() -> tuple:
     hand = np.array([1.0, 3.0 - math.sqrt(2.0), 3.0, 3.0 + math.sqrt(2.0)])
     check("P(5,2)/refs={3} hand spectrum", float(np.max(np.abs(spec5.values - hand))) <= 1e-9)
 
-    desk = ScenarioConfig(n=36, k=4)
     check("P(36,4) removing any reference breaks both gain bounds",
           all(hv > 1.0 + 1e-9 and hf > TWO_OVER_SQRT3 + 1e-9
               for _, _, hv, hf in _sweep_rows(desk, "remove")))

@@ -26,7 +26,8 @@ def _check_size(n, n_min: int) -> int:
     dense arrays would not fit in memory: four n x n copies of 8-byte values
     (the Laplacian and its temporaries, then the grounded block, the
     eigensolver's float copy and its symmetry test) are alive at once.  A
-    reference sweep holds the Laplacian, as floats, across all its positions."""
+    reference sweep holds the Laplacian, as floats, across all its positions,
+    and a scaling study holds each size's across both its reference sets."""
     n = errors.check("vehicle count n", n, n_min, integer=True)
     errors.check_memory(f"a platoon of {n} vehicles", 4 * 8.0 * n * n)
     return n

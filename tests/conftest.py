@@ -123,19 +123,24 @@ def reference_verdict(traj) -> StabilityVerdict:
                             diverged=False)
 
 
+def reference_gains(n, k, refs) -> list:
+    """The [lambda1, hinf_velocity, hinf_formation] that experiments._gains
+    must return for P(n, k) grounded at `refs`, built as one row: the
+    platoon, the reference set, the grounded system and its eigensolve,
+    each made anew."""
+    spec = eig_sym(ground(build_platoon(n, k), make_reference_set(n, refs)).lg)
+    return [spec.lambda1, hinf_velocity(spec), hinf_formation(spec)]
+
+
 def reference_sweep_rows(n, k, mode) -> list:
     """The rows that experiments._sweep_rows must return for P(n, k) MD in
-    `mode`, built one position at a time: the platoon, the reference set,
-    the grounded system and its eigensolve, each made anew per position.
-    Removing the only reference gives the row (position, 0.0, inf, inf)."""
+    `mode`, built one position at a time by reference_gains.  Removing the
+    only reference gives the row (position, 0.0, inf, inf)."""
     base = set(md_arrangement(n, k).refs)
     positions = sorted(base) if mode == "remove" else sorted(set(range(1, n + 1)) - base)
     rows = []
     for pos in positions:
         refs = sorted(base - {pos}) if mode == "remove" else sorted(base | {pos})
-        if not refs:
-            rows.append([pos, 0.0, math.inf, math.inf])
-            continue
-        spec = eig_sym(ground(build_platoon(n, k), make_reference_set(n, refs)).lg)
-        rows.append([pos, spec.lambda1, hinf_velocity(spec), hinf_formation(spec)])
+        rows.append([pos, *reference_gains(n, k, refs)] if refs
+                    else [pos, 0.0, math.inf, math.inf])
     return rows

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    reference_gains,
     reference_sweep_rows,
     reference_verdict,
     trajectory_csv,
@@ -23,6 +24,7 @@ from platoonkit import (
     eig_sym,
     ground,
     make_reference_set,
+    md_arrangement,
     robustness,
 )
 from platoonkit.cli import main
@@ -31,6 +33,7 @@ from platoonkit.experiments import (
     KEYS,
     ScenarioConfig,
     _fmt,
+    _gains,
     _sweep_rows,
     emit_config,
     finalize_config,
@@ -371,6 +374,53 @@ class TestSweepRows:
         assert peak <= 4 * 8 * n * n
 
 
+def hexes(cells) -> list:
+    return [float(cell).hex() for cell in cells]
+
+
+class TestGains:
+    """_gains gathers a reference set's grounded Laplacian from the platoon
+    Laplacian; conftest.reference_gains builds and grounds the platoon anew
+    for each reference set."""
+
+    @staticmethod
+    def assert_per_row_gains(n, k, *refsets):
+        lap = build_platoon(n, k).laplacian().astype(float)
+        for refs in refsets:
+            assert hexes(_gains(lap, refs)) == hexes(reference_gains(n, k, refs)), (n, k, refs)
+
+    # the sizes of the experiment battery's scaling study and of the benchmark's
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 12, 24, 48, 96, 192])
+    def test_single_end_and_md_at_the_scaling_sizes(self, n):
+        self.assert_per_row_gains(n, 1, [1], md_arrangement(n, 1).refs)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_platoons(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 81)), int(rng.integers(1, 8))
+        some = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
+        self.assert_per_row_gains(n, k, [1], md_arrangement(n, k).refs, some.tolist())
+
+    def test_no_reference_or_no_follower(self):
+        lap = build_platoon(5, 2).laplacian().astype(float)
+        assert _gains(lap, []) == [0.0, math.inf, math.inf]
+        with pytest.raises(ParameterError, match="no followers left"):
+            _gains(lap, [1, 2, 3, 4, 5])
+
+    def test_scaling_peak_within_the_platoon_charge(self, tmp_path):
+        # the scaling study holds one size's Laplacian across both its
+        # reference sets, within the charge of its largest size
+        n = 300
+        run_scaling(ScenarioConfig(n=8, k=3, ns=(8, 9, 10, 11, 12)), tmp_path)  # untraced
+        tracemalloc.start()
+        try:
+            run_scaling(ScenarioConfig(n=8, k=3, ns=tuple(range(n - 4, n + 1))), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n
+
+
 class TestFitLoglog:
     def test_exact_power_law(self):
         ns = [8, 16, 32, 64, 128]
@@ -506,7 +556,6 @@ class TestCli:
             raise AssertionError("work started before the config was rejected")
 
         monkeypatch.setattr("platoonkit.experiments._analysis", no_work)
-        monkeypatch.setattr("platoonkit.experiments._norms_for", no_work)
         monkeypatch.setattr("platoonkit.topology.build_platoon", no_work)
         # verify takes no platoon flags
         platoon = [] if argv[0] == "verify" else ["--n", "5", "--k", "2", "--out", str(tmp_path)]
@@ -572,7 +621,7 @@ class TestCli:
         ["delay-grid", "--n", "5", "--k", "2", "--taus", "0.1,1e-10", "--horizon", "20"],
     ])
     def test_refused_run_leaves_no_directory_it_made(self, tmp_path, capsys, argv):
-        # each runner refuses after cli.main has made --out
+        # each runner refuses before its first file is written, so makes no --out
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -581,8 +630,9 @@ class TestCli:
         assert tmp_path.is_dir()
 
     def test_refused_run_leaves_no_parent_it_made(self, tmp_path, capsys, monkeypatch):
-        # mkdir makes every missing parent of --out; the refused run removes
-        # them all, and keeps the one that was there before
+        # the first write would make every missing parent of --out; the
+        # refused run writes none, so makes none, and keeps the one that was
+        # there before
         monkeypatch.chdir(tmp_path)
         argv = ["sweep-add", "--n", "8", "--k", "1", "--arrangement", "explicit", "--refs", "3"]
         assert main(argv + ["--out", "nest/a/b"]) == 2
@@ -604,6 +654,24 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert afile.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [afile]
+
+    @pytest.mark.parametrize("command, extra, failing, written", [
+        ("report", [], "report.txt", ["report.json"]),
+        ("report", ["--sweep-csv"], "freq_formation.csv",
+         ["report.json", "report.txt", "freq_velocity.csv"]),
+        ("scaling", [], "scaling.json", ["scaling.csv"]),
+        ("simulate", [], "verdict.txt", ["trajectory.csv"]),
+    ])
+    def test_failed_write_names_the_files_written_before_it(self, tmp_path, capsys, command,
+                                                           extra, failing, written):
+        out = tmp_path / "out"
+        (out / failing).mkdir(parents=True)  # a directory where a file would go
+        assert main([command, *QUICK[command], *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        paths = ", ".join(str(out / name) for name in written)
+        assert err.endswith(f"; wrote {paths} before it\n")
+        assert sorted(p.name for p in out.iterdir()) == sorted([failing, *written])
 
     def test_scaling_needs_five_distinct_sizes(self, tmp_path, capsys, monkeypatch):
         # five copies of one size would fit each log-log slope to one point
