@@ -263,19 +263,35 @@ def _analysis(cfg: ScenarioConfig):
     return top, refset, gs, spec
 
 
-def _gains(lap, refs) -> list:
-    """[lambda1, hinf_velocity, hinf_formation] of the platoon with Laplacian
-    `lap` grounded at the 1-based `refs`.  The grounded Laplacian is gathered
-    from lap, its principal submatrix at the followers; lap is held as
-    floats, so that eig_sym makes no copy of the gathered block."""
-    followers = np.delete(np.arange(len(lap)), np.asarray(refs, dtype=int) - 1)
-    if len(followers) == len(lap):
+def _stack_gains(lap, is_follower) -> list:
+    """[lambda1, hinf_velocity, hinf_formation] for each row of the boolean
+    (count, n) array `is_follower`, whose rows mark the same number of
+    followers: the gains of the platoon with float Laplacian `lap` grounded
+    at the vehicles a row leaves unmarked.  Each grounded Laplacian is lap's
+    principal submatrix at a row's followers; all are gathered as one
+    (count, f, f) stack, which spectral.eig_sym_stack solves in one call."""
+    count = len(is_follower)
+    followers = np.nonzero(is_follower)[1].reshape(count, -1)
+    if followers.shape[1] == len(lap):
         # an empty reference set grounds nothing: unbounded gains
-        return [0.0, math.inf, math.inf]
-    if not len(followers):
+        return [[0.0, math.inf, math.inf]] * count
+    if not followers.size:
         raise ParameterError("no followers left: all vehicles are references")
-    spec = spectral.eig_sym(lap[np.ix_(followers, followers)])
-    return [spec.lambda1, robustness.hinf_velocity(spec), robustness.hinf_formation(spec)]
+    values = spectral.eig_sym_stack(lap[followers[:, :, None], followers[:, None, :]])
+    return [[lam1, *robustness.lambda1_gains(lam1)] for lam1 in values[:, 0].tolist()]
+
+
+def _gains(lap, refs) -> list:
+    """[lambda1, hinf_velocity, hinf_formation] of the platoon with float
+    Laplacian `lap` grounded at the 1-based `refs`: a stack of one."""
+    refs = np.asarray(refs, dtype=int)
+    outside = refs[(refs < 1) | (refs > len(lap))]
+    if outside.size:
+        raise ParameterError(f"reference indices {sorted(set(outside.tolist()))} "
+                             f"outside 1..{len(lap)}")
+    is_follower = np.ones((1, len(lap)), dtype=bool)
+    is_follower[0, refs - 1] = False
+    return _stack_gains(lap, is_follower)[0]
 
 
 def _write(outdir, files: dict, wrote=()) -> list:
@@ -384,17 +400,29 @@ def _report_summary(r: robustness.RobustnessReport) -> str:
 def _sweep_rows(cfg: ScenarioConfig, mode: str) -> list:
     """[position, lambda1, hinf_velocity, hinf_formation] with the reference
     at each position removed from (mode "remove") or added to ("add") the
-    minimally dense arrangement."""
+    minimally dense arrangement.  Every position grounds the same number f
+    of followers, so the positions are solved in runs of
+    topology.stack_count, each run's follower masks made for it alone."""
     if cfg.arrangement != "md":
         raise ParameterError(f"{mode} sweep requires arrangement=md")
     if mode not in ("remove", "add"):
         raise ParameterError(f"mode must be remove|add, got {mode!r}")
     base = cfg.reference_set()
-    refs = set(base.refs)
     lap = topology.build_platoon(cfg.n, cfg.k).laplacian().astype(float)
+    is_follower = np.ones(cfg.n, dtype=bool)
+    is_follower[np.asarray(base.refs) - 1] = False
     # pos leaves (remove) or joins (add) the references
-    return [[pos, *_gains(lap, list(refs ^ {pos}))]
-            for pos in (base.refs if mode == "remove" else base.followers)]
+    positions = np.asarray(base.refs if mode == "remove" else base.followers)
+    f = len(base.followers) + (1 if mode == "remove" else -1)
+    count = topology.stack_count(cfg.n, f)
+    rows = []
+    for start in range(0, len(positions), count):
+        run = positions[start:start + count]
+        run_is_follower = np.repeat(is_follower[None], len(run), axis=0)
+        run_is_follower[np.arange(len(run)), run - 1] ^= True
+        gains = _stack_gains(lap, run_is_follower)
+        rows += [[pos, *row] for pos, row in zip(run.tolist(), gains)]
+    return rows
 
 
 def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
@@ -409,12 +437,12 @@ def run_remove_add_sweep(cfg: ScenarioConfig, mode: str, outdir) -> list:
 
 def run_delay_grid(cfg: ScenarioConfig, outdir) -> list:
     """Classify both dynamics at every tau, and annotate each tau against the
-    analytic thresholds pi/(8k), pi/(2k), 1/(4k), pi/(2 lambda_max) and the
-    exact formation margin.  Every run is checked before the first, and each
-    is classified by dde_sim.verdict, which holds the delay window and one
-    chunk of rows rather than the run."""
+    analytic thresholds pi/(8k), pi/(2 min(k, n - 1)), 1/(4k),
+    pi/(2 lambda_max) and the exact formation margin.  Every run is checked
+    before the first, and each is classified by dde_sim.verdict, which holds
+    the delay window and one chunk of rows rather than the run."""
     top, refset, gs, spec = _analysis(cfg)
-    ksuff, kness = robustness.delay_bounds_k(cfg.k)
+    ksuff, kness = robustness.delay_bounds_k(cfg.n, cfg.k)
     fdm = robustness.delay_margin_formation(spec, cfg.k)
     exact_v = robustness.delay_margin_velocity(spec)
     horizon = cfg.horizon if cfg.horizon is not None else dde_sim.default_horizon(spec.lambda1)

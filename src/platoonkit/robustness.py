@@ -75,9 +75,20 @@ def peak_amplitude(lam: float) -> float:
 def hinf_formation(spec: Spectrum) -> float:
     """Worst-case disturbance-to-position-error gain of the formation dynamics:
     the max of peak_amplitude over the spectrum, at lambda_1 as it decreases."""
-    if spec.lambda1 <= GROUNDING_TOL:
+    return lambda1_gains(spec.lambda1)[1]
+
+
+def lambda1_gains(lam1: float) -> tuple:
+    """(hinf_velocity, hinf_formation) of a grounded spectrum whose smallest
+    eigenvalue is lam1, which is all that either gain reads: the gains of
+    many spectra solved at once, without a Spectrum for each.
+
+    Raises:
+        ParameterError: if lam1 <= 1e-12 (no grounding), as hinf_formation.
+    """
+    if lam1 <= GROUNDING_TOL:
         raise ParameterError("formation gain needs a strictly positive spectrum")
-    return peak_amplitude(spec.lambda1)
+    return 1.0 / lam1, peak_amplitude(lam1)
 
 
 def _extreme_modes(spec: Spectrum) -> np.ndarray:
@@ -272,11 +283,16 @@ def delay_margin_velocity(spec: Spectrum) -> float:
     return delay_margin_exact(-lam)
 
 
-def delay_bounds_k(k: int) -> tuple:
-    """Connectivity-only delay brackets for the velocity dynamics:
-    stable if tau <= pi/(8k), unstable if tau > pi/(2k)."""
+def delay_bounds_k(n: int, k: int) -> tuple:
+    """Connectivity-only delay brackets for the velocity dynamics of P(n, k):
+    stable if tau <= pi/(8k), unstable if tau > pi/(2 min(k, n - 1)).  The
+    exact margin is pi/(2 lambda_max), and every vehicle of P(n, k) has
+    degree at least min(k, n - 1), since k >= n - 1 saturates to the
+    complete graph; so lambda_max >= the largest follower degree
+    >= min(k, n - 1), while lambda_max <= 2 dmax_f <= 4k."""
+    n = errors.check("vehicle count n", n, 2, integer=True)
     k = errors.check("connectivity index k", k, 1, integer=True)
-    return math.pi / (8.0 * k), math.pi / (2.0 * k)
+    return math.pi / (8.0 * k), math.pi / (2.0 * min(k, n - 1))
 
 
 @dataclass(frozen=True)
@@ -387,7 +403,7 @@ def build_report(
         raise ParameterError(f"spectrum of {len(spec)} eigenvalues for {gs.n_followers} followers")
     beta_min = int(gs.betas.min())
     beta_max = int(gs.betas.max())
-    ksuff, kness = delay_bounds_k(topology.k)
+    ksuff, kness = delay_bounds_k(topology.n, topology.k)
     modes = _extreme_modes(spec)
     sweeps = {dyn: sweep_hinf(gs, dyn, spec=spec) for dyn in DYNAMICS} if with_sweep else {}
     return RobustnessReport(

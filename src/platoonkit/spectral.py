@@ -3,7 +3,8 @@
 Two genuinely independent eigenvalue paths are provided on purpose:
 
 * ``eig_sym`` — the primary solver, LAPACK's symmetric eigensolver through
-  ``numpy.linalg.eigvalsh``.
+  ``numpy.linalg.eigvalsh``; ``eig_sym_stack`` runs the same call on a
+  stack of matrices at once.
 * ``eig_sym_bisection`` — the oracle, Householder tridiagonalization followed
   by Sturm-sequence bisection, written here from numpy array arithmetic and
   matrix products.  It calls no LAPACK routine and is used to cross-check
@@ -64,20 +65,40 @@ class Spectrum:
         return self._extreme(-1)
 
 
-def _symmetric(m) -> np.ndarray:
-    """m as a float array, if a finite square matrix symmetric to 1e-12
-    relative tolerance (NaN would pass that test, as nan > tol is false)."""
+def _symmetric(m, ndim: int = 2) -> np.ndarray:
+    """m as a float array, if a finite square matrix (ndim 2) or a stack of
+    them (ndim 3) whose every matrix a is symmetric to 1e-12 relative
+    tolerance: max |a - a.T| <= 1e-12 max(1, max |a|).  (NaN would pass that
+    test, as nan > tol is false.)"""
     a = errors.check_array("matrix", m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if asym > 1e-12 * scale:
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        kind = "square matrix" if ndim == 2 else "(count, f, f) stack of square matrices"
+        raise ParameterError(f"expected a {kind}, got shape {a.shape}")
+    if not a.size:
+        return a
+    axes = (-2, -1)
+    diff = a - np.swapaxes(a, -1, -2)
+    asym = np.abs(diff, out=diff).max(axis=axes)
+    del diff  # before np.abs(a): one temporary of a's size at a time
+    bad = asym > 1e-12 * np.maximum(1.0, np.abs(a).max(axis=axes))
+    if bad.any():
+        i = int(np.argmax(bad))
+        which = "matrix" if ndim == 2 else f"matrix {i} of the stack"
         raise ParameterError(
-            f"matrix is not symmetric: max |a - a.T| = {asym:.3e} exceeds "
-            f"1e-12 relative tolerance"
+            f"{which} is not symmetric: max |a - a.T| = {np.ravel(asym)[i]:.3e} "
+            f"exceeds 1e-12 relative tolerance"
         )
     return a
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """LAPACK's ascending eigenvalues of the checked symmetric matrix a, or
+    of each matrix of a stack: the package's one call into LAPACK's
+    symmetric eigensolver, whose non-convergence is a NumericalError."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
 def eig_sym(m) -> Spectrum:
@@ -94,11 +115,21 @@ def eig_sym(m) -> Spectrum:
         ParameterError: on a non-square, non-finite or non-symmetric matrix.
         NumericalError: if LAPACK does not converge.
     """
-    a = _symmetric(m)
-    try:
-        return Spectrum(values=np.linalg.eigvalsh(a))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return Spectrum(values=_eigvalsh(_symmetric(m)))
+
+
+def eig_sym_stack(blocks) -> np.ndarray:
+    """Ascending eigenvalues of every matrix of a (count, f, f) stack, row i
+    those of matrix i, from one call of eig_sym's solver.  Each matrix is
+    held to eig_sym's checks, and its values are those eig_sym gives it:
+    LAPACK runs the same routine on each matrix of a stack.
+
+    Raises:
+        ParameterError: on an array that is not a stack of square matrices,
+            or a matrix of it that is non-finite or non-symmetric.
+        NumericalError: if LAPACK does not converge.
+    """
+    return _eigvalsh(_symmetric(blocks, ndim=3))
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,33 @@ from . import errors
 from .errors import ParameterError
 
 
+#: bytes that one stack of grounded Laplacians, gathered from a platoon
+#: Laplacian and solved in one eigensolve, may take (see stack_count)
+STACK_BYTES = 1 << 20
+
+
 def _check_size(n, n_min: int) -> int:
     """Check the vehicle count n before any O(n) work, and refuse an n whose
     dense arrays would not fit in memory: four n x n copies of 8-byte values
     (the Laplacian and its temporaries, then the grounded block, the
-    eigensolver's float copy and its symmetry test) are alive at once.  A
-    reference sweep holds the Laplacian, as floats, across all its positions,
-    and a scaling study holds each size's across both its reference sets."""
+    eigensolver's float copy and its symmetry test) are alive at once, and a
+    stack of STACK_BYTES besides.  A reference sweep holds the Laplacian, as
+    floats, across all its positions, whose grounded blocks it gathers and
+    solves one stack at a time; a scaling study holds each size's across
+    both its reference sets."""
     n = errors.check("vehicle count n", n, n_min, integer=True)
-    errors.check_memory(f"a platoon of {n} vehicles", 4 * 8.0 * n * n)
+    errors.check_memory(f"a platoon of {n} vehicles", 4 * 8.0 * n * n + STACK_BYTES)
     return n
+
+
+def stack_count(n: int, f: int) -> int:
+    """How many grounded Laplacians of f followers, gathered from the
+    Laplacian of a platoon of n vehicles, one stack holds within
+    STACK_BYTES, and at least one.  Each block takes 8 f^2 bytes, as much
+    again for the symmetry test's difference and f^2 for the finiteness
+    test's mask; its row of the follower mask n bytes, and its follower
+    indices (with their row numbers) and eigenvalues 24 f."""
+    return max(1, STACK_BYTES // (17 * f * f + 24 * f + n))
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,8 @@ CALLS = {
     "gamma_conditions": lambda bad: gamma_conditions(GS, bad),
     "min_refs_nonexpansive.n": lambda bad: min_refs_nonexpansive(bad, 2),
     "min_refs_nonexpansive.k": lambda bad: min_refs_nonexpansive(10, bad),
-    "delay_bounds_k": delay_bounds_k,
+    "delay_bounds_k": lambda bad: delay_bounds_k(10, bad),
+    "delay_bounds_k.n": lambda bad: delay_bounds_k(bad, 2),
     "delay_margin_exact": delay_margin_exact,
     "delay_margin_formation": lambda bad: delay_margin_formation(SPEC, bad),
     "build_platoon.n": lambda bad: build_platoon(bad, 1),
@@ -129,7 +130,7 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
 
 @pytest.mark.parametrize("call", [
     lambda: scan(tau_lo=0.0),
-    lambda: delay_bounds_k(2.5),
+    lambda: delay_bounds_k(10, 2.5),
     lambda: delay_margin_exact(0.0),
     lambda: delay_margin_exact([-1.0, 0.0]),
     lambda: md_arrangement(10, 1.5),
@@ -141,6 +142,7 @@ def test_every_numeric_parameter_rejects_non_finite(monkeypatch, name, bad):
     lambda: NoiseDisturbance(9e307, 0),  # the draws span 2 * amplitude, which overflows
     # omega t overflows within the run, and sin(inf) is NaN
     lambda: run(disturbance=SinusoidDisturbance(0.3, 1e308)),
+    lambda: delay_bounds_k(1, 2),
 ])
 def test_out_of_range_values_rejected(call):
     with pytest.raises(ParameterError, match="finite"):

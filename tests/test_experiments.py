@@ -26,6 +26,7 @@ from platoonkit import (
     make_reference_set,
     md_arrangement,
     robustness,
+    topology,
 )
 from platoonkit.cli import main
 from platoonkit.experiments import (
@@ -176,6 +177,17 @@ class TestRunners:
         assert doc["lg_spectrum"] == pytest.approx(hand, abs=1e-9)
         assert doc["delay_velocity_max"] == pytest.approx(0.35584964447221523)
 
+    def test_report_k_beyond_n_bounds_the_delay_below_its_margin(self, tmp_path):
+        # P(3,5) is the complete graph K3: lambda_max = 3, so the exact margin
+        # pi/6 lies above pi/(2k) = pi/10; the unstable bound is pi/(2(n - 1))
+        cfg = ScenarioConfig(n=3, k=5, arrangement="explicit", refs=(1,))
+        run_report(cfg, tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["delay_velocity_max"] == pytest.approx(math.pi / 6.0, abs=1e-12)
+        assert doc["delay_k_necessary"] == math.pi / 4.0
+        assert doc["delay_k_necessary"] >= doc["delay_velocity_max"]
+        assert "unstable > 0.785398163397" in (tmp_path / "report.txt").read_text()
+
     def test_hinf_sweep_files(self, tmp_path):
         cfg = ScenarioConfig(n=10, k=2, sweep_csv=True)
         paths = run_report(cfg, tmp_path)
@@ -272,6 +284,17 @@ class TestRunners:
         assert small[-5:] == ["true", "true", "true", "true", "true"]
         assert big[-5:] == ["false", "false", "false", "false", "false"]
 
+    def test_delay_grid_k_beyond_n_marks_a_stable_delay_below_pi_2k(self, tmp_path):
+        # on P(3,5), the complete graph K3, tau = 0.4 lies below the margin
+        # pi/6, and so below the unstable bound pi/(2(n - 1)) = pi/4
+        cfg = ScenarioConfig(n=3, k=5, arrangement="explicit", refs=(1,),
+                             experiment="delay-grid", taus=(0.4,), horizon=20.0, step=0.002)
+        run_delay_grid(cfg, tmp_path)
+        lines = (tmp_path / "delay_grid.csv").read_text().splitlines()
+        velocity = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert velocity["dynamics"] == "velocity" and velocity["stable"] == "true"
+        assert velocity["below_pi_2k"] == "true" and velocity["below_pi_2lmax"] == "true"
+
     def test_delay_grid_never_simulates(self, tmp_path, monkeypatch):
         # each run is classified by verdict, which holds the delay window
         # and one chunk of rows, never by a whole-run trajectory
@@ -360,6 +383,33 @@ class TestSweepRows:
         assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["remove", "add"])
+    @pytest.mark.parametrize("n, k", [(200, 3), (130, 2)])
+    def test_runs_of_several_stacks_match_the_per_position_path(self, n, k, mode):
+        # each run of topology.stack_count positions is one stack and one
+        # eigensolve; these sweeps take several runs, the last one short
+        base = md_arrangement(n, k)
+        positions = base.refs if mode == "remove" else base.followers
+        f = len(base.followers) + (1 if mode == "remove" else -1)
+        count = topology.stack_count(n, f)
+        assert 1 < count < len(positions) and len(positions) % count
+        assert sweep_outcome(gathered, n, k, mode) == sweep_outcome(reference_sweep_rows, n, k,
+                                                                     mode)
+
+    def test_stacked_peak_within_the_platoon_charge(self):
+        # a run of several grounded blocks, its follower indices and its
+        # eigensolve's temporaries are alive at once, within STACK_BYTES
+        n, k = 130, 2
+        assert topology.stack_count(n, n - len(md_arrangement(n, k).refs) - 1) > 1
+        gathered(12, 3, "add")  # untraced: a first call also loads what later calls reuse
+        tracemalloc.start()
+        try:
+            gathered(n, k, "add")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * n + topology.STACK_BYTES
+
+    @pytest.mark.parametrize("mode", ["remove", "add"])
     def test_peak_within_the_platoon_charge(self, mode):
         # topology._check_size charges a platoon four n x n float arrays; a
         # sweep holds its Laplacian across all its positions within that
@@ -400,6 +450,13 @@ class TestGains:
         n, k = int(rng.integers(2, 81)), int(rng.integers(1, 8))
         some = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
         self.assert_per_row_gains(n, k, [1], md_arrangement(n, k).refs, some.tolist())
+
+    @pytest.mark.parametrize("refs", [[0], [6], [-1], [2, 9], [5, 0, 3]])
+    def test_reference_outside_the_platoon_is_refused(self, refs):
+        # numpy would wrap index 0 to vehicle 5 and -1 to vehicle 4, and 6 is past the end
+        lap = build_platoon(5, 2).laplacian().astype(float)
+        with pytest.raises(ParameterError, match=r"reference indices .* outside 1\.\.5"):
+            _gains(lap, refs)
 
     def test_no_reference_or_no_follower(self):
         lap = build_platoon(5, 2).laplacian().astype(float)

@@ -23,6 +23,7 @@ from platoonkit import (
     ground,
     hinf_formation,
     hinf_velocity,
+    lambda1_gains,
     make_reference_set,
     margin_formation,
     md_arrangement,
@@ -87,7 +88,9 @@ def test_empty_spectrum_rejected(call):
     (lambda spec: sweep_hinf(grounded(3, 1, [1]), "formation", spec=spec), [1e-12, 1.0],
      "sweep needs a grounded system"),
     (delay_margin_velocity, [0.0, 1e-12], "delay margin needs lambda_max > 0"),
-], ids=["hinf_formation", "sweep_hinf", "delay_margin_velocity"])
+    (lambda spec: lambda1_gains(spec.lambda1), [1e-12, 1.0],
+     "formation gain needs a strictly positive spectrum"),
+], ids=["hinf_formation", "sweep_hinf", "delay_margin_velocity", "lambda1_gains"])
 def test_ungrounded_spectrum_rejected(call, values, message):
     # an eigenvalue at or below the grounding tolerance 1e-12 has no gain
     # or margin; hinf_velocity marks it unbounded instead
@@ -140,6 +143,13 @@ class TestHinfFormation:
 
     def test_single_eigenvalue(self):
         assert hinf_formation(spec_of([4.0])) == 0.25
+
+    def test_lambda1_gains_are_both_gains_of_the_spectrum(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            _, _, gs = random_grounded(rng, n_hi=30)
+            spec = eig_sym(gs.lg)
+            assert lambda1_gains(spec.lambda1) == (hinf_velocity(spec), hinf_formation(spec))
 
 
 class TestSweep:
@@ -506,8 +516,18 @@ class TestDelayMargins:
          (2, (math.pi / 16, math.pi / 4))],
     )
     def test_k_bounds(self, k, expected):
-        suff, nec = delay_bounds_k(k)
+        suff, nec = delay_bounds_k(36, k)
         assert (suff, nec) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("n, k", [(3, 5), (3, 2), (4, 4), (6, 9), (2, 1), (2, 7)])
+    def test_k_at_least_n_bounds_by_the_complete_graph(self, n, k):
+        # P(n, k) with k >= n - 1 is the complete graph: every follower has
+        # degree n - 1 < k when k >= n, so pi/(2k) would lie below the margin
+        suff, nec = delay_bounds_k(n, k)
+        assert nec == math.pi / (2.0 * (n - 1)) and suff == math.pi / (8.0 * k)
+        for refs in ([1], [n], list(range(1, n))):
+            margin = delay_margin_velocity(eig_sym(grounded(n, k, refs).lg))
+            assert suff <= margin <= nec, (refs, margin)
 
     def test_formation_margins_p36(self):
         gs = grounded(36, 4, list(md_arrangement(36, 4).refs))

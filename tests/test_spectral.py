@@ -16,6 +16,7 @@ from platoonkit import (
     delay_margin_formation,
     eig_sym,
     eig_sym_bisection,
+    eig_sym_stack,
     formation_modes,
     ground,
     make_reference_set,
@@ -120,6 +121,52 @@ class TestEigSym:
             spec = eig_sym(gs.lg)
             tr = float(np.trace(gs.lg))
             assert abs(tr - spec.values.sum()) <= 1e-8 * max(1.0, abs(tr))
+
+
+class TestEigSymStack:
+    """eig_sym_stack solves a (count, f, f) stack in one LAPACK call, each
+    matrix held to eig_sym's checks and given eig_sym's values."""
+
+    def test_each_row_is_eig_sym_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            f, count = int(rng.integers(1, 25)), int(rng.integers(1, 9))
+            stack = np.stack([sym(rng, f) for _ in range(count)])
+            got = eig_sym_stack(stack)
+            assert got.shape == (count, f)
+            for row, block in zip(got, stack):
+                assert row.tolist() == eig_sym(block).values.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_block(self, bad):
+        stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        stack[1, 0, 2] = stack[1, 2, 0] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            eig_sym_stack(stack)
+
+    def test_rejects_a_non_symmetric_block_by_its_own_scale(self):
+        # 1e-9 of asymmetry is within 1e-12 of block 0's scale 1e4, not of
+        # block 1's scale 1
+        stack = np.stack([1e4 * np.eye(2), np.eye(2)])
+        stack[:, 0, 1] = 1e-9
+        eig_sym_stack(stack[:1])
+        with pytest.raises(ParameterError, match="matrix 1 of the stack is not symmetric"):
+            eig_sym_stack(stack)
+        with pytest.raises(ParameterError, match="not symmetric"):
+            eig_sym(stack[1])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (3,), (1, 2, 2, 2)])
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(ParameterError, match="stack of square matrices"):
+            eig_sym_stack(np.ones(shape))
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym_stack(np.stack([np.eye(2), np.eye(2)]))
 
 
 class TestCertificates:
